@@ -47,18 +47,15 @@ use std::time::Instant;
 
 use dmis_bench::baseline_btree::BTreeMisEngine;
 use dmis_core::durability::{Checkpoint, MemIo, StorageIo, WriteAheadLog};
-use dmis_core::{static_greedy, DynamicMis, Engine, FlushPolicy, ManualClock, SettleStrategy};
+use dmis_core::{static_greedy, DynamicMis, Engine, FlushPolicy, ManualClock};
 use dmis_graph::{generators, NodeId, ShardLayout, TopologyChange};
 use dmis_sim::RunConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Graph sizes swept by the `engine_front` group and the snapshot's
-/// `"front"` section.
-const FRONT_SIZES: [usize; 2] = [1000, 4096];
-
-/// Changes per direction in the front-vs-heap batch toggle: large enough
-/// that the settle front (not the graph mutation) dominates the update.
+/// Changes per direction in the `"serve"` section's batched toggle: large
+/// enough that the settle front (not the graph mutation) dominates the
+/// update.
 const FRONT_BATCH: usize = 64;
 
 /// Shard counts swept by the `engine_sharding` group and the snapshot.
@@ -239,47 +236,6 @@ fn batch_workload(n: usize, batch: usize) -> (dmis_graph::DynGraph, Vec<(NodeId,
     (g, edges)
 }
 
-/// The word-parallel rank-bitset settle front vs the `BinaryHeap` drain
-/// it replaced, on the identical batched-toggle workload (64 edge
-/// deletions settled in one pass, then the 64 reinsertions): the
-/// per-update latency ablation of the dirty-queue realization, with the
-/// graph-mutation cost held constant across the two strategies. The
-/// snapshot's `"front"` section re-measures this workload and
-/// `tools/bench_gate.sh` fails CI if the front is ever slower than the
-/// heap (`BENCH_GATE_FRONT_MIN_SPEEDUP`, default 1.0 — fresh vs fresh,
-/// so fidelity-independent).
-fn bench_front_vs_heap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_front");
-    for &n in &FRONT_SIZES {
-        let (g, edges) = batch_workload(n, FRONT_BATCH);
-        let deletes: Vec<TopologyChange> = edges
-            .iter()
-            .map(|&(u, v)| TopologyChange::DeleteEdge(u, v))
-            .collect();
-        let inserts: Vec<TopologyChange> = edges
-            .iter()
-            .map(|&(u, v)| TopologyChange::InsertEdge(u, v))
-            .collect();
-        for (label, strategy) in [
-            ("front_batch_toggle", SettleStrategy::RankFront),
-            ("heap_batch_toggle", SettleStrategy::BinaryHeap),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                let mut engine = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .seed(42)
-                    .build_unsharded();
-                engine.set_settle_strategy(strategy);
-                b.iter(|| {
-                    black_box(engine.apply_batch(&deletes).expect("valid"));
-                    black_box(engine.apply_batch(&inserts).expect("valid"));
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
 /// The thread-executed engine on the identical single-toggle workload
 /// (K = 4 across the thread axis; threads only engage past the spawn
 /// threshold, so this measures the parallel plumbing's overhead on the
@@ -370,7 +326,7 @@ fn bench_ingest(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_update_vs_recompute, bench_node_churn, bench_dense_vs_btree, bench_front_vs_heap, bench_sharding, bench_parallel, bench_ingest
+    targets = bench_update_vs_recompute, bench_node_churn, bench_dense_vs_btree, bench_sharding, bench_parallel, bench_ingest
 }
 
 /// Median wall-clock nanoseconds per toggle over `iters` toggles.
@@ -516,94 +472,6 @@ fn write_snapshot(test_mode: bool) {
             "  {{\"n\": {n}, \"dense_ns_per_toggle\": {dense_ns:.1}, \
              \"btree_ns_per_toggle\": {btree_ns:.1}, \"speedup\": {:.2}}}",
             btree_ns / dense_ns
-        ));
-    }
-    // Front-vs-heap section: the dirty-queue ablation on the batched
-    // toggle workload (the settle-front-heavy update shape; see
-    // bench_front_vs_heap). Both rows of a size come from the same fresh
-    // run, so the speedup the gate checks is fidelity-independent.
-    let mut front_entries = Vec::new();
-    for &n in &FRONT_SIZES {
-        let (g, bedges) = batch_workload(n, FRONT_BATCH);
-        let deletes: Vec<TopologyChange> = bedges
-            .iter()
-            .map(|&(u, v)| TopologyChange::DeleteEdge(u, v))
-            .collect();
-        let inserts: Vec<TopologyChange> = bedges
-            .iter()
-            .map(|&(u, v)| TopologyChange::InsertEdge(u, v))
-            .collect();
-        let changes = 2 * FRONT_BATCH;
-        let mut front = dmis_core::Engine::builder()
-            .graph(g.clone())
-            .seed(42)
-            .build_unsharded();
-        let mut heap = dmis_core::Engine::builder()
-            .graph(g.clone())
-            .seed(42)
-            .build_unsharded();
-        heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-        let (front_ns, heap_ns) = measure_interleaved_ns(
-            || {
-                black_box(front.apply_batch(&deletes).expect("valid"));
-                black_box(front.apply_batch(&inserts).expect("valid"));
-            },
-            || {
-                black_box(heap.apply_batch(&deletes).expect("valid"));
-                black_box(heap.apply_batch(&inserts).expect("valid"));
-            },
-            iters,
-            samples,
-        );
-        let (front_ns, heap_ns) = (front_ns / changes as f64, heap_ns / changes as f64);
-        front_entries.push(format!(
-            "  {{\"n\": {n}, \"front_ns_per_change\": {front_ns:.1}, \
-             \"heap_ns_per_change\": {heap_ns:.1}, \"speedup\": {:.2}}}",
-            heap_ns / front_ns
-        ));
-    }
-    // Sharded single-toggle row of the same ablation: the per-shard heap
-    // was already persistent (no per-update malloc), so this isolates
-    // what the front's rank indirection costs on the tiny-cascade common
-    // case against what the u32 rank compares save. Reported for
-    // visibility, not gated: single toggles are so short that this
-    // container's noise floor (same-code replicate rows spread ~1.4x)
-    // dwarfs the strategy delta even with interleaved sampling.
-    {
-        let n = 1000usize;
-        let (g, edges) = toggle_workload(n);
-        let mut front = dmis_core::Engine::builder()
-            .graph(g.clone())
-            .sharding(ShardLayout::striped(4))
-            .seed(42)
-            .build_sharded();
-        let mut heap = dmis_core::Engine::builder()
-            .graph(g.clone())
-            .sharding(ShardLayout::striped(4))
-            .seed(42)
-            .build_sharded();
-        heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-        let (mut i, mut j) = (0usize, 0usize);
-        let (front_ns, heap_ns) = measure_interleaved_ns(
-            || {
-                let (u, v) = edges[i % edges.len()];
-                i += 1;
-                black_box(front.remove_edge(u, v).expect("valid"));
-                black_box(front.insert_edge(u, v).expect("valid"));
-            },
-            || {
-                let (u, v) = edges[j % edges.len()];
-                j += 1;
-                black_box(heap.remove_edge(u, v).expect("valid"));
-                black_box(heap.insert_edge(u, v).expect("valid"));
-            },
-            iters,
-            samples,
-        );
-        front_entries.push(format!(
-            "  {{\"n\": {n}, \"shards\": 4, \"front_ns_per_toggle\": {front_ns:.1}, \
-             \"heap_ns_per_toggle\": {heap_ns:.1}, \"speedup\": {:.2}}}",
-            heap_ns / front_ns
         ));
     }
     // Shard-scaling section: per-update latency and cross-shard handoff
@@ -877,10 +745,11 @@ fn write_snapshot(test_mode: bool) {
         }
     }
     // Serve-tier section: the concurrent snapshot read path. The first
-    // row prices what per-settle publication costs the writer — the same
-    // n=4096 batched-toggle workload as the "front" section, run
-    // interleaved on a plain engine and on one with its snapshot channel
-    // attached (a live `MisReader` held through the measurement). One
+    // row prices what per-settle publication costs the writer — 64 edge
+    // deletions settled in one `apply_batch`, then the 64 reinsertions,
+    // on ER(4096, 8/n), run interleaved on a plain engine and on one
+    // with its snapshot channel attached (a live `MisReader` held
+    // through the measurement). One
     // settle publishes once, so the batch shape is the production shape;
     // `tools/bench_gate.sh` fails CI when the overhead ratio exceeds
     // BENCH_GATE_SERVE_MAX_OVERHEAD (default 1.10). The second row runs
@@ -1028,14 +897,13 @@ fn write_snapshot(test_mode: bool) {
     let path = format!("{dir}/BENCH_engine.json");
     let body = format!(
         "{{\"bench\": \"engine_updates\", \"workload\": \"er_random_edge_toggle\", \
-         \"mode\": \"{}\", \"results\": [\n{}\n],\n \"front\": [\n{}\n],\n \
+         \"mode\": \"{}\", \"results\": [\n{}\n],\n \
          \"sharding\": [\n{}\n],\n \
          \"parallel\": [\n{}\n],\n \"parallel_batch\": [\n{}\n],\n \
          \"ingest\": [\n{}\n],\n \"ingest_policy\": [\n{}\n],\n \
          \"scale\": [\n{}\n],\n \"serve\": [\n{}\n],\n \"recovery\": [\n{}\n]}}\n",
         if test_mode { "smoke" } else { "full" },
         entries.join(",\n"),
-        front_entries.join(",\n"),
         shard_entries.join(",\n"),
         par_entries.join(",\n"),
         par_batch_entries.join(",\n"),

@@ -21,7 +21,7 @@
 //! front of a K = 4 sharded engine — at watermarks Q ∈ {1, 4, 16, 64}.
 //! Deeper queues amortize settle passes (fewer flushes, fewer settle
 //! epochs = rounds) and cancel opposing churn outright (coalesced
-//! changes never cost a single heap pop), at the price of queueing
+//! changes never cost a single settle pop), at the price of queueing
 //! latency: a change waits, on average, ~(Q−1)/2 arrivals before its
 //! flush makes it visible. That latency-vs-work trade-off is exactly
 //! what the table sweeps, and outputs are watermark-invariant (checked

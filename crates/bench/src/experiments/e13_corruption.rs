@@ -57,7 +57,7 @@ pub fn run(quick: bool) -> Report {
     // Engine tier: the same adversary against the *production* engine —
     // flip `in_mis` on k live nodes, then let `verify_and_repair` heal
     // with the template's local rule instead of rebuilding. The settle
-    // work (heap pops + counter updates beyond the fixed detection
+    // work (settle pops + counter updates beyond the fixed detection
     // sweep) is what scales with k; `n + 2m` is the floor any
     // from-scratch rebuild pays just to re-derive the counters.
     let engine_trials = trials / 4;

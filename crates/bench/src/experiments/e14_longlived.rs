@@ -25,7 +25,7 @@ pub fn run(quick: bool) -> Report {
         "graph",
         "changes",
         "adjust/chg",
-        "heap pops/chg",
+        "settle pops/chg",
         "counter upd/chg",
         "max single-step adjust",
     ]);
@@ -80,7 +80,7 @@ pub fn run(quick: bool) -> Report {
          end.\n\n{table}\n\
          Reading: amortized adjustments sit well below 1 per change over \
          thousands of changes on three different topology classes, and the \
-         sequential work counters (heap settlements, neighbor-counter \
+         sequential work counters (settle pops, neighbor-counter \
          updates — the O(Δ·|S|) term of Section 6) stay flat: no drift, no \
          amortization tricks, matching the paper's per-change guarantee.\n"
     );

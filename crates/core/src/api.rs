@@ -13,13 +13,11 @@
 //!   to be triplicated (`apply` dispatch, `insert_node` key draws,
 //!   [`DynamicMis::mis`]'s ordered-set materialization, `state`) lives
 //!   here once, as provided methods over the engines' primitives.
-//! - [`Engine`] / [`EngineBuilder`] replace the three divergent
-//!   `new`/`from_graph`/`from_parts` constructor families with one
-//!   axis-based builder: every engine flavor is a point in
-//!   (seed, graph, π, sharding, threads, spawn threshold, settle
-//!   strategy) space, and [`EngineBuilder::build`] picks the cheapest
-//!   engine that realizes the configured axes behind a
-//!   `Box<dyn DynamicMis>`.
+//! - [`Engine`] / [`EngineBuilder`] is the one way to construct an
+//!   engine: every engine flavor is a point in (seed, graph, π,
+//!   sharding, threads, spawn threshold, capacity) space, and
+//!   [`EngineBuilder::build`] picks the cheapest engine that realizes
+//!   the configured axes behind a `Box<dyn DynamicMis>`.
 //! - [`IngestSession`] is the change-ingestion queue the ROADMAP's
 //!   async-batching item asked for: [`IngestSession::push`] coalesces the
 //!   adversary's stream (opposing changes on the same edge cancel,
@@ -57,9 +55,24 @@ use dmis_graph::{DynGraph, EdgeKey, GraphError, NodeId, ShardLayout, TopologyCha
 use crate::invariant::InvariantViolation;
 use crate::policy::{Clock, FlushController, FlushPolicy, MonotonicClock, QueueDelay};
 use crate::{
-    BatchReceipt, MisEngine, MisState, ParallelShardedMisEngine, PriorityMap, SettleStrategy,
-    ShardedMisEngine, UpdateReceipt,
+    BatchReceipt, MisEngine, MisState, ParallelShardedMisEngine, PriorityMap, ShardedMisEngine,
+    UpdateReceipt,
 };
+
+/// The realization of the π-ordered dirty queue a settle loop drains.
+///
+/// Every engine drains one word-parallel rank front
+/// ([`dmis_graph::RankFront`] over [`crate::RankIndex`] ranks), so this
+/// has a single variant. It survives only so that external
+/// [`DynamicMis`] implementations written against the two-strategy API
+/// keep compiling; see [`DynamicMis::settle_strategy`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SettleStrategy {
+    /// The word-parallel rank-bitset front: no per-update allocation,
+    /// whole-word scans, `u32` rank compares on the neighbor filter.
+    #[default]
+    RankFront,
+}
 
 /// The full surface of a dynamic-MIS maintainer: topology updates that
 /// return auditable [`UpdateReceipt`]s, batched updates, and the query
@@ -174,13 +187,18 @@ pub trait DynamicMis: std::fmt::Debug {
     /// exist.
     fn is_in_mis(&self, v: NodeId) -> Option<bool>;
 
-    /// Which dirty-queue realization the settle loop drains.
-    fn settle_strategy(&self) -> SettleStrategy;
+    /// Which dirty-queue realization the settle loop drains: always
+    /// [`SettleStrategy::RankFront`]. No engine stores or forwards it;
+    /// the method remains only because implementations outside this
+    /// workspace still override it.
+    fn settle_strategy(&self) -> SettleStrategy {
+        SettleStrategy::RankFront
+    }
 
-    /// Selects the dirty-queue realization. Purely a
-    /// performance/verification knob: outputs and receipts are
-    /// bit-identical for both settings.
-    fn set_settle_strategy(&mut self, strategy: SettleStrategy);
+    /// Does nothing: every engine has one settle drain. The method
+    /// remains only because implementations outside this workspace
+    /// still override it.
+    fn set_settle_strategy(&mut self, _strategy: SettleStrategy) {}
 
     /// Returns a cheaply-cloneable, `Send + Sync` concurrent read
     /// handle over the engine's published MIS snapshots, attaching the
@@ -328,7 +346,7 @@ pub trait DynamicMis: std::fmt::Debug {
 /// Implements [`DynamicMis`] for an engine by forwarding every required
 /// method to a target expression — `self` for the engines that own the
 /// primitives, `self.inner` for wrappers. This macro is what keeps the
-/// trait's 16-method surface from being hand-copied per engine (the
+/// trait's required surface from being hand-copied per engine (the
 /// pre-trait state of the codebase).
 macro_rules! forward_dynamic_mis {
     ($ty:ty, |$s:ident| $t:expr) => {
@@ -394,14 +412,6 @@ macro_rules! forward_dynamic_mis {
             fn is_in_mis(&self, v: dmis_graph::NodeId) -> Option<bool> {
                 let $s = self;
                 $t.is_in_mis(v)
-            }
-            fn settle_strategy(&self) -> crate::SettleStrategy {
-                let $s = self;
-                $t.settle_strategy()
-            }
-            fn set_settle_strategy(&mut self, strategy: crate::SettleStrategy) {
-                let $s = self;
-                $t.set_settle_strategy(strategy);
             }
             fn reader(&mut self) -> crate::MisReader {
                 let $s = self;
@@ -496,12 +506,6 @@ macro_rules! forward_dynamic_mis_deref {
             fn is_in_mis(&self, v: NodeId) -> Option<bool> {
                 (**self).is_in_mis(v)
             }
-            fn settle_strategy(&self) -> SettleStrategy {
-                (**self).settle_strategy()
-            }
-            fn set_settle_strategy(&mut self, strategy: SettleStrategy) {
-                (**self).set_settle_strategy(strategy);
-            }
             fn reader(&mut self) -> crate::MisReader {
                 (**self).reader()
             }
@@ -539,10 +543,9 @@ macro_rules! forward_dynamic_mis_deref {
 
 forward_dynamic_mis_deref!(<T> &mut T, <T> Box<T>);
 
-/// Namespace for [`Engine::builder`] — the single entry point that
-/// replaces the per-engine `new`/`from_graph`/`from_parts` constructor
-/// families (kept as deprecated thin shims; see the README migration
-/// table).
+/// Namespace for [`Engine::builder`] — the single entry point for
+/// constructing every engine flavor (see the README migration table for
+/// the retired per-engine constructors).
 #[derive(Debug, Clone, Copy)]
 pub struct Engine;
 
@@ -557,12 +560,11 @@ impl Engine {
 /// Axis-based engine construction.
 ///
 /// Every engine flavor in the workspace is a point in the configuration
-/// space (seed, graph, π, sharding, threads, spawn threshold, settle
-/// strategy). The builder replaces the three divergent constructor
-/// families with one fluent path:
+/// space (seed, graph, π, sharding, threads, spawn threshold, capacity),
+/// and the builder is its one fluent construction path:
 ///
 /// ```
-/// use dmis_core::{DynamicMis, Engine, SettleStrategy};
+/// use dmis_core::{DynamicMis, Engine};
 /// use dmis_graph::{generators, ShardLayout};
 ///
 /// let (g, _) = generators::cycle(12);
@@ -573,7 +575,6 @@ impl Engine {
 ///     .sharding(ShardLayout::striped(4))
 ///     .threads(2)
 ///     .spawn_threshold(0)
-///     .settle_strategy(SettleStrategy::RankFront)
 ///     .build();
 /// assert_eq!(engine.mis_len(), Engine::builder().graph(g).seed(9).build().mis_len());
 /// ```
@@ -591,7 +592,6 @@ pub struct EngineBuilder {
     sharding: Option<ShardLayout>,
     threads: Option<usize>,
     spawn_threshold: Option<usize>,
-    strategy: SettleStrategy,
     capacity: Option<usize>,
 }
 
@@ -645,14 +645,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn spawn_threshold(mut self, threshold: usize) -> Self {
         self.spawn_threshold = Some(threshold);
-        self
-    }
-
-    /// Which dirty-queue realization the settle loops drain; see
-    /// [`SettleStrategy`]. Defaults to [`SettleStrategy::RankFront`].
-    #[must_use]
-    pub fn settle_strategy(mut self, strategy: SettleStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -733,7 +725,6 @@ impl EngineBuilder {
         if let Some(n) = self.capacity {
             engine.reserve_nodes(n);
         }
-        engine.set_settle_strategy(self.strategy);
         engine
     }
 
@@ -761,7 +752,6 @@ impl EngineBuilder {
         if let Some(n) = self.capacity {
             engine.reserve_nodes(n);
         }
-        engine.set_settle_strategy(self.strategy);
         engine
     }
 

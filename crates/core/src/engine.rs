@@ -9,9 +9,6 @@
 //! sharded engine ([`crate::ShardedMisEngine`]) must reproduce its output
 //! bit for bit while partitioning this module's state across shards.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use dmis_graph::{
     ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, RankFront, TopologyChange,
 };
@@ -20,26 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::invariant::{self, InvariantViolation};
 use crate::snapshot::{MisPublisher, MisReader, PublishSlot};
-use crate::{BatchReceipt, MisState, Priority, PriorityMap, RankIndex, UpdateReceipt};
-
-/// Which realization of the priority-ordered dirty queue a settle loop
-/// drains. Both produce bit-identical receipts — pops come out in
-/// increasing π either way — so this is purely a performance/verification
-/// knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SettleStrategy {
-    /// The word-parallel rank-bitset front ([`dmis_graph::RankFront`]
-    /// over [`crate::RankIndex`] ranks): no per-update allocation,
-    /// whole-word scans, `u32` rank compares on the neighbor filter.
-    /// The default.
-    #[default]
-    RankFront,
-    /// The per-update `BinaryHeap<Reverse<(Priority, NodeId)>>` the front
-    /// replaced — retained as the bitwise reference for the
-    /// heap-vs-front equivalence suite (`crates/core/tests/`) and the
-    /// `engine_front` bench ablation.
-    BinaryHeap,
-}
+use crate::{BatchReceipt, MisState, PriorityMap, RankIndex, UpdateReceipt};
 
 /// Incremental maintainer of the random-greedy MIS — the paper's template
 /// (Algorithm 1) realized as an efficient sequential data structure.
@@ -52,14 +30,16 @@ pub enum SettleStrategy {
 ///
 /// A topology change perturbs the counters of at most the changed node(s)
 /// and their neighbors; the engine restores the invariant by settling dirty
-/// nodes in increasing π order (a min-priority heap), so each node's final
-/// state is decided exactly once. The set of nodes whose output flips is the
-/// paper's adjustment set: by Theorem 1 its expected size is at most 1 for
-/// any single change, under the oblivious-adversary assumption.
+/// nodes in increasing π order (a word-parallel bitset front over the dense
+/// [`RankIndex`] ranks), so each node's final state is decided exactly
+/// once. The set of nodes whose output flips is the paper's adjustment set:
+/// by Theorem 1 its expected size is at most 1 for any single change, under
+/// the oblivious-adversary assumption.
 ///
-/// The per-update sequential cost is `O((1 + Σ_{v flipped} deg(v)) · log n)`
-/// — the O(Δ) factor per adjusted node the paper's Section 6 predicts for
-/// sequential implementations.
+/// The per-update sequential cost is `O(1 + Σ_{v flipped} deg(v))` plus
+/// one pass over the front's summary words (one per 4096 ranks) — the O(Δ)
+/// factor per adjusted node the paper's Section 6 predicts for sequential
+/// implementations.
 ///
 /// # Example
 ///
@@ -104,8 +84,6 @@ pub struct MisEngine {
     /// Persistent word-parallel dirty queue: empty between updates, like
     /// `enqueued`, so no settle ever allocates.
     front: RankFront,
-    /// Which dirty-queue realization [`Self::propagate`] drains.
-    strategy: SettleStrategy,
     /// Snapshot publication slot: empty (and free on the settle path)
     /// until [`Self::reader`] attaches a read path; then every settle
     /// publishes the quiesced membership. Cloning an engine detaches —
@@ -114,16 +92,8 @@ pub struct MisEngine {
 }
 
 impl MisEngine {
-    /// Creates an engine over an empty graph. `seed` determinizes all
-    /// priority draws.
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().seed(seed).build_unsharded()`"
-    )]
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self::new_impl(seed)
-    }
-
+    /// An engine over an empty graph; `seed` determinizes all priority
+    /// draws. Reached through [`crate::EngineBuilder::build_unsharded`].
     pub(crate) fn new_impl(seed: u64) -> Self {
         MisEngine {
             graph: DynGraph::new(),
@@ -136,21 +106,12 @@ impl MisEngine {
             enqueued: NodeSet::new(),
             ranks: RankIndex::new(),
             front: RankFront::new(),
-            strategy: SettleStrategy::default(),
             publisher: PublishSlot::default(),
         }
     }
 
-    /// Creates an engine over an existing graph, drawing fresh random
-    /// priorities for all its nodes and computing the initial greedy MIS.
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().graph(g).seed(seed).build_unsharded()`"
-    )]
-    #[must_use]
-    pub fn from_graph(graph: DynGraph, seed: u64) -> Self {
-        Self::from_graph_impl(graph, seed)
-    }
-
+    /// An engine over an existing graph, drawing fresh random priorities
+    /// for all its nodes and computing the initial greedy MIS.
     pub(crate) fn from_graph_impl(graph: DynGraph, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut priorities = PriorityMap::new();
@@ -162,20 +123,12 @@ impl MisEngine {
         Self::with_priorities(graph, priorities, rng, seed, draws)
     }
 
-    /// Creates an engine over an existing graph with prescribed priorities
-    /// (used by tests and by the theory checks, which need a fixed π).
+    /// An engine over an existing graph with prescribed priorities (tests
+    /// and the theory checks, which need a fixed π).
     ///
     /// # Panics
     ///
     /// Panics if some node of the graph has no priority.
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().graph(g).priorities(p).seed(seed).build_unsharded()`"
-    )]
-    #[must_use]
-    pub fn from_parts(graph: DynGraph, priorities: PriorityMap, seed: u64) -> Self {
-        Self::from_parts_impl(graph, priorities, seed)
-    }
-
     pub(crate) fn from_parts_impl(graph: DynGraph, priorities: PriorityMap, seed: u64) -> Self {
         Self::with_priorities(graph, priorities, StdRng::seed_from_u64(seed), seed, 0)
     }
@@ -201,7 +154,6 @@ impl MisEngine {
             enqueued: NodeSet::new(),
             ranks,
             front,
-            strategy: SettleStrategy::default(),
             publisher: PublishSlot::default(),
         };
         for v in engine.graph.nodes() {
@@ -244,20 +196,6 @@ impl MisEngine {
     #[must_use]
     pub fn ranks(&self) -> &RankIndex {
         &self.ranks
-    }
-
-    /// Which dirty-queue realization the settle loop drains.
-    #[must_use]
-    pub fn settle_strategy(&self) -> SettleStrategy {
-        self.strategy
-    }
-
-    /// Selects the dirty-queue realization. Purely a
-    /// performance/verification knob: pops come out in increasing π
-    /// either way, so outputs and receipts are bit-identical for both
-    /// settings — which the heap-vs-front property suite pins.
-    pub fn set_settle_strategy(&mut self, strategy: SettleStrategy) {
-        self.strategy = strategy;
     }
 
     /// Iterates over the current MIS in identifier order without
@@ -792,66 +730,36 @@ impl MisEngine {
     /// at its first pop because all lower-order dirty nodes settle first,
     /// so each node flips at most once per update.
     ///
+    /// Dirty ranks live in the persistent [`RankFront`], pops are
+    /// whole-word bit scans, and the neighbor filter compares dense `u32`
+    /// ranks instead of 16-byte priorities. Seeds arrive as node ids and
+    /// are converted to ranks *here* — after every mutation of the update
+    /// — so batch-triggered re-ranks can never invalidate a parked rank.
+    ///
     /// The `enqueued` bitset deduplicates the dirty set: a node seeded by
     /// several changes of a batch — or pushed by several flipping
-    /// neighbors — enters the queue once. Deduplication is sound because
-    /// pops are non-decreasing in π (a flip at priority `p` only ever
-    /// pushes strictly-higher neighbors), so a popped node can never need
-    /// re-settling within the same propagation.
-    ///
-    /// Dispatches on [`SettleStrategy`]; both drains pop the identical
-    /// sequence, so the receipt is bit-identical either way.
+    /// neighbors — enters the front once. Deduplication is sound because
+    /// pops are non-decreasing in π (a flip at rank `r` only ever pushes
+    /// strictly higher ranks), so a popped node can never need re-settling
+    /// within the same propagation.
     fn propagate(
-        &mut self,
-        kind: ChangeKind,
-        seeds: Vec<NodeId>,
-        counter_updates: usize,
-    ) -> UpdateReceipt {
-        // All of this update's mutations have landed: rank any node the
-        // update inserted out of π order (one coalesced re-rank per
-        // update, not one per insertion). Unconditional on purpose — the
-        // heap drain never reads ranks, but flushing both strategies
-        // keeps the pending list bounded by a single update's inserts,
-        // so `RankIndex::remove`'s pending scan stays O(batch), and it
-        // makes switching strategies mid-life safe with no extra guard.
-        self.ranks.flush(&self.priorities);
-        let receipt = match self.strategy {
-            SettleStrategy::RankFront => self.propagate_front(kind, seeds, counter_updates),
-            SettleStrategy::BinaryHeap => self.propagate_heap(kind, seeds, counter_updates),
-        };
-        // The drain has quiesced — no rank is parked anywhere — so this
-        // is the one safe point to drop tombstone mass. Keeps the rank
-        // span (and the front's word array) within 2× the live count
-        // under deletion-heavy churn.
-        self.ranks.maybe_compact();
-        // Publication comes strictly after compaction: the snapshot's
-        // compaction stamp is the witness the consistency tier checks.
-        if let Some(p) = self.publisher.get_mut() {
-            debug_assert!(self.ranks.is_flushed(), "publishing before rank quiescence");
-            p.publish(&self.in_mis, self.ranks.compactions());
-        }
-        receipt
-    }
-
-    /// The word-parallel drain: dirty ranks live in the persistent
-    /// [`RankFront`], pops are whole-word bit scans, and the neighbor
-    /// filter compares dense `u32` ranks instead of 16-byte priorities.
-    /// Seeds arrive as node ids and are converted to ranks *here* — after
-    /// every mutation of the update — so batch-triggered re-ranks can
-    /// never invalidate a parked rank.
-    fn propagate_front(
         &mut self,
         kind: ChangeKind,
         seeds: Vec<NodeId>,
         mut counter_updates: usize,
     ) -> UpdateReceipt {
+        // All of this update's mutations have landed: rank any node the
+        // update inserted out of π order (one coalesced re-rank per
+        // update, not one per insertion). This also keeps the pending
+        // list bounded by a single update's inserts, so
+        // `RankIndex::remove`'s pending scan stays O(batch).
+        self.ranks.flush(&self.priorities);
         // Every insert pairs with a bit set and every pop clears it, so
         // both scratch structures are empty between updates without an
         // O(n/64) clear — per-update cost stays bounded by the work done,
         // not by the highest identifier ever allocated.
         debug_assert!(self.enqueued.is_empty(), "settle scratch leaked bits");
         debug_assert!(self.front.is_empty(), "settle front leaked ranks");
-        debug_assert!(self.ranks.is_flushed(), "propagate() flushes first");
         for v in seeds {
             // A batch may have deleted a node seeded by an earlier change;
             // the bitset merges duplicate seeds into one dirty entry.
@@ -897,61 +805,19 @@ impl MisEngine {
                 }
             }
         }
-        UpdateReceipt::new(kind, flips, pops, counter_updates)
-    }
-
-    /// The retained heap drain — one `BinaryHeap` allocated per update,
-    /// keyed by `(Priority, NodeId)`. This is the pre-front settle loop,
-    /// byte for byte; the equivalence suite replays every workload
-    /// through both drains and demands identical receipts.
-    fn propagate_heap(
-        &mut self,
-        kind: ChangeKind,
-        seeds: Vec<NodeId>,
-        mut counter_updates: usize,
-    ) -> UpdateReceipt {
-        debug_assert!(self.enqueued.is_empty(), "settle scratch leaked bits");
-        let mut heap: BinaryHeap<Reverse<(Priority, NodeId)>> =
-            BinaryHeap::with_capacity(seeds.len());
-        for v in seeds {
-            if self.graph.has_node(v) && self.enqueued.insert(v) {
-                heap.push(Reverse((self.priorities.of(v), v)));
-            }
+        let receipt = UpdateReceipt::new(kind, flips, pops, counter_updates);
+        // The drain has quiesced — no rank is parked anywhere — so this
+        // is the one safe point to drop tombstone mass. Keeps the rank
+        // span (and the front's word array) within 2× the live count
+        // under deletion-heavy churn.
+        self.ranks.maybe_compact();
+        // Publication comes strictly after compaction: the snapshot's
+        // compaction stamp is the witness the consistency tier checks.
+        if let Some(p) = self.publisher.get_mut() {
+            debug_assert!(self.ranks.is_flushed(), "publishing before rank quiescence");
+            p.publish(&self.in_mis, self.ranks.compactions());
         }
-        let mut flips = Vec::new();
-        let mut pops = 0usize;
-        while let Some(Reverse((prio, v))) = heap.pop() {
-            pops += 1;
-            self.enqueued.remove(v);
-            let desired = self.lower_mis_count[v] == 0;
-            let current = self.in_mis.contains(v);
-            if desired == current {
-                continue;
-            }
-            self.set_in_mis(v, desired);
-            flips.push((v, MisState::from_membership(desired)));
-            let graph = &self.graph;
-            let priorities = &self.priorities;
-            let lower = &mut self.lower_mis_count;
-            let enqueued = &mut self.enqueued;
-            for chunk in graph.neighbor_chunks(v).expect("live node") {
-                for &w in chunk {
-                    if priorities.of(w) > prio {
-                        let c = lower.get_mut(w).expect("live node");
-                        if desired {
-                            *c += 1;
-                        } else {
-                            *c -= 1;
-                        }
-                        counter_updates += 1;
-                        if enqueued.insert(w) {
-                            heap.push(Reverse((priorities.of(w), w)));
-                        }
-                    }
-                }
-            }
-        }
-        UpdateReceipt::new(kind, flips, pops, counter_updates)
+        receipt
     }
 }
 

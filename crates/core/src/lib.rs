@@ -14,9 +14,7 @@
 //!   uniformly random 64-bit key per node with identifier tie-break, and
 //!   [`RankIndex`]: its dense `u32` rank compression, which lets every
 //!   settle loop run on a word-parallel bitset front
-//!   ([`dmis_graph::RankFront`]) instead of a per-update heap — the heap
-//!   drain is retained behind [`SettleStrategy`] as the bitwise
-//!   reference;
+//!   ([`dmis_graph::RankFront`]) instead of a per-update heap;
 //! - [`MisEngine`]: an efficient incremental maintainer of the random-greedy
 //!   MIS (the "sequential dynamic" realization of the paper's template,
 //!   Algorithm 1), reporting per-update [`UpdateReceipt`]s with the
@@ -93,8 +91,11 @@ pub mod static_greedy;
 pub mod template;
 pub mod theory;
 
-pub use api::{ChangeCoalescer, DynamicMis, Engine, EngineBuilder, IngestReceipt, IngestSession};
-pub use engine::{MisEngine, SettleStrategy};
+pub use api::{
+    ChangeCoalescer, DynamicMis, Engine, EngineBuilder, IngestReceipt, IngestSession,
+    SettleStrategy,
+};
+pub use engine::MisEngine;
 pub use parallel::ParallelShardedMisEngine;
 pub use policy::{AdaptiveConfig, Clock, FlushPolicy, ManualClock, MonotonicClock, QueueDelay};
 pub use priority::{Priority, PriorityMap};

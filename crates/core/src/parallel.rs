@@ -1,7 +1,7 @@
 //! Parallel settle: the epoch coordinator on worker threads.
 //!
 //! The sharded engine's recovery is a sequence of **epochs** (see
-//! [`crate::sharding`]): every dirty shard drains its heap against a
+//! [`crate::sharding`]): every dirty shard drains its front against a
 //! frozen view of the others, then a barrier merges the buffered
 //! handoffs. Shard runs within an epoch touch disjoint state — each run
 //! mutates only its own `Shard` and reads the shared graph/π — so the
@@ -15,7 +15,7 @@
 //! at the barrier; per-worker `SettleStats` are pure sums, so merging
 //! them is order-independent. A **spawn threshold** keeps the paper's
 //! common case fast: Theorem 1 makes single-change cascades tiny
-//! (expected ≤ 1 flip), and spawning OS threads for three heap pops costs
+//! (expected ≤ 1 flip), and spawning OS threads for three settle pops costs
 //! orders of magnitude more than the pops — so epochs whose total pending
 //! work is below the threshold drain inline on the calling thread.
 //! Threads are harvested where the work actually is: batched recoveries
@@ -29,16 +29,15 @@
 //! `parallel-determinism` matrix re-runs it under `DMIS_PAR_THREADS`
 //! ∈ {1, 2, 8}.
 
-use dmis_graph::{DynGraph, ShardLayout};
+use dmis_graph::ShardLayout;
 
 use crate::sharding::{run_shard_epoch, SettleCtx, SettleStats, Shard};
-use crate::{PriorityMap, ShardedMisEngine};
+use crate::ShardedMisEngine;
 
 /// Executes one settle epoch over `shards`: every shard with pending
 /// dirty work is drained to local completion via
-/// [`run_shard_epoch`] (a frozen-view drain of either the word-parallel
-/// rank front or the legacy heap, per the context's strategy). With
-/// `threads > 1`, enough independent dirty shards, and at least
+/// [`run_shard_epoch`] (a frozen-view drain of the shard's rank front).
+/// With `threads > 1`, enough independent dirty shards, and at least
 /// `spawn_threshold` pending dirty entries, the drains run on scoped
 /// worker threads; otherwise inline, in shard-index order. Both paths
 /// compute the identical result — shard runs share no mutable state and
@@ -94,7 +93,8 @@ pub(crate) fn execute_epoch(
 /// threads — deterministically.
 ///
 /// Construction mirrors the sequential engine with one extra `threads`
-/// axis. Every operation delegates to the wrapped [`ShardedMisEngine`];
+/// axis ([`crate::EngineBuilder::build_parallel`], or
+/// [`Self::from_engine`] on a built sequential engine). Every operation delegates to the wrapped [`ShardedMisEngine`];
 /// the only difference is *who executes* an epoch's independent shard
 /// runs, never *what* they compute, so the MIS, the flip log, and every
 /// receipt counter are bit-identical to the sequential engine for every
@@ -132,52 +132,6 @@ pub struct ParallelShardedMisEngine {
 }
 
 impl ParallelShardedMisEngine {
-    /// Creates an engine over an empty graph. `threads` is clamped to at
-    /// least 1.
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().sharding(layout).threads(t).seed(seed).build_parallel()`"
-    )]
-    #[must_use]
-    pub fn new(layout: ShardLayout, threads: usize, seed: u64) -> Self {
-        Self::from_engine(ShardedMisEngine::new_impl(layout, seed), threads)
-    }
-
-    /// Creates an engine over an existing graph. Same seed ⇒ same
-    /// priority draws as the sequential engines, so all three stay
-    /// step-for-step comparable.
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().graph(g).sharding(layout).threads(t).seed(seed).build_parallel()`"
-    )]
-    #[must_use]
-    pub fn from_graph(graph: DynGraph, layout: ShardLayout, threads: usize, seed: u64) -> Self {
-        Self::from_engine(
-            ShardedMisEngine::from_graph_impl(graph, layout, seed),
-            threads,
-        )
-    }
-
-    /// Creates an engine with prescribed priorities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some node of the graph has no priority.
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().graph(g).priorities(p).sharding(layout).threads(t).seed(seed).build_parallel()`"
-    )]
-    #[must_use]
-    pub fn from_parts(
-        graph: DynGraph,
-        priorities: PriorityMap,
-        layout: ShardLayout,
-        threads: usize,
-        seed: u64,
-    ) -> Self {
-        Self::from_engine(
-            ShardedMisEngine::from_parts_impl(graph, priorities, layout, seed),
-            threads,
-        )
-    }
-
     /// Promotes a sequential engine to parallel execution in place — the
     /// state is reused verbatim, so outputs continue bit-for-bit.
     #[must_use]
@@ -208,7 +162,7 @@ impl ParallelShardedMisEngine {
         self.inner.set_execution(threads, threshold);
     }
 
-    /// Pending-work floor (total dirty-heap entries in an epoch) below
+    /// Pending-work floor (total dirty-front entries in an epoch) below
     /// which the epoch drains inline even when threads are configured.
     #[must_use]
     pub fn spawn_threshold(&self) -> usize {

@@ -79,8 +79,7 @@ pub struct RankIndex {
     /// Live nodes inserted *out of π order* since the last [`Self::flush`]:
     /// they hold no rank yet. Coalescing them makes a batch of k node
     /// insertions cost one O(live + k log k) re-rank at the next flush
-    /// instead of k O(live) rewrites — and a heap-strategy engine, which
-    /// never reads ranks, never pays for re-ranking at all.
+    /// instead of k O(live) rewrites.
     pending: Vec<NodeId>,
     /// Re-rank scratch (persistent capacity).
     scratch: Vec<NodeId>,

@@ -4,7 +4,7 @@
 //! [`crate::ShardedMisEngine`] returns an [`UpdateReceipt`] (batches wrap
 //! it in a [`BatchReceipt`]) recording *what the recovery did*: the
 //! adjustment set (the paper's central complexity measure), the settle
-//! work performed (heap pops, neighbor-counter updates), and — for the
+//! work performed (settle pops, neighbor-counter updates), and — for the
 //! sharded engine — how much of the cascade crossed shard boundaries
 //! ([`UpdateReceipt::cross_shard_handoffs`]), how many shard activations
 //! the coordinator scheduled ([`UpdateReceipt::shard_runs`]), and how
@@ -99,7 +99,9 @@ impl UpdateReceipt {
         self.flips.len()
     }
 
-    /// Number of priority-queue settlements performed (≥ adjustments).
+    /// Number of settle pops: dirty nodes drained from the settle front
+    /// (≥ adjustments). The name predates the rank front, which replaced
+    /// a binary heap.
     #[must_use]
     pub fn heap_pops(&self) -> usize {
         self.heap_pops
@@ -181,7 +183,7 @@ impl BatchReceipt {
         self.receipt.adjustments()
     }
 
-    /// Heap settlements performed by the combined propagation.
+    /// Settle pops performed by the combined propagation.
     #[must_use]
     pub fn heap_pops(&self) -> usize {
         self.receipt.heap_pops()

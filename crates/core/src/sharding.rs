@@ -25,13 +25,13 @@
 //! # The epoch barrier
 //!
 //! Recovery proceeds in **epochs**. In each epoch every shard with a
-//! non-empty dirty heap drains it to completion against a *frozen* view
+//! non-empty dirty front drains it to completion against a *frozen* view
 //! of the other shards — it reads only the shared graph and π, mutates
 //! only its own tables, and buffers every outbound handoff. At the
 //! barrier closing the epoch the coordinator merges all outboxes in
 //! shard-index order (and, within a shard, emission order), applying
-//! counter deltas and re-seeding target heaps; the next epoch runs the
-//! shards that became dirty. The loop ends when every heap and outbox is
+//! counter deltas and re-seeding target fronts; the next epoch runs the
+//! shards that became dirty. The loop ends when every front and outbox is
 //! empty.
 //!
 //! Because shard runs within an epoch share no mutable state, the epoch's
@@ -57,9 +57,6 @@
 //! which `crates/core/tests/sharded_equivalence.rs` pins over thousands
 //! of random sequences.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use dmis_graph::{
     ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, RankFront, ShardLayout,
     TopologyChange,
@@ -69,39 +66,29 @@ use rand::{Rng, SeedableRng};
 
 use crate::invariant::{self, InvariantViolation};
 use crate::snapshot::{MisPublisher, MisReader, PublishSlot};
-use crate::{
-    BatchReceipt, MisState, Priority, PriorityMap, RankIndex, SettleStrategy, UpdateReceipt,
-};
+use crate::{BatchReceipt, MisState, Priority, PriorityMap, RankIndex, UpdateReceipt};
 
 /// One shard's slice of the per-node state, keyed by shard-local slots.
 ///
-/// The dirty set has two realizations, selected by the engine's
-/// [`SettleStrategy`]: the word-parallel `front` of global ranks (the
-/// default; seeded via `seeds`/`stale` at settle start) or the legacy
-/// `heap` (seeded directly at route time). Exactly one is in use at any
-/// time; both drain in the identical global-π order.
+/// The dirty set is the word-parallel `front` of global ranks, seeded
+/// directly by single-change routes and via `seeds`/`stale` at settle
+/// start for batches; it drains in global-π order.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Shard {
     /// Membership bits of the nodes this shard owns.
     pub(crate) in_mis: NodeSet,
     /// Lower-π MIS neighbor counters of the nodes this shard owns.
     pub(crate) lower_mis_count: NodeMap<usize>,
-    /// Heap realization of the dirty set, ordered by global priority
-    /// ([`SettleStrategy::BinaryHeap`] only).
-    pub(crate) heap: BinaryHeap<Reverse<(Priority, NodeId)>>,
-    /// Word-parallel realization of the dirty set: pending **global
-    /// ranks** ([`SettleStrategy::RankFront`] only). Persistent — empty
+    /// The dirty set: pending **global ranks**. Persistent — empty
     /// between updates, never reallocated per update.
     pub(crate) front: RankFront,
-    /// Front-mode staging area: nodes routed dirty while an update's
-    /// mutations are still landing. Converted to ranks at settle start,
-    /// *after* all mutations, so batch re-ranks cannot invalidate a
-    /// parked rank.
+    /// Staging area: nodes routed dirty while an update's mutations are
+    /// still landing. Converted to ranks at settle start, *after* all
+    /// mutations, so batch re-ranks cannot invalidate a parked rank.
     pub(crate) seeds: Vec<NodeId>,
-    /// Front-mode seeds whose node a later batch change deleted before
-    /// the settle began. They carry no state but are accounted exactly
-    /// like the stale heap entries the heap path pops and skips, keeping
-    /// receipts bit-identical across strategies.
+    /// Seeds whose node a later batch change deleted before the settle
+    /// began. They carry no state, but each costs one settle pop, so a
+    /// batch's `heap_pops` counts every node it marked dirty.
     pub(crate) stale: Vec<NodeId>,
     /// Dedup bitset for the dirty set (local slots), empty between
     /// updates.
@@ -118,11 +105,10 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Pending dirty entries across whichever realizations hold any —
-    /// the epoch scheduler's and spawn threshold's unit of work. Stale
-    /// front seeds count: the heap path carries them as heap entries.
+    /// Pending dirty entries, stale seeds included — the epoch
+    /// scheduler's and spawn threshold's unit of work.
     pub(crate) fn pending(&self) -> usize {
-        self.heap.len() + self.front.len() + self.stale.len()
+        self.front.len() + self.stale.len()
     }
 }
 
@@ -152,7 +138,7 @@ impl SettleStats {
 }
 
 /// Pending-work floor below which an epoch is drained inline even when
-/// worker threads are configured: spawning threads for a handful of heap
+/// worker threads are configured: spawning threads for a handful of settle
 /// pops costs orders of magnitude more than the pops themselves. Purely a
 /// performance knob — the epoch outcome is executor-independent, so any
 /// threshold yields bit-identical results (see
@@ -164,48 +150,30 @@ pub(crate) const DEFAULT_SPAWN_THRESHOLD: usize = 256;
 #[derive(Clone, Copy)]
 pub(crate) struct SettleCtx<'a> {
     pub(crate) graph: &'a DynGraph,
-    pub(crate) priorities: &'a PriorityMap,
     pub(crate) ranks: &'a RankIndex,
-    pub(crate) strategy: SettleStrategy,
     pub(crate) layout: ShardLayout,
 }
 
 /// Drains shard `s`'s dirty set to completion against the shared
 /// read-only graph/π — the unsharded settle loop confined to one shard.
-/// Same-shard neighbors of a flip are updated in place; remote neighbors'
-/// deltas are buffered in the shard's outbox for the epoch barrier.
-/// Dispatches on the engine's [`SettleStrategy`]; both drains pop the
-/// identical sequence and accumulate identical [`SettleStats`].
+/// Pops are whole-word scans over pending global ranks and the neighbor
+/// filter compares dense `u32` ranks. Same-shard neighbors of a flip are
+/// updated in place; remote neighbors' deltas are buffered in the
+/// shard's outbox for the epoch barrier.
 pub(crate) fn run_shard_epoch(
     ctx: SettleCtx<'_>,
     s: usize,
     shard: &mut Shard,
     stats: &mut SettleStats,
 ) {
-    match ctx.strategy {
-        SettleStrategy::RankFront => {
-            run_shard_epoch_front(ctx.graph, ctx.ranks, ctx.layout, s, shard, stats)
-        }
-        SettleStrategy::BinaryHeap => {
-            run_shard_epoch_heap(ctx.graph, ctx.priorities, ctx.layout, s, shard, stats);
-        }
-    }
-}
-
-/// Front-mode drain: pops are whole-word scans over pending global
-/// ranks; the neighbor filter compares dense `u32` ranks.
-fn run_shard_epoch_front(
-    graph: &DynGraph,
-    ranks: &RankIndex,
-    layout: ShardLayout,
-    s: usize,
-    shard: &mut Shard,
-    stats: &mut SettleStats,
-) {
+    let SettleCtx {
+        graph,
+        ranks,
+        layout,
+    } = ctx;
     stats.shard_runs += 1;
-    // Stale seeds first: the heap path pops and skips deleted nodes
-    // mid-drain; popping them up front is observationally identical (a
-    // stale pop touches no state) and keeps every counter in lockstep.
+    // Stale seeds first: a stale pop touches no state, so popping them
+    // up front is the same as meeting them mid-drain.
     for v in shard.stale.drain(..) {
         stats.pops += 1;
         shard.enqueued.remove(layout.local_slot(v));
@@ -241,58 +209,6 @@ fn run_shard_epoch_front(
                         stats.counter_updates += 1;
                         if shard.enqueued.insert(lw) {
                             shard.front.insert(rw);
-                        }
-                    } else {
-                        shard.outbox.push((w, delta));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Heap-mode drain — the pre-front settle loop, byte for byte.
-fn run_shard_epoch_heap(
-    graph: &DynGraph,
-    priorities: &PriorityMap,
-    layout: ShardLayout,
-    s: usize,
-    shard: &mut Shard,
-    stats: &mut SettleStats,
-) {
-    stats.shard_runs += 1;
-    while let Some(Reverse((prio, v))) = shard.heap.pop() {
-        stats.pops += 1;
-        let local = layout.local_slot(v);
-        shard.enqueued.remove(local);
-        // A batch may have deleted the node after it was seeded.
-        if !graph.has_node(v) {
-            continue;
-        }
-        let desired = shard.lower_mis_count[local] == 0;
-        let current = shard.in_mis.contains(local);
-        if desired == current {
-            continue;
-        }
-        if shard.touched.insert(local) {
-            shard.log.push((v, current));
-        }
-        if desired {
-            shard.in_mis.insert(local);
-        } else {
-            shard.in_mis.remove(local);
-        }
-        let delta: isize = if desired { 1 } else { -1 };
-        for chunk in graph.neighbor_chunks(v).expect("live node") {
-            for &w in chunk {
-                if priorities.of(w) > prio {
-                    if layout.shard_of(w) == s {
-                        let lw = layout.local_slot(w);
-                        let c = shard.lower_mis_count.get_mut(lw).expect("live node");
-                        *c = c.checked_add_signed(delta).expect("counter in range");
-                        stats.counter_updates += 1;
-                        if shard.enqueued.insert(lw) {
-                            shard.heap.push(Reverse((priorities.of(w), w)));
                         }
                     } else {
                         shard.outbox.push((w, delta));
@@ -353,8 +269,6 @@ pub struct ShardedMisEngine {
     /// Minimum pending dirty entries before an epoch pays for thread
     /// spawns; see [`DEFAULT_SPAWN_THRESHOLD`].
     spawn_threshold: usize,
-    /// Which dirty-queue realization every shard drains.
-    strategy: SettleStrategy,
     /// Snapshot publication slot: empty (and free on the settle path)
     /// until [`Self::reader`] attaches a read path. Cloning detaches —
     /// see [`crate::snapshot`].
@@ -368,16 +282,9 @@ pub struct ShardedMisEngine {
 }
 
 impl ShardedMisEngine {
-    /// Creates an engine over an empty graph. `seed` determinizes all
-    /// priority draws exactly as in the unsharded [`crate::MisEngine`].
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().sharding(layout).seed(seed).build_sharded()`"
-    )]
-    #[must_use]
-    pub fn new(layout: ShardLayout, seed: u64) -> Self {
-        Self::new_impl(layout, seed)
-    }
-
+    /// An engine over an empty graph. `seed` determinizes all priority
+    /// draws exactly as in the unsharded [`crate::MisEngine`]. Reached
+    /// through [`crate::EngineBuilder::build_sharded`].
     pub(crate) fn new_impl(layout: ShardLayout, seed: u64) -> Self {
         ShardedMisEngine {
             graph: DynGraph::new(),
@@ -390,24 +297,15 @@ impl ShardedMisEngine {
             draws: 0,
             threads: 1,
             spawn_threshold: DEFAULT_SPAWN_THRESHOLD,
-            strategy: SettleStrategy::default(),
             publisher: PublishSlot::default(),
             mirror: NodeSet::new(),
         }
     }
 
-    /// Creates an engine over an existing graph, drawing fresh random
-    /// priorities for all its nodes — the same draws, in the same order,
-    /// as the unsharded [`crate::MisEngine`] with the same seed, so the
-    /// two engines stay step-for-step comparable.
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().graph(g).sharding(layout).seed(seed).build_sharded()`"
-    )]
-    #[must_use]
-    pub fn from_graph(graph: DynGraph, layout: ShardLayout, seed: u64) -> Self {
-        Self::from_graph_impl(graph, layout, seed)
-    }
-
+    /// An engine over an existing graph, drawing fresh random priorities
+    /// for all its nodes — the same draws, in the same order, as the
+    /// unsharded [`crate::MisEngine`] with the same seed, so the two
+    /// engines stay step-for-step comparable.
     pub(crate) fn from_graph_impl(graph: DynGraph, layout: ShardLayout, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut priorities = PriorityMap::new();
@@ -419,25 +317,12 @@ impl ShardedMisEngine {
         Self::with_priorities(graph, priorities, layout, rng, seed, draws)
     }
 
-    /// Creates an engine over an existing graph with prescribed priorities
-    /// (tests and adversarial constructions).
+    /// An engine over an existing graph with prescribed priorities (tests
+    /// and adversarial constructions).
     ///
     /// # Panics
     ///
     /// Panics if some node of the graph has no priority.
-    #[deprecated(
-        note = "PR-1-era constructor shim: use `Engine::builder().graph(g).priorities(p).sharding(layout).seed(seed).build_sharded()`"
-    )]
-    #[must_use]
-    pub fn from_parts(
-        graph: DynGraph,
-        priorities: PriorityMap,
-        layout: ShardLayout,
-        seed: u64,
-    ) -> Self {
-        Self::from_parts_impl(graph, priorities, layout, seed)
-    }
-
     pub(crate) fn from_parts_impl(
         graph: DynGraph,
         priorities: PriorityMap,
@@ -475,7 +360,6 @@ impl ShardedMisEngine {
             draws,
             threads: 1,
             spawn_threshold: DEFAULT_SPAWN_THRESHOLD,
-            strategy: SettleStrategy::default(),
             publisher: PublishSlot::default(),
             mirror: NodeSet::new(),
         };
@@ -511,20 +395,6 @@ impl ShardedMisEngine {
     #[must_use]
     pub fn ranks(&self) -> &RankIndex {
         &self.ranks
-    }
-
-    /// Which dirty-queue realization the shards drain.
-    #[must_use]
-    pub fn settle_strategy(&self) -> SettleStrategy {
-        self.strategy
-    }
-
-    /// Selects the dirty-queue realization. Purely a
-    /// performance/verification knob — outputs and receipts are
-    /// bit-identical for both settings, which the heap-vs-front property
-    /// suite pins across every layout and thread count.
-    pub fn set_settle_strategy(&mut self, strategy: SettleStrategy) {
-        self.strategy = strategy;
     }
 
     /// Returns the shard layout.
@@ -629,8 +499,8 @@ impl ShardedMisEngine {
     ///
     /// `direct` says no further mutation can precede the settle — true
     /// for the single-change entry points, whose routes are their last
-    /// mutating act. A direct front-mode route parks the *rank* in the
-    /// shard's front immediately (the rank cannot be invalidated: only a
+    /// mutating act. A direct route parks the *rank* in the shard's
+    /// front immediately (the rank cannot be invalidated: only a
     /// later node insertion of the same update could force a re-rank,
     /// and only a later deletion could kill the node). Batch routes pass
     /// `direct = false` and stage the node id instead, converted at
@@ -655,14 +525,10 @@ impl ShardedMisEngine {
             stats.counter_updates += 1;
         }
         if shard.enqueued.insert(local) {
-            match self.strategy {
-                SettleStrategy::RankFront if direct => {
-                    shard.front.insert(self.ranks.rank_of(v));
-                }
-                SettleStrategy::RankFront => shard.seeds.push(v),
-                SettleStrategy::BinaryHeap => {
-                    shard.heap.push(Reverse((self.priorities.of(v), v)));
-                }
+            if direct {
+                shard.front.insert(self.ranks.rank_of(v));
+            } else {
+                shard.seeds.push(v);
             }
         }
     }
@@ -877,35 +743,27 @@ impl ShardedMisEngine {
     fn settle(&mut self, kind: ChangeKind, mut stats: SettleStats) -> UpdateReceipt {
         // All of this update's mutations have landed: one coalesced
         // re-rank covers every node the update inserted out of π order.
-        // Unconditional on purpose — the heap drain never reads ranks,
-        // but flushing both strategies keeps the pending list bounded by
-        // a single update's inserts (so `RankIndex::remove` stays
-        // O(batch)) and keeps every live node ranked between updates,
-        // which is what lets [`Self::route`] park ranks directly for
-        // single-change updates without a strategy-switch guard.
+        // It also keeps the pending list bounded by a single update's
+        // inserts (so `RankIndex::remove` stays O(batch)) and every live
+        // node ranked between updates, which is what lets
+        // [`Self::route`] park ranks directly for single-change updates.
         self.ranks.flush(&self.priorities);
-        if self.strategy == SettleStrategy::RankFront {
-            self.convert_seeds();
-        }
+        self.convert_seeds();
         while self.shards.iter().any(|sh| sh.pending() > 0) {
             stats.epochs += 1;
             {
                 let ShardedMisEngine {
                     graph,
-                    priorities,
                     ranks,
                     layout,
                     shards,
                     threads,
                     spawn_threshold,
-                    strategy,
                     ..
                 } = self;
                 let ctx = SettleCtx {
                     graph,
-                    priorities,
                     ranks,
-                    strategy: *strategy,
                     layout: *layout,
                 };
                 crate::parallel::execute_epoch(ctx, shards, *threads, *spawn_threshold, &mut stats);
@@ -958,8 +816,7 @@ impl ShardedMisEngine {
     /// pending front ranks. Runs once, at settle start, when the node set
     /// — and hence the rank assignment — is final for this update. Seeds
     /// whose node a later change deleted become `stale` entries, which
-    /// the drain accounts exactly like the heap path's popped-and-skipped
-    /// stale heap entries.
+    /// the drain pops (and counts) without touching any state.
     fn convert_seeds(&mut self) {
         debug_assert!(self.ranks.is_flushed(), "settle() flushes first");
         let ShardedMisEngine {
@@ -987,7 +844,7 @@ impl ShardedMisEngine {
 
     /// The epoch barrier: applies every shard's buffered handoffs —
     /// counter deltas plus dirty marks — in shard-index order, then
-    /// emission order, re-seeding target heaps for the next epoch. Each
+    /// emission order, re-seeding target fronts for the next epoch. Each
     /// outbox entry is one cross-shard message: one handoff, one counter
     /// update.
     fn merge_outboxes(&mut self, stats: &mut SettleStats) {
@@ -1004,17 +861,10 @@ impl ShardedMisEngine {
                 let c = shard.lower_mis_count.get_mut(lw).expect("live node");
                 *c = c.checked_add_signed(delta).expect("counter in range");
                 stats.counter_updates += 1;
+                // Handoff targets are always live, and no re-rank can
+                // happen mid-settle: insert the rank directly.
                 if shard.enqueued.insert(lw) {
-                    match self.strategy {
-                        // Handoff targets are always live, and no re-rank
-                        // can happen mid-settle: insert the rank directly.
-                        SettleStrategy::RankFront => {
-                            shard.front.insert(self.ranks.rank_of(w));
-                        }
-                        SettleStrategy::BinaryHeap => {
-                            shard.heap.push(Reverse((self.priorities.of(w), w)));
-                        }
-                    }
+                    shard.front.insert(self.ranks.rank_of(w));
                 }
             }
             // Hand the (cleared) buffer back so its capacity is reused.
@@ -1153,7 +1003,6 @@ impl ShardedMisEngine {
         let total_counters: usize = self.shards.iter().map(|s| s.lower_mis_count.len()).sum();
         assert_eq!(total_counters, self.graph.node_count());
         for shard in &self.shards {
-            assert!(shard.heap.is_empty(), "dirty set leaked between updates");
             assert!(shard.front.is_empty(), "settle front leaked ranks");
             assert!(shard.seeds.is_empty(), "staged seeds leaked entries");
             assert!(shard.stale.is_empty(), "stale seeds leaked entries");
@@ -1267,7 +1116,6 @@ impl ShardedMisEngine {
                 shard.in_mis.popcount(),
                 "cached shard mis_len diverged from its membership words"
             );
-            assert!(shard.heap.is_empty(), "dirty set leaked between updates");
             assert!(shard.front.is_empty(), "settle front leaked ranks");
             assert!(shard.enqueued.is_empty(), "enqueue scratch leaked bits");
             assert!(shard.outbox.is_empty(), "outbox leaked past the barrier");

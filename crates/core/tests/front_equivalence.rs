@@ -1,329 +1,337 @@
-//! Heap-vs-front equivalence property suite.
+//! Settle-order oracle for the unsharded engine.
 //!
-//! The word-parallel rank-bitset settle front
-//! ([`SettleStrategy::RankFront`], the default) replaced the per-update
-//! `BinaryHeap` drain ([`SettleStrategy::BinaryHeap`], retained as the
-//! bitwise reference). Min rank = min π by the [`dmis_core::RankIndex`]
-//! invariant, so the two drains must pop the identical sequence — and
-//! therefore produce identical flip logs and identical values of **every
-//! receipt counter** (`heap_pops`, `counter_updates`,
-//! `cross_shard_handoffs`, `shard_runs`, `settle_epochs`), not just the
-//! same MIS. This suite replays the same random change streams through
-//! both strategies on all three engines — unsharded, sequential sharded,
-//! and thread-executed — across K ∈ {1, 2, 4, 7} × threads ∈ {1, 2, 4}
-//! (plus the `DMIS_PAR_THREADS` CI axis), comparing whole receipts
-//! bitwise after every change and every batch.
+//! Every engine settles dirty nodes from a word-parallel rank front
+//! ([`dmis_graph::RankFront`] over [`dmis_core::RankIndex`] ranks). Min
+//! rank = min π, so the front must pop exactly the sequence a
+//! `BinaryHeap<Reverse<(Priority, NodeId)>>` would. This suite keeps that
+//! heap as a test-local oracle: [`HeapOracle`] is a twin of the unsharded
+//! engine — its own graph, priorities, membership and seeded priority
+//! stream — that applies each change with the engine's seeding rules and
+//! settles it with a heap drain. After every step the engine's receipt
+//! must equal the oracle's whole (flip order, `heap_pops`,
+//! `counter_updates`, the shard counters, which the unsharded engine
+//! reports as zero, and a single change's kind), and membership and π
+//! must agree.
 //!
-//! Node churn is the interesting part: node inserts re-rank the index
-//! mid-batch and node deletes park stale seeds, which is exactly where a
-//! front-vs-heap accounting divergence would hide.
+//! The replays cover single changes of all four kinds, batches whose node
+//! inserts re-rank the index mid-batch, and batches that seed a node and
+//! then delete it.
 
-use dmis_core::{
-    DynamicMis, MisEngine, ParallelShardedMisEngine, PriorityMap, SettleStrategy, ShardedMisEngine,
-};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+
+use dmis_core::{BatchReceipt, DynamicMis, MisEngine, MisState, PriorityMap};
 use dmis_graph::stream::{self, ChurnConfig};
-use dmis_graph::{generators, DynGraph, ShardLayout, TopologyChange};
+use dmis_graph::{generators, DynGraph, NodeId, TopologyChange};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+/// A receipt's settle record: flips in settle order, pops, counter
+/// updates, handoffs, shard runs, epochs.
+type Whole = (Vec<(NodeId, MisState)>, usize, usize, usize, usize, usize);
 
-/// Worker-thread counts: {1, 2, 4} plus the CI `DMIS_PAR_THREADS` axis.
-fn thread_axis() -> Vec<usize> {
-    let mut axis = vec![1, 2, 4];
-    if let Some(extra) = std::env::var("DMIS_PAR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        if !axis.contains(&extra) {
-            axis.push(extra);
+/// Reads a [`Whole`] off either receipt type.
+macro_rules! whole {
+    ($r:expr) => {{
+        let r = $r;
+        (
+            r.flips().to_vec(),
+            r.heap_pops(),
+            r.counter_updates(),
+            r.cross_shard_handoffs(),
+            r.shard_runs(),
+            r.settle_epochs(),
+        )
+    }};
+}
+
+/// The reference model: the unsharded engine's state, settled by a heap.
+struct HeapOracle {
+    graph: DynGraph,
+    priorities: PriorityMap,
+    in_mis: BTreeSet<NodeId>,
+    /// Replays the engine's priority draws: one per initial node in
+    /// `graph.nodes()` order, then one per node insertion.
+    rng: StdRng,
+}
+
+impl HeapOracle {
+    fn new(graph: DynGraph, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut priorities = PriorityMap::new();
+        for v in graph.nodes() {
+            priorities.assign(v, &mut rng);
+        }
+        let in_mis = dmis_core::static_greedy::greedy_mis(&graph, &priorities);
+        HeapOracle {
+            graph,
+            priorities,
+            in_mis,
+            rng,
         }
     }
-    axis
+
+    /// Lower-π MIS neighbors of `v` — the engine's counter, recounted.
+    fn lower_mis(&self, v: NodeId) -> usize {
+        self.graph
+            .neighbors(v)
+            .expect("live node")
+            .filter(|&u| self.in_mis.contains(&u) && self.priorities.before(u, v))
+            .count()
+    }
+
+    fn order_pair(&self, u: NodeId, v: NodeId) -> (NodeId, NodeId) {
+        if self.priorities.before(u, v) {
+            (u, v)
+        } else {
+            (v, u)
+        }
+    }
+
+    /// Applies `change`'s graph mutation against the frozen membership
+    /// and returns `(seeds, counter updates)`. `batch` selects the batch
+    /// path's seeding, which marks endpoints and higher neighbors dirty
+    /// even when no counter moved; single changes seed only what moved.
+    fn mutate(&mut self, change: &TopologyChange, batch: bool) -> (Vec<NodeId>, usize) {
+        let mut seeds = Vec::new();
+        let mut counter_updates = 0;
+        match change {
+            TopologyChange::InsertEdge(u, v) | TopologyChange::DeleteEdge(u, v) => {
+                if matches!(change, TopologyChange::InsertEdge(..)) {
+                    self.graph.insert_edge(*u, *v).expect("valid change");
+                } else {
+                    self.graph.remove_edge(*u, *v).expect("valid change");
+                }
+                let (lo, hi) = self.order_pair(*u, *v);
+                let moved = self.in_mis.contains(&lo);
+                counter_updates += usize::from(moved);
+                if moved || batch {
+                    seeds.push(hi);
+                }
+            }
+            TopologyChange::InsertNode { id, edges } => {
+                let v = self
+                    .graph
+                    .add_node_with_edges(edges.iter().copied())
+                    .expect("valid change");
+                assert_eq!(v, *id, "identifiers allocate in step");
+                self.priorities.assign(v, &mut self.rng);
+                seeds.push(v);
+            }
+            TopologyChange::DeleteNode(v) => {
+                let was_in = self.in_mis.remove(v);
+                let prio_v = self.priorities.of(*v);
+                let nbrs = self.graph.remove_node(*v).expect("valid change");
+                self.priorities.remove(*v);
+                if was_in || batch {
+                    for w in nbrs {
+                        if self.priorities.of(w) > prio_v {
+                            counter_updates += usize::from(was_in);
+                            seeds.push(w);
+                        }
+                    }
+                }
+            }
+        }
+        (seeds, counter_updates)
+    }
+
+    /// The heap drain: pops in increasing π, deduplicated, each node
+    /// finalized against its recounted lower-MIS count.
+    fn settle(&mut self, seeds: Vec<NodeId>, mut counter_updates: usize) -> Whole {
+        let mut heap = BinaryHeap::new();
+        let mut queued = BTreeSet::new();
+        for v in seeds {
+            if self.graph.has_node(v) && queued.insert(v) {
+                heap.push(Reverse((self.priorities.of(v), v)));
+            }
+        }
+        let mut flips = Vec::new();
+        let mut pops = 0;
+        while let Some(Reverse((p, v))) = heap.pop() {
+            pops += 1;
+            queued.remove(&v);
+            let desired = self.lower_mis(v) == 0;
+            if desired == self.in_mis.contains(&v) {
+                continue;
+            }
+            if desired {
+                self.in_mis.insert(v);
+            } else {
+                self.in_mis.remove(&v);
+            }
+            flips.push((v, MisState::from_membership(desired)));
+            for w in self.graph.neighbors_vec(v).expect("live node") {
+                let pw = self.priorities.of(w);
+                if pw > p {
+                    counter_updates += 1;
+                    if queued.insert(w) {
+                        heap.push(Reverse((pw, w)));
+                    }
+                }
+            }
+        }
+        (flips, pops, counter_updates, 0, 0, 0)
+    }
+
+    fn apply(&mut self, change: &TopologyChange) -> Whole {
+        let (seeds, counter_updates) = self.mutate(change, false);
+        self.settle(seeds, counter_updates)
+    }
+
+    fn apply_batch(&mut self, changes: &[TopologyChange]) -> Whole {
+        let mut seeds = Vec::new();
+        let mut counter_updates = 0;
+        for change in changes {
+            let (s, c) = self.mutate(change, true);
+            seeds.extend(s);
+            counter_updates += c;
+        }
+        self.settle(seeds, counter_updates)
+    }
+
+    fn assert_agrees_with(&self, engine: &MisEngine, context: &str) {
+        assert_eq!(engine.mis(), self.in_mis, "membership diverged ({context})");
+        assert_eq!(
+            engine.priorities(),
+            &self.priorities,
+            "π diverged ({context})"
+        );
+    }
 }
 
-/// One engine per strategy, identically seeded.
-fn engine_pair(g: &DynGraph, seed: u64) -> (MisEngine, MisEngine) {
-    let front = dmis_core::Engine::builder()
+/// An engine and its oracle twin over the same graph and seed.
+fn twins(g: &DynGraph, seed: u64) -> (MisEngine, HeapOracle) {
+    let engine = dmis_core::Engine::builder()
         .graph(g.clone())
         .seed(seed)
         .build_unsharded();
-    assert_eq!(front.settle_strategy(), SettleStrategy::RankFront);
-    let mut heap = dmis_core::Engine::builder()
-        .graph(g.clone())
-        .seed(seed)
-        .build_unsharded();
-    heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-    (front, heap)
+    let oracle = HeapOracle::new(g.clone(), seed);
+    oracle.assert_agrees_with(&engine, "construction");
+    (engine, oracle)
 }
 
-/// Front-vs-heap lockstep on the unsharded engine over random churn.
+/// Random single changes of all four kinds, replayed through the
+/// engine's single-change entry points and the oracle.
 #[test]
-fn unsharded_front_matches_heap_bitwise() {
+fn single_changes_of_every_kind_match_the_heap_oracle() {
+    let mut kinds_seen = BTreeSet::new();
     for seed in 0..60u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(977));
         let n = 2 + (seed as usize % 20);
         let (g, _) = generators::erdos_renyi(n, 0.1 + 0.3 * ((seed % 5) as f64 / 4.0), &mut rng);
-        let (mut front, mut heap) = engine_pair(&g, seed);
-        for step in 0..12 {
+        let (mut engine, mut oracle) = twins(&g, seed);
+        for step in 0..16 {
             let Some(change) =
-                stream::random_change(front.graph(), &ChurnConfig::default(), &mut rng)
+                stream::random_change(engine.graph(), &ChurnConfig::default(), &mut rng)
             else {
                 break;
             };
-            let rf = front.apply(&change).expect("valid change");
-            let rh = heap.apply(&change).expect("valid change");
-            assert_eq!(rf, rh, "receipt diverged (seed {seed}, step {step})");
-            assert_eq!(front.mis(), heap.mis(), "MIS diverged (seed {seed})");
+            let receipt = engine.apply(&change).expect("valid change");
+            let want = oracle.apply(&change);
+            let context = format!("seed {seed}, step {step}, {change:?}");
+            assert_eq!(receipt.kind(), change.kind(), "kind ({context})");
+            assert_eq!(whole!(&receipt), want, "receipt diverged ({context})");
+            oracle.assert_agrees_with(&engine, &context);
+            kinds_seen.insert(format!("{:?}", change.kind()));
         }
-        front.assert_internally_consistent();
-        heap.assert_internally_consistent();
-        // Both strategies flush at every settle, so out-of-order node
-        // insertions never accumulate as pending ranks between updates —
-        // the bound that keeps RankIndex::remove O(batch) in heap mode.
-        assert!(front.ranks().is_flushed());
-        assert!(heap.ranks().is_flushed());
+        engine.assert_internally_consistent();
     }
+    assert_eq!(
+        kinds_seen.len(),
+        4,
+        "every change kind replayed: {kinds_seen:?}"
+    );
 }
 
-/// Batches (merged dirty sets, mid-batch node churn, hence mid-batch
-/// re-ranks and stale seeds) settle bitwise-identically under both
-/// strategies on the unsharded engine.
+/// Batches with node inserts — whose random keys mostly land below the
+/// highest live priority, so the rank index re-ranks at settle start —
+/// mixed with edge and node churn, merged into one settle.
 #[test]
-fn unsharded_batches_match_bitwise() {
+fn batches_that_rerank_mid_batch_match_the_heap_oracle() {
+    let churny = ChurnConfig {
+        node_insert: 0.3,
+        ..ChurnConfig::default()
+    };
+    let mut reranked = 0usize;
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(313) + 7);
         let (g, _) = generators::erdos_renyi(14 + (seed as usize % 6), 0.25, &mut rng);
-        let mut shadow = g.clone();
-        let mut batch = Vec::new();
-        for _ in 0..8 {
-            if let Some(change) = stream::random_change(&shadow, &ChurnConfig::default(), &mut rng)
-            {
-                change.apply(&mut shadow).expect("valid");
-                batch.push(change);
+        let (mut engine, mut oracle) = twins(&g, seed);
+        for round in 0..4 {
+            let mut shadow = engine.graph().clone();
+            let mut batch = Vec::new();
+            for _ in 0..8 {
+                if let Some(change) = stream::random_change(&shadow, &churny, &mut rng) {
+                    change.apply(&mut shadow).expect("valid");
+                    batch.push(change);
+                }
             }
+            let top = engine.priorities().iter().map(|(_, p)| p).max();
+            let got: BatchReceipt = engine.apply_batch(&batch).expect("valid batch");
+            let want = oracle.apply_batch(&batch);
+            let context = format!("seed {seed}, round {round}");
+            assert_eq!(got.applied(), batch.len(), "{context}");
+            assert_eq!(whole!(&got), want, "batch receipt diverged ({context})");
+            oracle.assert_agrees_with(&engine, &context);
+            // An inserted node ranked below the pre-batch maximum was
+            // parked as pending and forced a re-rank.
+            reranked += batch
+                .iter()
+                .filter_map(|c| match c {
+                    TopologyChange::InsertNode { id, .. } => engine.priorities().get(*id),
+                    _ => None,
+                })
+                .filter(|&p| top.is_some_and(|t| p < t))
+                .count();
         }
-        let (mut front, mut heap) = engine_pair(&g, seed);
-        let rf = front.apply_batch(&batch).expect("valid batch");
-        let rh = heap.apply_batch(&batch).expect("valid batch");
-        assert_eq!(rf, rh, "batch receipt diverged (seed {seed})");
-        assert_eq!(front.mis(), heap.mis());
-        front.assert_internally_consistent();
-        heap.assert_internally_consistent();
+        engine.assert_internally_consistent();
     }
+    assert!(reranked > 20, "batches exercised re-ranks: {reranked}");
 }
 
-/// A batch that seeds a node and then deletes it forces the front path's
-/// stale-seed accounting; the receipt (including `heap_pops`) must still
-/// match the heap path, which pops-and-skips the stale entry instead.
+/// A batch that marks nodes dirty and then deletes them: the seed of a
+/// deleted node must cost nothing, on the front exactly as on the heap.
+/// Covers a fresh node inserted and deleted in one batch, and an old
+/// node dirtied by an edge change and then deleted.
 #[test]
-fn stale_seeds_are_accounted_identically() {
-    for &k in &SHARD_COUNTS {
-        let (g, ids) = generators::path(6);
-        let layout = ShardLayout::striped(k);
-        let mut front = dmis_core::Engine::builder()
-            .graph(g.clone())
-            .sharding(layout)
-            .seed(3)
-            .build_sharded();
-        let mut heap = dmis_core::Engine::builder()
-            .graph(g.clone())
-            .sharding(layout)
-            .seed(3)
-            .build_sharded();
-        heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-        let fresh = g.peek_next_id();
-        let batch = vec![
-            // Seed several nodes' dirty marks...
-            TopologyChange::DeleteEdge(ids[0], ids[1]),
-            TopologyChange::InsertNode {
-                id: fresh,
-                edges: vec![ids[2], ids[4]],
-            },
-            // ...then delete the newcomer (its seed goes stale) and one
-            // of its neighbors (whose earlier marks survive).
-            TopologyChange::DeleteNode(fresh),
-            TopologyChange::DeleteNode(ids[4]),
-        ];
-        let rf = front.apply_batch(&batch).expect("valid batch");
-        let rh = heap.apply_batch(&batch).expect("valid batch");
-        assert_eq!(rf, rh, "stale-seed receipt diverged (K={k})");
-        assert_eq!(front.mis(), heap.mis());
-        front.assert_internally_consistent();
-        heap.assert_internally_consistent();
-    }
-}
-
-/// Front-vs-heap lockstep on the sharded and parallel engines: whole
-/// receipts bitwise, K ∈ {1, 2, 4, 7} × threads ∈ {1, 2, 4} (+ env),
-/// spawn threshold forced to 0 so worker threads really drain fronts.
-#[test]
-fn sharded_and_parallel_fronts_match_heaps_bitwise() {
-    let threads = thread_axis();
-    for seed in 0..25u64 {
+fn batches_that_seed_then_delete_a_node_match_the_heap_oracle() {
+    for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(7919) + 1);
-        let n = 4 + (seed as usize % 16);
-        let (g, _) = generators::erdos_renyi(n, 0.2, &mut rng);
-        let mut pairs: Vec<(ShardedMisEngine, ShardedMisEngine)> = SHARD_COUNTS
-            .iter()
-            .map(|&k| {
-                let layout = ShardLayout::striped(k);
-                let front = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .sharding(layout)
-                    .seed(seed)
-                    .build_sharded();
-                let mut heap = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .sharding(layout)
-                    .seed(seed)
-                    .build_sharded();
-                heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-                (front, heap)
-            })
-            .collect();
-        let mut parallels: Vec<ParallelShardedMisEngine> = SHARD_COUNTS
-            .iter()
-            .flat_map(|&k| threads.iter().map(move |&t| (k, t)))
-            .map(|(k, t)| {
-                let mut par = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .sharding(ShardLayout::striped(k))
-                    .threads(t)
-                    .seed(seed)
-                    .build_parallel();
-                par.set_spawn_threshold(0);
-                assert_eq!(par.settle_strategy(), SettleStrategy::RankFront);
-                par
-            })
-            .collect();
-        for step in 0..10 {
-            let Some(change) =
-                stream::random_change(pairs[0].0.graph(), &ChurnConfig::default(), &mut rng)
-            else {
+        let (g, _) = generators::erdos_renyi(8 + (seed as usize % 10), 0.3, &mut rng);
+        let (mut engine, mut oracle) = twins(&g, seed);
+        for round in 0..3 {
+            let graph = engine.graph();
+            let Some((u, v)) = generators::random_edge(graph, &mut rng) else {
                 break;
             };
-            let mut front_receipts = Vec::with_capacity(pairs.len());
-            for (front, heap) in &mut pairs {
-                let rf = front.apply(&change).expect("valid change");
-                let rh = heap.apply(&change).expect("valid change");
-                assert_eq!(
-                    rf,
-                    rh,
-                    "K={} receipt diverged (seed {seed}, step {step})",
-                    front.shard_count()
-                );
-                front_receipts.push(rf);
-            }
-            for (i, par) in parallels.iter_mut().enumerate() {
-                let r = par.apply(&change).expect("valid change");
-                let k_index = i / threads.len();
-                assert_eq!(
-                    r,
-                    front_receipts[k_index],
-                    "K={} threads={} parallel front diverged (seed {seed})",
-                    par.shard_count(),
-                    par.threads()
-                );
-            }
+            let hi = if engine.priorities().before(u, v) {
+                v
+            } else {
+                u
+            };
+            let fresh = graph.peek_next_id();
+            let mut wires: Vec<NodeId> = graph.nodes().filter(|&w| w != hi).collect();
+            wires.truncate(1 + rng.random_range(0..3usize));
+            let batch = vec![
+                TopologyChange::DeleteEdge(u, v),
+                TopologyChange::InsertNode {
+                    id: fresh,
+                    edges: wires,
+                },
+                TopologyChange::DeleteNode(fresh),
+                TopologyChange::DeleteNode(hi),
+            ];
+            let got = engine.apply_batch(&batch).expect("valid batch");
+            let want = oracle.apply_batch(&batch);
+            let context = format!("seed {seed}, round {round}");
+            assert_eq!(
+                whole!(&got),
+                want,
+                "stale-seed receipt diverged ({context})"
+            );
+            oracle.assert_agrees_with(&engine, &context);
         }
-        for (front, heap) in &pairs {
-            assert_eq!(front.mis(), heap.mis());
-            front.assert_internally_consistent();
-            heap.assert_internally_consistent();
-        }
-        for par in &parallels {
-            par.assert_internally_consistent();
-        }
-    }
-}
-
-/// The parallel engine's heap strategy also matches its front strategy on
-/// batched settles — the workload where threads engage and per-shard
-/// fronts drain concurrently.
-#[test]
-fn parallel_batches_match_across_strategies() {
-    let threads = thread_axis();
-    for seed in 0..15u64 {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(131) + 5);
-        let (g, _) = generators::erdos_renyi(18, 0.2, &mut rng);
-        let mut shadow = g.clone();
-        let mut batch = Vec::new();
-        for _ in 0..10 {
-            if let Some(change) = stream::random_change(&shadow, &ChurnConfig::default(), &mut rng)
-            {
-                change.apply(&mut shadow).expect("valid");
-                batch.push(change);
-            }
-        }
-        for &k in &SHARD_COUNTS {
-            for &t in &threads {
-                let layout = ShardLayout::striped(k);
-                let mut front = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .sharding(layout)
-                    .threads(t)
-                    .seed(seed)
-                    .build_parallel();
-                front.set_spawn_threshold(0);
-                let mut heap = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .sharding(layout)
-                    .threads(t)
-                    .seed(seed)
-                    .build_parallel();
-                heap.set_spawn_threshold(0);
-                heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-                let rf = front.apply_batch(&batch).expect("valid batch");
-                let rh = heap.apply_batch(&batch).expect("valid batch");
-                assert_eq!(rf, rh, "K={k} threads={t} batch diverged (seed {seed})");
-                assert_eq!(front.mis(), heap.mis());
-                front.assert_internally_consistent();
-                heap.assert_internally_consistent();
-            }
-        }
-    }
-}
-
-/// Boundary-spanning star promotion (every leaf notified across a shard
-/// boundary under striping) — the all-handoff worst case — is bitwise
-/// identical across strategies, layouts, and thread counts.
-#[test]
-fn star_promotion_matches_across_strategies() {
-    for leaves in [5usize, 12, 21] {
-        let (g, ids) = generators::star(leaves + 1);
-        let pm = PriorityMap::from_order(&ids);
-        for &k in &SHARD_COUNTS {
-            let layout = ShardLayout::striped(k);
-            let mut front = dmis_core::Engine::builder()
-                .graph(g.clone())
-                .priorities(pm.clone())
-                .sharding(layout)
-                .seed(0)
-                .build_sharded();
-            let mut heap = dmis_core::Engine::builder()
-                .graph(g.clone())
-                .priorities(pm.clone())
-                .sharding(layout)
-                .seed(0)
-                .build_sharded();
-            heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-            let rf = front.remove_node(ids[0]).expect("center exists");
-            let rh = heap.remove_node(ids[0]).expect("center exists");
-            assert_eq!(rf, rh, "K={k} star receipt diverged");
-            assert_eq!(rf.adjustments(), leaves);
-            for &t in &thread_axis() {
-                let mut par = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .priorities(pm.clone())
-                    .sharding(layout)
-                    .threads(t)
-                    .seed(0)
-                    .build_parallel();
-                par.set_spawn_threshold(0);
-                let r = par.remove_node(ids[0]).expect("center exists");
-                assert_eq!(r, rf, "K={k} threads={t} parallel star diverged");
-            }
-        }
+        engine.assert_internally_consistent();
     }
 }

@@ -10,7 +10,7 @@
 //! `trait-conformance` job so an engine drifting out of the shared
 //! contract is attributed immediately.
 
-use dmis_core::{DynamicMis, Engine, MisState, SettleStrategy};
+use dmis_core::{DynamicMis, Engine, MisState};
 use dmis_graph::stream::{self, ChurnConfig};
 use dmis_graph::{generators, DynGraph, GraphError, NodeId, ShardLayout, TopologyChange};
 use rand::rngs::StdRng;
@@ -127,34 +127,6 @@ fn key_draws_are_seed_aligned_across_flavors() {
     let mis = engines[0].1.mis();
     for (name, e) in &engines[1..] {
         assert_eq!(e.mis(), mis, "{name}");
-    }
-}
-
-/// The settle-strategy knob round-trips through the trait and keeps
-/// receipts bit-identical per flavor.
-#[test]
-fn settle_strategy_toggles_through_the_trait() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let (g, _) = generators::erdos_renyi(20, 0.25, &mut rng);
-    for (name, mut front) in flavors(&g, 77) {
-        let mut heap = flavors(&g, 77)
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, e)| e)
-            .expect("same flavor");
-        assert_eq!(front.settle_strategy(), SettleStrategy::RankFront);
-        heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-        assert_eq!(heap.settle_strategy(), SettleStrategy::BinaryHeap);
-        for _ in 0..40 {
-            let Some(change) =
-                stream::random_change(front.graph(), &ChurnConfig::default(), &mut rng)
-            else {
-                break;
-            };
-            let rf = front.apply(&change).expect("valid");
-            let rh = heap.apply(&change).expect("valid");
-            assert_eq!(rf, rh, "{name}: strategies must be bit-identical");
-        }
     }
 }
 

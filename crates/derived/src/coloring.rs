@@ -1,7 +1,6 @@
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use dmis_core::{Priority, PriorityMap, RankIndex, SettleStrategy};
+use dmis_core::{Priority, PriorityMap, RankIndex};
 use dmis_graph::{DynGraph, GraphError, NodeId, NodeMap, RankFront, TopologyChange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,8 +58,6 @@ pub struct ColoringEngine {
     ranks: RankIndex,
     /// Persistent word-parallel dirty queue (empty between updates).
     front: RankFront,
-    /// Which dirty-queue realization [`Self::propagate`] drains.
-    strategy: SettleStrategy,
     rng: StdRng,
 }
 
@@ -98,23 +95,8 @@ impl ColoringEngine {
             color: coloring.into_iter().collect(),
             ranks,
             front,
-            strategy: SettleStrategy::default(),
             rng,
         }
-    }
-
-    /// Which dirty-queue realization the settle loop drains.
-    #[must_use]
-    pub fn settle_strategy(&self) -> SettleStrategy {
-        self.strategy
-    }
-
-    /// Selects the dirty-queue realization. Purely a
-    /// performance/verification knob: receipts and colors are
-    /// bit-identical for both settings (both drains recolor in
-    /// increasing π), which the strategy-equivalence test pins.
-    pub fn set_settle_strategy(&mut self, strategy: SettleStrategy) {
-        self.strategy = strategy;
     }
 
     /// The current graph.
@@ -158,31 +140,18 @@ impl ColoringEngine {
         (0..).find(|c| !used.contains(c)).expect("mex exists")
     }
 
-    /// Settles dirty nodes in increasing π order; both drains recolor
-    /// the identical sequence (a recolored node's final color is decided
-    /// at its first pop, because every lower-π recolor precedes it), so
-    /// the receipt is bit-identical either way.
+    /// Settles dirty nodes in increasing π order: a recolored node's
+    /// final color is decided at its first pop, because every lower-π
+    /// recolor precedes it. Dirty ranks live in the persistent
+    /// [`RankFront`] (set semantics — duplicate pushes merge), pops are
+    /// whole-word bit scans, and the neighbor filter compares dense `u32`
+    /// ranks.
     fn propagate(&mut self, seeds: Vec<NodeId>) -> ColoringReceipt {
         // One coalesced re-rank covers any node this update inserted out
         // of π order — same cadence as the MIS engines, and for the same
         // reason: it bounds the pending list so `RankIndex::remove` stays
-        // O(update) no matter which strategy is active.
+        // O(update).
         self.ranks.flush(&self.priorities);
-        let receipt = match self.strategy {
-            SettleStrategy::RankFront => self.propagate_front(seeds),
-            SettleStrategy::BinaryHeap => self.propagate_heap(seeds),
-        };
-        // Post-drain, no rank is parked in the front: safe to compact
-        // tombstone mass so the rank span tracks the live node count.
-        self.ranks.maybe_compact();
-        receipt
-    }
-
-    /// The word-parallel drain: dirty ranks live in the persistent
-    /// [`RankFront`] (set semantics — duplicate pushes merge), pops are
-    /// whole-word bit scans, and the neighbor filter compares dense
-    /// `u32` ranks.
-    fn propagate_front(&mut self, seeds: Vec<NodeId>) -> ColoringReceipt {
         debug_assert!(self.front.is_empty(), "settle front leaked ranks");
         for v in seeds {
             // All seeds are live here: the coloring engine has no batch
@@ -210,34 +179,9 @@ impl ColoringEngine {
                 }
             }
         }
-        ColoringReceipt { recolored }
-    }
-
-    /// The retained heap drain — the pre-front settle loop, kept as the
-    /// bitwise reference (duplicates pushed and skipped on re-pop).
-    fn propagate_heap(&mut self, seeds: Vec<NodeId>) -> ColoringReceipt {
-        let mut heap: BinaryHeap<Reverse<(Priority, NodeId)>> = seeds
-            .into_iter()
-            .map(|v| Reverse((self.priorities.of(v), v)))
-            .collect();
-        let mut recolored = Vec::new();
-        while let Some(Reverse((prio, v))) = heap.pop() {
-            let desired = self.mex_of_lower(v);
-            if self.color.get(v) == Some(&desired) {
-                continue;
-            }
-            self.color.insert(v, desired);
-            recolored.push((v, desired));
-            let higher: Vec<NodeId> = self
-                .graph
-                .neighbors(v)
-                .expect("live node")
-                .filter(|&w| self.priorities.of(w) > prio)
-                .collect();
-            for w in higher {
-                heap.push(Reverse((self.priorities.of(w), w)));
-            }
-        }
+        // Post-drain, no rank is parked in the front: safe to compact
+        // tombstone mass so the rank span tracks the live node count.
+        self.ranks.maybe_compact();
         ColoringReceipt { recolored }
     }
 
@@ -415,33 +359,6 @@ mod tests {
         let ce = ColoringEngine::from_parts(g, PriorityMap::from_order(&order), 0);
         assert_eq!(ce.palette_size(), 2);
         ce.assert_consistent();
-    }
-
-    #[test]
-    fn front_and_heap_strategies_are_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let (g, _) = generators::erdos_renyi(16, 0.3, &mut rng);
-        let mut front = ColoringEngine::from_graph(g.clone(), 6);
-        let mut heap = ColoringEngine::from_graph(g, 6);
-        heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-        assert_eq!(front.settle_strategy(), SettleStrategy::RankFront);
-        for step in 0..300 {
-            let Some(change) =
-                stream::random_change(front.graph(), &ChurnConfig::default(), &mut rng)
-            else {
-                continue;
-            };
-            let rf = front.apply(&change).unwrap();
-            let rh = heap.apply(&change).unwrap();
-            assert_eq!(rf, rh, "step {step}: receipts diverged");
-            assert_eq!(front.colors(), heap.colors(), "step {step}");
-            if step % 60 == 0 {
-                front.assert_consistent();
-                heap.assert_consistent();
-            }
-        }
-        front.assert_consistent();
-        heap.assert_consistent();
     }
 
     #[test]

@@ -1,7 +1,6 @@
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use dmis_core::{Priority, PriorityMap, RankIndex, SettleStrategy};
+use dmis_core::{Priority, PriorityMap, RankIndex};
 use dmis_graph::{DynGraph, EdgeKey, GraphError, NodeId, NodeMap, NodeSet, RankFront};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,28 +82,26 @@ pub struct NativeMatching {
     cover: NodeMap<EdgeKey>,
     /// The edge order as a [`PriorityMap`] keyed by **line id**:
     /// `Priority::new(key, line_id)`, i.e. random key major, dense line
-    /// id as the tie-break. This is the canonical settle order for both
-    /// drains (the pre-front code tie-broke equal keys by [`EdgeKey`];
-    /// random keys make that case measure-zero, and every prescribed-key
-    /// test uses distinct keys).
+    /// id as the tie-break. This is the canonical settle order.
     line_prio: PriorityMap,
     /// Dense ranks over `line_prio`, consumed by the rank-front drain.
     ranks: RankIndex,
     /// Persistent word-parallel dirty queue over line-id ranks.
     front: RankFront,
-    /// Which dirty-queue realization [`Self::propagate`] drains.
-    strategy: SettleStrategy,
     rng: StdRng,
 }
 
 impl NativeMatching {
     /// Creates the structure over `graph`, drawing a random priority per
     /// edge from `seed` and computing the initial greedy matching.
+    ///
+    /// O(m log m): every edge is admitted with its key drawn in
+    /// `graph.edges()` order — the same draws and line ids that m
+    /// [`Self::insert_edge`] calls would make — then the ranks are built
+    /// by one flush and the greedy matching is taken in rank order.
     #[must_use]
     pub fn new(graph: DynGraph, seed: u64) -> Self {
         let mut nm = Self::empty(seed);
-        // Rebuild through the incremental path so the invariant machinery
-        // is exercised uniformly.
         let mut id_map: NodeMap<NodeId> = NodeMap::new();
         for v in graph.nodes() {
             id_map.insert(v, nm.graph.add_node());
@@ -113,9 +110,21 @@ impl NativeMatching {
             graph.nodes().all(|v| id_map.get(v) == Some(&v)),
             "fresh ids align"
         );
-        for key in graph.edges() {
-            let (u, v) = key.endpoints();
-            nm.insert_edge(u, v).expect("valid source graph");
+        for e in graph.edges() {
+            let (u, v) = e.endpoints();
+            nm.graph.insert_edge(u, v).expect("valid source graph");
+            let key = nm.rng.random();
+            nm.alloc_line(e, key);
+        }
+        nm.ranks.flush(&nm.line_prio);
+        nm.front.reserve(nm.ranks.span());
+        for rank in 0..nm.ranks.span() {
+            let id = nm.ranks.node_at(rank);
+            let e = nm.slots[id].0;
+            let (u, v) = e.endpoints();
+            if nm.cover.get(u).is_none() && nm.cover.get(v).is_none() {
+                nm.apply_flip(id, e, true);
+            }
         }
         nm
     }
@@ -133,23 +142,8 @@ impl NativeMatching {
             line_prio: PriorityMap::new(),
             ranks: RankIndex::new(),
             front: RankFront::new(),
-            strategy: SettleStrategy::default(),
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Which dirty-queue realization the settle loop drains.
-    #[must_use]
-    pub fn settle_strategy(&self) -> SettleStrategy {
-        self.strategy
-    }
-
-    /// Selects the dirty-queue realization. Purely a
-    /// performance/verification knob: flips come out in increasing edge
-    /// priority either way, so receipts are bit-identical for both
-    /// settings — which the strategy-equivalence test pins.
-    pub fn set_settle_strategy(&mut self, strategy: SettleStrategy) {
-        self.strategy = strategy;
     }
 
     /// Admits a live edge into the arena, recycling a vacated id when one
@@ -246,31 +240,7 @@ impl NativeMatching {
         out
     }
 
-    /// Settles dirty edges in increasing priority order — the edge-level
-    /// image of the MIS engine's propagation. Dispatches on
-    /// [`SettleStrategy`]; both drains flip the identical sequence (an
-    /// edge's final status is decided at its first pop, because every
-    /// lower-priority flip precedes it), so the receipt is bit-identical
-    /// either way.
-    fn propagate(&mut self, seeds: Vec<EdgeKey>) -> MatchingReceipt {
-        // One coalesced re-rank covers the (typically one) edge this
-        // update admitted out of key order — the same cadence as the MIS
-        // engines, and unconditional for the same reason: it bounds the
-        // pending list so `RankIndex::remove` stays O(update) no matter
-        // which strategy is active.
-        self.ranks.flush(&self.line_prio);
-        let receipt = match self.strategy {
-            SettleStrategy::RankFront => self.propagate_front(seeds),
-            SettleStrategy::BinaryHeap => self.propagate_heap(seeds),
-        };
-        // Post-drain, no line-id rank is parked in the front: safe to
-        // compact tombstone mass so the span tracks the live edge count.
-        self.ranks.maybe_compact();
-        receipt
-    }
-
-    /// Applies one flip's matched-set and cover-map mutation; shared by
-    /// both drains.
+    /// Applies one flip's matched-set and cover-map mutation.
     fn apply_flip(&mut self, id: LineId, e: EdgeKey, desired: bool) {
         let (u, v) = e.endpoints();
         if desired {
@@ -287,11 +257,19 @@ impl NativeMatching {
         }
     }
 
-    /// The word-parallel drain: dirty line-id ranks live in the
-    /// persistent [`RankFront`] (set semantics — duplicate pushes
-    /// merge), pops are whole-word bit scans, and the incident filter
-    /// compares dense `u32` ranks.
-    fn propagate_front(&mut self, seeds: Vec<EdgeKey>) -> MatchingReceipt {
+    /// Settles dirty edges in increasing priority order — the edge-level
+    /// image of the MIS engine's propagation: an edge's final status is
+    /// decided at its first pop, because every lower-priority flip
+    /// precedes it. Dirty line-id ranks live in the persistent
+    /// [`RankFront`] (set semantics — duplicate pushes merge), pops are
+    /// whole-word bit scans, and the incident filter compares dense `u32`
+    /// ranks.
+    fn propagate(&mut self, seeds: Vec<EdgeKey>) -> MatchingReceipt {
+        // One coalesced re-rank covers the (typically one) edge this
+        // update admitted out of key order — the same cadence as the MIS
+        // engines, and for the same reason: it bounds the pending list
+        // so `RankIndex::remove` stays O(update).
+        self.ranks.flush(&self.line_prio);
         debug_assert!(self.front.is_empty(), "settle front leaked ranks");
         for e in seeds {
             // A deletion may seed edges it also removed; only live edges
@@ -317,35 +295,9 @@ impl NativeMatching {
                 }
             }
         }
-        MatchingReceipt { flips }
-    }
-
-    /// The retained heap drain — the pre-front settle loop, kept as the
-    /// bitwise reference (duplicates pushed and skipped on re-pop).
-    fn propagate_heap(&mut self, seeds: Vec<EdgeKey>) -> MatchingReceipt {
-        let mut heap: BinaryHeap<Reverse<(Priority, EdgeKey)>> = seeds
-            .into_iter()
-            .filter(|e| self.line_id.contains_key(e))
-            .map(|e| Reverse((self.priority_of(e), e)))
-            .collect();
-        let mut flips = Vec::new();
-        while let Some(Reverse((prio, e))) = heap.pop() {
-            let Some(&id) = self.line_id.get(&e) else {
-                continue; // edge vanished mid-batch
-            };
-            let desired = self.desired(e);
-            let current = self.matched.contains(id);
-            if desired == current {
-                continue;
-            }
-            self.apply_flip(id, e, desired);
-            flips.push((e, desired));
-            for other in self.incident(e) {
-                if self.priority_of(other) > prio {
-                    heap.push(Reverse((self.priority_of(other), other)));
-                }
-            }
-        }
+        // Post-drain, no line-id rank is parked in the front: safe to
+        // compact tombstone mass so the span tracks the live edge count.
+        self.ranks.maybe_compact();
         MatchingReceipt { flips }
     }
 
@@ -571,43 +523,6 @@ mod tests {
         }
         let mean = total as f64 / trials as f64;
         assert!((mean - 5.0 / 3.0).abs() < 0.12, "mean {mean} ≠ 5/3");
-    }
-
-    #[test]
-    fn front_and_heap_strategies_are_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let (g, _) = generators::erdos_renyi(14, 0.3, &mut rng);
-        let mut front = NativeMatching::new(g.clone(), 9);
-        let mut heap = NativeMatching::new(g, 9);
-        heap.set_settle_strategy(SettleStrategy::BinaryHeap);
-        assert_eq!(front.settle_strategy(), SettleStrategy::RankFront);
-        for step in 0..250 {
-            // Mixed churn: edge toggles plus occasional node removal and
-            // re-insertion, so line ids get recycled under both drains.
-            let rf;
-            let rh;
-            if rng.random_bool(0.5) {
-                let Some((u, v)) = generators::random_non_edge(front.graph(), &mut rng) else {
-                    continue;
-                };
-                rf = front.insert_edge(u, v).unwrap();
-                rh = heap.insert_edge(u, v).unwrap();
-            } else {
-                let Some((u, v)) = generators::random_edge(front.graph(), &mut rng) else {
-                    continue;
-                };
-                rf = front.remove_edge(u, v).unwrap();
-                rh = heap.remove_edge(u, v).unwrap();
-            }
-            assert_eq!(rf, rh, "step {step}: receipts diverged");
-            assert_eq!(front.matching(), heap.matching(), "step {step}");
-            if step % 50 == 0 {
-                front.assert_consistent();
-                heap.assert_consistent();
-            }
-        }
-        front.assert_consistent();
-        heap.assert_consistent();
     }
 
     #[test]

@@ -6,12 +6,6 @@
 #   - the dense/BTree speedup of any graph size drops below 1x, or
 #   - the dense per-update latency regresses by more than
 #     BENCH_GATE_MAX_RATIO (default 2.0) vs the committed number, or
-#   - in the fresh "front" section, the rank-bitset settle front's
-#     speedup over the retained BinaryHeap drain drops below
-#     BENCH_GATE_FRONT_MIN_SPEEDUP (default 1.0) at any size — i.e. CI
-#     fails if the front is ever slower than the heap it replaced. Both
-#     rows come from the same fresh run (fresh-vs-fresh, like the
-#     parallel gate), so the check is fidelity-independent, or
 #   - in the fresh "ingest" section, the deep-queue (queue_depth=64)
 #     coalesce fraction drops below BENCH_GATE_INGEST_MIN_COALESCE
 #     (default 0.25): on the flapping workload the coalescing queue must
@@ -31,15 +25,6 @@
 #     have been observed ~1.4x apart on busy runners), while the
 #     regression this gate exists to catch — thread spawns leaking into
 #     the tiny-cascade fast path — costs 10-100x and clears any sane cap.
-#   - in the fresh "front" section's sharded row (n=1000, shards=4), the
-#     front/heap speedup drops below BENCH_GATE_SHARDED_FRONT_MIN
-#     (default 0.95). Parity is the *expected* result here — the
-#     per-shard heap was already persistent, so the front only trades
-#     rank indirection against cheaper u32 compares on the tiny-cascade
-#     fast path — and 0.95 encodes that floor explicitly: the gate
-#     exists to catch the front becoming materially slower than the
-#     heap it replaced, not to demand a win single-toggle noise cannot
-#     certify. Fresh-vs-fresh, so fidelity-independent.
 #   - in the fresh "scale" section (sustained churn on pre-sized
 #     engines; ER and Chung–Lu), for the largest size present per
 #     family (n=10^5 required, the full-mode 10^6 rows checked when
@@ -124,9 +109,7 @@ if [ -n "$stale" ]; then
 fi
 max_ratio="${BENCH_GATE_MAX_RATIO:-2.0}"
 par_max_ratio="${BENCH_GATE_PAR_MAX_RATIO:-3.0}"
-front_min_speedup="${BENCH_GATE_FRONT_MIN_SPEEDUP:-1.0}"
 ingest_min_coalesce="${BENCH_GATE_INGEST_MIN_COALESCE:-0.25}"
-sharded_front_min="${BENCH_GATE_SHARDED_FRONT_MIN:-0.95}"
 scale_max_ratio="${BENCH_GATE_SCALE_MAX_RATIO:-8.0}"
 scale_max_bytes="${BENCH_GATE_SCALE_MAX_BYTES_PER_NODE:-600}"
 serve_max_overhead="${BENCH_GATE_SERVE_MAX_OVERHEAD:-1.10}"
@@ -152,14 +135,6 @@ pfield() {
     | head -n 1 | grep -o "\"$5\": [0-9.]*" | awk '{print $2}'; } || true
 }
 
-# ffield <file> <n> <key>: value of <key> in the "front" entry for n=<n>.
-# The leading key sequence "n", "front_ns_per_change" is unique to that
-# section, so "results" rows with the same n cannot shadow it.
-ffield() {
-  { grep -o "{\"n\": $2, \"front_ns_per_change\"[^}]*}" "$1" \
-    | head -n 1 | grep -o "\"$3\": [0-9.]*" | awk '{print $2}'; } || true
-}
-
 status=0
 for n in 100 1000; do
   speedup="$(field "$fresh" "$n" speedup)"
@@ -180,25 +155,6 @@ for n in 100 1000; do
     status=1
   fi
   echo "bench gate: n=$n speedup=${speedup}x dense=${dense_new}ns (committed ${dense_old}ns)"
-done
-
-# Settle-front gate: the rank-bitset front must never be slower than the
-# BinaryHeap drain it replaced. Fresh-vs-fresh on the same run, so
-# machine speed and iteration counts cancel out.
-for n in 1000 4096; do
-  fspeed="$(ffield "$fresh" "$n" speedup)"
-  fns="$(ffield "$fresh" "$n" front_ns_per_change)"
-  hns="$(ffield "$fresh" "$n" heap_ns_per_change)"
-  if [ -z "$fspeed" ] || [ -z "$fns" ] || [ -z "$hns" ]; then
-    echo "bench gate: missing \"front\" entry for n=$n in $fresh" >&2
-    status=1
-    continue
-  fi
-  if ! awk -v s="$fspeed" -v m="$front_min_speedup" 'BEGIN { exit !(s >= m) }'; then
-    echo "bench gate FAIL: front/heap speedup ${fspeed}x < ${front_min_speedup}x at n=$n (front ${fns}ns, heap ${hns}ns per change)" >&2
-    status=1
-  fi
-  echo "bench gate: front n=$n speedup=${fspeed}x (front ${fns}ns vs heap ${hns}ns per change)"
 done
 
 # ifield <file> <depth> <key>: value of <key> in the "ingest" entry for
@@ -223,29 +179,6 @@ else
     status=1
   fi
   echo "bench gate: ingest Q=64 coalesce=${ing_frac} (${ing_ns}ns/change vs ${ing_ns1}ns unbatched)"
-fi
-
-# sffield <file> <key>: value of <key> in the "front" section's sharded
-# single-toggle row. The leading key sequence "n", "shards",
-# "front_ns_per_toggle" is unique to that row ("sharding" rows go
-# straight to "ns_per_toggle", "parallel" rows interpose "threads").
-sffield() {
-  { grep -o "{\"n\": 1000, \"shards\": 4, \"front_ns_per_toggle\"[^}]*}" "$1" \
-    | head -n 1 | grep -o "\"$2\": [0-9.]*" | awk '{print $2}'; } || true
-}
-
-# Sharded-front gate: parity with the persistent per-shard heap is the
-# expected floor; fail only if the front drops materially below it.
-sf_speed="$(sffield "$fresh" speedup)"
-if [ -z "$sf_speed" ]; then
-  echo "bench gate: missing sharded \"front\" row (n=1000, shards=4) in $fresh" >&2
-  status=1
-else
-  if ! awk -v s="$sf_speed" -v m="$sharded_front_min" 'BEGIN { exit !(s >= m) }'; then
-    echo "bench gate FAIL: sharded front/heap speedup ${sf_speed}x < ${sharded_front_min}x (parity floor)" >&2
-    status=1
-  fi
-  echo "bench gate: sharded front speedup=${sf_speed}x (floor ${sharded_front_min}x)"
 fi
 
 # scfield <file> <n> <family> <key>: value of <key> in the "scale" entry
