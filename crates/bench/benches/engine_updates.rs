@@ -21,9 +21,10 @@
 //! coalesce fraction `tools/bench_gate.sh` checks via
 //! `BENCH_GATE_INGEST_MIN_COALESCE`), and the `"scale"` section: sustained
 //! churn on 10^5-node (smoke) up to 10^6-node (full) ER and Chung–Lu
-//! instances through a pre-sized engine, with peak-RSS bytes/node and the
-//! storage-regrow counter per row (gated via `BENCH_GATE_SCALE_MAX_RATIO`
-//! and `BENCH_GATE_SCALE_MAX_BYTES_PER_NODE`), and the `"serve"` section:
+//! instances through a pre-sized engine, with peak-RSS bytes/node, the
+//! storage-regrow counter, and the same churn's cost with a reader
+//! attached per row (gated via `BENCH_GATE_SCALE_MAX_RATIO` and
+//! `BENCH_GATE_SCALE_MAX_BYTES_PER_NODE`), and the `"serve"` section:
 //! the concurrent snapshot read path — what per-settle publication costs
 //! the writer on the n=4096 batched-toggle row (interleaved plain vs
 //! published engine, gated via `BENCH_GATE_SERVE_MAX_OVERHEAD`), plus a
@@ -693,11 +694,15 @@ fn write_snapshot(test_mode: bool) {
     // chunked-adjacency regime). Each row prices one (n, family) cell:
     // ns/change at steady state, peak-RSS bytes/node for the whole
     // graph+engine working set (VmHWM delta around the row, reset between
-    // rows), and the engine's storage-regrow count across the measured
-    // churn — pre-sized arenas make that exactly 0, and the gate
-    // (tools/bench_gate.sh, BENCH_GATE_SCALE_*) holds the 10^5/10^6 rows to
-    // a fixed multiple of the n=4096 figure. Smoke mode stops at 10^5; the
-    // committed snapshot (BENCH_SNAPSHOT_FULL) carries the 10^6 rows.
+    // rows), the engine's storage-regrow count across the measured
+    // churn — pre-sized arenas make that exactly 0 — and
+    // published_ns_per_change: the same churn on the same engine with a
+    // `MisReader` held, so every toggle also publishes a snapshot. The
+    // gate (tools/bench_gate.sh, BENCH_GATE_SCALE_*) holds both 10^5/10^6
+    // figures to a fixed multiple of the family's n=4096 figure, which is
+    // what catches a publish that copies O(n) words. Smoke mode stops at
+    // 10^5; the committed snapshot (BENCH_SNAPSHOT_FULL) carries the 10^6
+    // rows.
     let mut scale_entries = Vec::new();
     {
         let sizes: &[usize] = if test_mode {
@@ -735,10 +740,14 @@ fn write_snapshot(test_mode: bool) {
                 let regrows = engine.storage_regrows() - regrows_before;
                 let peak = peak_rss_bytes().saturating_sub(rss_before);
                 let bytes_per_node = peak as f64 / n as f64;
+                let reader = engine.reader();
+                let published_ns = measure_engine_toggle_ns(&mut engine, &edges, iters, samples);
+                assert!(reader.epoch() > 0, "published engine actually published");
                 engine.assert_internally_consistent_sampled(1024, n as u64);
                 scale_entries.push(format!(
                     "  {{\"n\": {n}, \"family\": \"{family}\", \"edges\": {edge_count}, \
                      \"max_degree\": {max_degree}, \"ns_per_change\": {ns:.1}, \
+                     \"published_ns_per_change\": {published_ns:.1}, \
                      \"bytes_per_node\": {bytes_per_node:.1}, \"churn_regrows\": {regrows}}}"
                 ));
             }

@@ -226,8 +226,10 @@ impl MisEngine {
     /// until first call, the settle path pays nothing for this feature.
     pub fn reader(&mut self) -> MisReader {
         if !self.publisher.is_attached() {
-            self.publisher
-                .set(MisPublisher::attach(&self.in_mis, self.ranks.compactions()));
+            self.publisher.set(MisPublisher::attach(
+                self.in_mis.clone(),
+                self.ranks.compactions(),
+            ));
         }
         self.publisher.get().expect("just attached").reader()
     }
@@ -327,6 +329,11 @@ impl MisEngine {
         self.ranks.remove(v);
         self.in_mis.remove(v);
         self.lower_mis_count.remove(v);
+        if was_in {
+            // Departures are not flips (receipts cover the *remaining*
+            // nodes), so the publish log learns of them here.
+            self.publisher.record(v, false);
+        }
         let mut seeds = Vec::new();
         let mut counter_updates = 0;
         if was_in {
@@ -462,6 +469,10 @@ impl MisEngine {
                 self.ranks.remove(*v);
                 self.in_mis.remove(*v);
                 self.lower_mis_count.remove(*v);
+                if was_in {
+                    // As in `remove_node`: departures are not flips.
+                    self.publisher.record(*v, false);
+                }
                 for w in nbrs {
                     if self.priorities.of(w) > prio_v {
                         if was_in {
@@ -547,7 +558,9 @@ impl MisEngine {
     /// Test-only fault injector: flips the membership bit of each live
     /// victim *without* touching the counters — exactly the corruption
     /// model of E13, now at the engine tier. Returns how many victims
-    /// were live (and therefore flipped).
+    /// were live (and therefore flipped). Each flip also enters the
+    /// publish log, so the next published snapshot equals the engine's
+    /// membership even if no settle ever flips the bit back.
     #[doc(hidden)]
     pub fn corrupt_in_mis(&mut self, victims: &[NodeId]) -> usize {
         let mut flipped = 0;
@@ -555,11 +568,9 @@ impl MisEngine {
             if !self.graph.has_node(v) {
                 continue;
             }
-            if self.in_mis.contains(v) {
-                self.in_mis.remove(v);
-            } else {
-                self.in_mis.insert(v);
-            }
+            let member = !self.in_mis.contains(v);
+            self.set_in_mis(v, member);
+            self.publisher.record(v, member);
             flipped += 1;
         }
         flipped
@@ -587,7 +598,7 @@ impl MisEngine {
     #[doc(hidden)]
     pub fn restore_epoch(&mut self, epoch: u64) {
         self.publisher.set(MisPublisher::attach_at(
-            &self.in_mis,
+            self.in_mis.clone(),
             self.ranks.compactions(),
             epoch,
         ));
@@ -815,7 +826,7 @@ impl MisEngine {
         // compaction stamp is the witness the consistency tier checks.
         if let Some(p) = self.publisher.get_mut() {
             debug_assert!(self.ranks.is_flushed(), "publishing before rank quiescence");
-            p.publish(&self.in_mis, self.ranks.compactions());
+            p.publish(receipt.flips(), self.ranks.compactions());
         }
         receipt
     }

@@ -273,12 +273,6 @@ pub struct ShardedMisEngine {
     /// until [`Self::reader`] attaches a read path. Cloning detaches —
     /// see [`crate::snapshot`].
     publisher: PublishSlot,
-    /// Global-id membership mirror maintained only while a read path is
-    /// attached: shard membership lives in per-shard *local-slot*
-    /// bitsets, so publication needs a global [`NodeSet`] — rebuilt once
-    /// at attach, then patched from each settle's net flip log in
-    /// O(flips) instead of an O(n) rescan per publish.
-    mirror: NodeSet,
 }
 
 impl ShardedMisEngine {
@@ -298,7 +292,6 @@ impl ShardedMisEngine {
             threads: 1,
             spawn_threshold: DEFAULT_SPAWN_THRESHOLD,
             publisher: PublishSlot::default(),
-            mirror: NodeSet::new(),
         }
     }
 
@@ -361,7 +354,6 @@ impl ShardedMisEngine {
             threads: 1,
             spawn_threshold: DEFAULT_SPAWN_THRESHOLD,
             publisher: PublishSlot::default(),
-            mirror: NodeSet::new(),
         };
         for v in engine.graph.nodes() {
             if mis.contains(v) {
@@ -445,15 +437,15 @@ impl ShardedMisEngine {
     /// Returns a concurrent read handle over the engine's published
     /// snapshots, attaching the publication layer on first call — the
     /// same contract as [`crate::MisEngine::reader`]. Attach pays one
-    /// O(n) scan to materialize the global membership mirror (shard
-    /// membership is stored per-shard in local slots); each settle then
-    /// patches the mirror from its net flip log in O(flips) and
-    /// publishes it.
+    /// O(n) scan to gather the global membership (shard membership is
+    /// stored per-shard in local slots); each settle then publishes its
+    /// net flips in O(flips).
     pub fn reader(&mut self) -> MisReader {
         if !self.publisher.is_attached() {
-            self.mirror = self.mis_iter().collect();
-            self.publisher
-                .set(MisPublisher::attach(&self.mirror, self.ranks.compactions()));
+            self.publisher.set(MisPublisher::attach(
+                self.mis_iter().collect(),
+                self.ranks.compactions(),
+            ));
         }
         self.publisher.get().expect("just attached").reader()
     }
@@ -616,10 +608,11 @@ impl ShardedMisEngine {
         let local = self.layout.local_slot(v);
         self.shards[origin].in_mis.remove(local);
         self.shards[origin].lower_mis_count.remove(local);
-        if was_in && self.publisher.is_attached() {
+        if was_in {
             // Departures never appear in the flip log (receipts cover
-            // the *remaining* nodes), so the mirror is patched here.
-            self.mirror.remove(v);
+            // the *remaining* nodes), so the publish log learns of them
+            // here.
+            self.publisher.record(v, false);
         }
         let mut stats = SettleStats::default();
         if was_in {
@@ -717,9 +710,9 @@ impl ShardedMisEngine {
                 let local = self.layout.local_slot(*v);
                 self.shards[origin].in_mis.remove(local);
                 self.shards[origin].lower_mis_count.remove(local);
-                if was_in && self.publisher.is_attached() {
+                if was_in {
                     // As in `remove_node`: departures are not flips.
-                    self.mirror.remove(*v);
+                    self.publisher.record(*v, false);
                 }
                 for w in nbrs {
                     if self.priorities.of(w) > prio_v {
@@ -790,19 +783,11 @@ impl ShardedMisEngine {
         }
         flips.sort_by_key(|&(v, _)| self.priorities.of(v));
         // Publication comes strictly after compaction (the snapshot's
-        // compaction stamp is the witness): patch the global mirror from
-        // the net flips, then publish this flush boundary.
-        if self.publisher.is_attached() {
-            for &(v, state) in &flips {
-                if state.is_in() {
-                    self.mirror.insert(v);
-                } else {
-                    self.mirror.remove(v);
-                }
-            }
+        // compaction stamp is the witness): the net flips carry this
+        // flush boundary.
+        if let Some(p) = self.publisher.get_mut() {
             debug_assert!(self.ranks.is_flushed(), "publishing before rank quiescence");
-            let p = self.publisher.get_mut().expect("attached");
-            p.publish(&self.mirror, self.ranks.compactions());
+            p.publish(&flips, self.ranks.compactions());
         }
         UpdateReceipt::new(kind, flips, stats.pops, stats.counter_updates).with_shard_stats(
             stats.handoffs,
@@ -881,8 +866,7 @@ impl ShardedMisEngine {
     /// on the unique greedy fixed point for (graph, π). Healing runs
     /// through the ordinary epoch coordinator, so cross-shard cascades,
     /// receipts, and (if a read path is attached) the published epoch
-    /// all behave exactly like a settle; the global membership mirror
-    /// stays consistent because only net-flipped nodes patch it.
+    /// all behave exactly like a settle.
     pub fn verify_and_repair(&mut self) -> crate::durability::RepairReport {
         let nodes: Vec<NodeId> = self.graph.nodes().collect();
         let scanned = nodes.len();
@@ -929,9 +913,11 @@ impl ShardedMisEngine {
     }
 
     /// Test-only fault injector: flips the membership bit of each live
-    /// victim in its owning shard's local table, leaving counters and
-    /// the publication mirror untouched — the E13 corruption model at
-    /// the sharded tier. Returns how many victims were live.
+    /// victim in its owning shard's local table, leaving counters
+    /// untouched — the E13 corruption model at the sharded tier. Returns
+    /// how many victims were live. Each flip also enters the publish
+    /// log: a later settle may make the corrupted bit the true one
+    /// without any net flip, and the next snapshot must still show it.
     #[doc(hidden)]
     pub fn corrupt_in_mis(&mut self, victims: &[NodeId]) -> usize {
         let mut flipped = 0;
@@ -940,11 +926,13 @@ impl ShardedMisEngine {
                 continue;
             }
             let (s, local) = (self.layout.shard_of(v), self.layout.local_slot(v));
-            if self.shards[s].in_mis.contains(local) {
-                self.shards[s].in_mis.remove(local);
-            } else {
+            let member = !self.shards[s].in_mis.contains(local);
+            if member {
                 self.shards[s].in_mis.insert(local);
+            } else {
+                self.shards[s].in_mis.remove(local);
             }
+            self.publisher.record(v, member);
             flipped += 1;
         }
         flipped
@@ -970,9 +958,8 @@ impl ShardedMisEngine {
     /// built engine, before [`Self::reader`].
     #[doc(hidden)]
     pub fn restore_epoch(&mut self, epoch: u64) {
-        self.mirror = self.mis_iter().collect();
         self.publisher.set(MisPublisher::attach_at(
-            &self.mirror,
+            self.mis_iter().collect(),
             self.ranks.compactions(),
             epoch,
         ));
@@ -1465,7 +1452,7 @@ mod tests {
             let snap = reader.snapshot();
             let published: Vec<NodeId> = snap.iter().collect();
             let live: Vec<NodeId> = engine.mis_iter().collect();
-            assert_eq!(published, live, "mirror stayed consistent: {layout:?}");
+            assert_eq!(published, live, "snapshot matches the engine: {layout:?}");
             assert!(engine.verify_and_repair().is_clean(), "{layout:?}");
         }
     }

@@ -19,9 +19,28 @@
 //!   pure read with no synchronization at all, so a reader holding a
 //!   snapshot is wait-free no matter what the writer does.
 //! - `MisPublisher` (crate-private) — the writer side, owned by an
-//!   engine. `publish` builds the next `Arc<MisSnapshot>` *outside* the
-//!   swap lock and installs it with an O(1) pointer store, so the
-//!   reader-visible critical section never scales with the graph.
+//!   engine. It builds the next `Arc<MisSnapshot>` *outside* the swap
+//!   lock and installs it with an O(1) pointer swap; the replaced `Arc`
+//!   leaves the lock alive (it becomes the next spare), so the
+//!   reader-visible critical section never scales with the graph and
+//!   never frees a buffer.
+//!
+//! # Publish cost: O(flips), not O(n)
+//!
+//! Engines do not hand the publisher their membership set. They log
+//! **absolute** `(NodeId, member)` assignments — settle flips, departed
+//! members, injected corruption — and the publisher replays them into a
+//! recycled buffer. It keeps two buffers: the installed snapshot and a
+//! spare, the buffer published one epoch earlier, plus the assignments
+//! of the last two epochs. When no reader holds the spare
+//! (`Arc::get_mut` succeeds) it is brought current by replaying both
+//! epochs' assignments and installed, so a publish costs O(membership
+//! changes) — Theorem 1's O(1) expected per change. Only while a reader
+//! pins the spare does a publish fall back to copying the installed
+//! snapshot (O(n/64) words) and replaying this epoch's assignments. A
+//! snapshot a reader holds is never written: writes go through
+//! `Arc::get_mut` alone. Assignments are absolute, never toggles,
+//! because corruption and repair re-assert bits a toggle would invert.
 //!
 //! # Epoch semantics
 //!
@@ -49,6 +68,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dmis_graph::{NodeId, NodeSet};
+
+use crate::MisState;
 
 /// One immutable published MIS state: the membership bitset, its
 /// cardinality, and the epoch stamped by the writer at publication.
@@ -113,6 +134,17 @@ impl MisSnapshot {
     pub fn rank_compactions(&self) -> u64 {
         self.rank_compactions
     }
+
+    /// Replays absolute membership assignments, in order.
+    fn assign(&mut self, log: &[(NodeId, bool)]) {
+        for &(v, member) in log {
+            if member {
+                self.members.insert(v);
+            } else {
+                self.members.remove(v);
+            }
+        }
+    }
 }
 
 /// The shared cell between one publisher and its readers.
@@ -120,15 +152,15 @@ impl MisSnapshot {
 struct SnapshotCell {
     /// Latest published epoch, readable without the swap lock.
     epoch: AtomicU64,
-    /// Swap point. Held only for an O(1) `Arc` store (writer) or
-    /// clone (reader) — never while a snapshot is being built.
+    /// Swap point. Held only for an O(1) `Arc` swap (writer) or
+    /// clone (reader) — never while a snapshot is being built or freed.
     current: Mutex<Arc<MisSnapshot>>,
 }
 
 impl SnapshotCell {
     /// Clones out the current snapshot. Recovers from poisoning: the
     /// guarded value is always a fully-built `Arc`, installed by a
-    /// single pointer store, so a writer panicking elsewhere cannot
+    /// single pointer swap, so a writer panicking elsewhere cannot
     /// leave it torn.
     fn load(&self) -> Arc<MisSnapshot> {
         match self.current.lock() {
@@ -137,49 +169,52 @@ impl SnapshotCell {
         }
     }
 
-    fn store(&self, snap: Arc<MisSnapshot>) {
+    /// Installs `snap` and returns the snapshot it replaced, still
+    /// alive: whoever drops that `Arc` — possibly freeing its buffer —
+    /// does so after the lock is released, never while readers wait.
+    fn swap(&self, snap: Arc<MisSnapshot>) -> Arc<MisSnapshot> {
         let epoch = snap.epoch;
-        match self.current.lock() {
-            Ok(mut guard) => *guard = snap,
-            Err(poisoned) => *poisoned.into_inner() = snap,
-        }
+        let replaced = match self.current.lock() {
+            Ok(mut guard) => std::mem::replace(&mut *guard, snap),
+            Err(poisoned) => std::mem::replace(&mut *poisoned.into_inner(), snap),
+        };
         // Readers may learn the new epoch only after the snapshot
         // carrying it is reachable.
         self.epoch.store(epoch, Ordering::Release);
+        replaced
     }
 }
 
 /// Writer side of the snapshot channel; owned by an engine, one per
-/// attached read path. Publishes at every settle-end quiescence point.
+/// attached read path. Publishes at every settle-end quiescence point,
+/// recycling a two-buffer ring (see the [module docs](self)).
 #[derive(Debug)]
 pub(crate) struct MisPublisher {
     cell: Arc<SnapshotCell>,
+    /// The buffer published one epoch before the installed snapshot,
+    /// held for reuse; `None` until the first publish.
+    spare: Option<Arc<MisSnapshot>>,
+    /// The assignments that carried `spare` to the installed snapshot.
+    behind: Vec<(NodeId, bool)>,
+    /// The assignments logged since the installed snapshot was
+    /// published.
+    pending: Vec<(NodeId, bool)>,
 }
 
 impl MisPublisher {
     /// Creates the channel and publishes the attach-time state as
     /// epoch 0.
-    pub(crate) fn attach(members: &NodeSet, rank_compactions: u64) -> Self {
-        let snap = Arc::new(MisSnapshot {
-            members: members.clone(),
-            epoch: 0,
-            rank_compactions,
-        });
-        MisPublisher {
-            cell: Arc::new(SnapshotCell {
-                epoch: AtomicU64::new(0),
-                current: Mutex::new(snap),
-            }),
-        }
+    pub(crate) fn attach(members: NodeSet, rank_compactions: u64) -> Self {
+        Self::attach_at(members, rank_compactions, 0)
     }
 
     /// Creates the channel at a prescribed epoch instead of 0: the
     /// recovery path re-attaches a restored engine's read channel at
     /// the epoch its checkpoint + replayed WAL suffix reconstructed, so
     /// readers resuming after a crash never observe a regressed epoch.
-    pub(crate) fn attach_at(members: &NodeSet, rank_compactions: u64, epoch: u64) -> Self {
+    pub(crate) fn attach_at(members: NodeSet, rank_compactions: u64, epoch: u64) -> Self {
         let snap = Arc::new(MisSnapshot {
-            members: members.clone(),
+            members,
             epoch,
             rank_compactions,
         });
@@ -188,27 +223,47 @@ impl MisPublisher {
                 epoch: AtomicU64::new(epoch),
                 current: Mutex::new(snap),
             }),
+            spare: None,
+            behind: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
     /// Latest published epoch (the writer's own last store).
     pub(crate) fn epoch(&self) -> u64 {
+        // Single-writer: the publisher is reached through `&mut` on the
+        // engine, so the relaxed read of our own last store is exact.
         self.cell.epoch.load(Ordering::Relaxed)
     }
 
-    /// Publishes the next flush boundary: a fresh snapshot of `members`
-    /// at epoch `latest + 1`. The snapshot is built before the swap
-    /// lock is taken, so readers only ever wait for a pointer store.
-    pub(crate) fn publish(&mut self, members: &NodeSet, rank_compactions: u64) {
-        // Single-writer: the publisher is reached through `&mut` on the
-        // engine, so the relaxed read of our own last store is exact.
-        let epoch = self.cell.epoch.load(Ordering::Relaxed) + 1;
-        let snap = Arc::new(MisSnapshot {
-            members: members.clone(),
-            epoch,
-            rank_compactions,
+    /// Logs the absolute assignment `v ↦ member` for the next publish.
+    pub(crate) fn record(&mut self, v: NodeId, member: bool) {
+        self.pending.push((v, member));
+    }
+
+    /// Publishes the next flush boundary at epoch `latest + 1`: the
+    /// installed membership with every logged assignment and then
+    /// `flips` applied. The snapshot is built before the swap lock is
+    /// taken, so readers only ever wait for a pointer swap.
+    pub(crate) fn publish(&mut self, flips: &[(NodeId, MisState)], rank_compactions: u64) {
+        self.pending
+            .extend(flips.iter().map(|&(v, state)| (v, state.is_in())));
+        // An unpinned spare is one epoch behind: replaying `behind`
+        // makes it equal to the installed snapshot. A pinned one is left
+        // to its readers, and a copy of the installed snapshot takes its
+        // place.
+        let recycled = self.spare.take().and_then(|mut spare| {
+            Arc::get_mut(&mut spare)?.assign(&self.behind);
+            Some(spare)
         });
-        self.cell.store(snap);
+        let mut next = recycled.unwrap_or_else(|| Arc::new(MisSnapshot::clone(&self.cell.load())));
+        let snap = Arc::get_mut(&mut next).expect("no reader can reach an unpublished buffer");
+        snap.assign(&self.pending);
+        snap.epoch = self.epoch() + 1;
+        snap.rank_compactions = rank_compactions;
+        self.spare = Some(self.cell.swap(next));
+        std::mem::swap(&mut self.behind, &mut self.pending);
+        self.pending.clear();
     }
 
     /// Hands out a read handle onto this publisher's channel.
@@ -356,6 +411,15 @@ impl PublishSlot {
     pub(crate) fn get_mut(&mut self) -> Option<&mut MisPublisher> {
         self.publisher.as_mut()
     }
+
+    /// Logs a membership assignment the settle's flips will not carry
+    /// (a departed member, an injected fault) for the next publish; a
+    /// no-op while no read path is attached.
+    pub(crate) fn record(&mut self, v: NodeId, member: bool) {
+        if let Some(p) = self.publisher.as_mut() {
+            p.record(v, member);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -364,6 +428,14 @@ mod tests {
 
     fn set_of(ids: &[u64]) -> NodeSet {
         ids.iter().map(|&i| NodeId(i)).collect()
+    }
+
+    fn ins(ids: &[u64]) -> Vec<(NodeId, MisState)> {
+        ids.iter().map(|&i| (NodeId(i), MisState::In)).collect()
+    }
+
+    fn ids(snap: &MisSnapshot) -> Vec<u64> {
+        snap.iter().map(NodeId::index).collect()
     }
 
     #[test]
@@ -376,7 +448,7 @@ mod tests {
 
     #[test]
     fn attach_publishes_epoch_zero() {
-        let publisher = MisPublisher::attach(&set_of(&[1, 5, 64]), 0);
+        let publisher = MisPublisher::attach(set_of(&[1, 5, 64]), 0);
         let reader = publisher.reader();
         assert_eq!(reader.epoch(), 0);
         let snap = reader.snapshot();
@@ -389,24 +461,44 @@ mod tests {
 
     #[test]
     fn publish_bumps_the_epoch_and_swaps_the_members() {
-        let mut publisher = MisPublisher::attach(&set_of(&[0]), 0);
+        let mut publisher = MisPublisher::attach(set_of(&[0]), 0);
         let reader = publisher.reader();
         let held = reader.snapshot();
-        publisher.publish(&set_of(&[2, 3]), 1);
+        let mut flips = ins(&[2, 3]);
+        flips.push((NodeId(0), MisState::Out));
+        publisher.publish(&flips, 1);
         assert_eq!(reader.epoch(), 1);
         let now = reader.snapshot();
         assert_eq!(now.epoch(), 1);
-        assert_eq!(now.mis_len(), 2);
+        assert_eq!(ids(&now), vec![2, 3]);
         assert_eq!(now.rank_compactions(), 1);
         // The previously-acquired snapshot is frozen, not retracted.
         assert_eq!(held.epoch(), 0);
-        assert!(held.contains(NodeId(0)));
+        assert_eq!(ids(&held), vec![0]);
+    }
+
+    #[test]
+    fn recorded_assignments_land_before_the_flips() {
+        let mut publisher = MisPublisher::attach(set_of(&[4, 8]), 0);
+        let reader = publisher.reader();
+        // A departed member, then an injected fault the settle later
+        // re-asserts: absolute assignments, applied in log order.
+        publisher.record(NodeId(4), false);
+        publisher.record(NodeId(6), true);
+        publisher.publish(&[(NodeId(6), MisState::Out)], 0);
+        assert_eq!(ids(&reader.snapshot()), vec![8]);
+        // Re-asserting a bit the snapshot already holds changes nothing.
+        publisher.record(NodeId(8), true);
+        publisher.publish(&[], 0);
+        let snap = reader.snapshot();
+        assert_eq!(ids(&snap), vec![8]);
+        assert_eq!(snap.mis_len(), 1);
     }
 
     #[test]
     fn snapshot_iter_matches_identifier_order() {
-        let mut publisher = MisPublisher::attach(&NodeSet::new(), 0);
-        publisher.publish(&set_of(&[190, 0, 63, 64, 7]), 0);
+        let mut publisher = MisPublisher::attach(NodeSet::new(), 0);
+        publisher.publish(&ins(&[190, 0, 63, 64, 7]), 0);
         let reader = publisher.reader();
         let ids: Vec<u64> = reader.mis_iter().map(NodeId::index).collect();
         assert_eq!(ids, vec![0, 7, 63, 64, 190]);
@@ -417,10 +509,10 @@ mod tests {
 
     #[test]
     fn clones_share_the_channel() {
-        let mut publisher = MisPublisher::attach(&NodeSet::new(), 0);
+        let mut publisher = MisPublisher::attach(NodeSet::new(), 0);
         let a = publisher.reader();
         let b = a.clone();
-        publisher.publish(&set_of(&[9]), 0);
+        publisher.publish(&ins(&[9]), 0);
         assert_eq!(a.epoch(), 1);
         assert_eq!(b.epoch(), 1);
         assert!(b.snapshot().contains(NodeId(9)));
@@ -428,21 +520,162 @@ mod tests {
 
     #[test]
     fn attach_at_resumes_from_a_prescribed_epoch() {
-        let mut publisher = MisPublisher::attach_at(&set_of(&[3]), 2, 41);
+        let mut publisher = MisPublisher::attach_at(set_of(&[3]), 2, 41);
         assert_eq!(publisher.epoch(), 41);
         let reader = publisher.reader();
         assert_eq!(reader.epoch(), 41);
+        assert_eq!(reader.snapshot().epoch(), 41);
         assert_eq!(reader.snapshot().rank_compactions(), 2);
-        publisher.publish(&set_of(&[3, 5]), 2);
+        publisher.publish(&ins(&[5]), 2);
         assert_eq!(reader.epoch(), 42);
         assert_eq!(publisher.epoch(), 42);
+        publisher.publish(&ins(&[9]), 3);
+        let snap = reader.snapshot();
+        assert_eq!((snap.epoch(), snap.rank_compactions()), (43, 3));
+        assert_eq!(ids(&snap), vec![3, 5, 9]);
+    }
+
+    #[test]
+    fn unpinned_buffers_are_recycled_every_other_epoch() {
+        let mut publisher = MisPublisher::attach(set_of(&[1]), 0);
+        let reader = publisher.reader();
+        publisher.publish(&ins(&[2]), 0);
+        // Remember each epoch's buffer address without holding it: a
+        // held `Arc` (or `Weak`) would pin the buffer.
+        let e1 = Arc::as_ptr(&reader.snapshot());
+        publisher.publish(&ins(&[3]), 0);
+        let e2 = Arc::as_ptr(&reader.snapshot());
+        assert_ne!(e1, e2, "consecutive epochs use distinct buffers");
+        for e in 3..9u64 {
+            publisher.publish(&ins(&[e + 1]), 0);
+            let snap = reader.snapshot();
+            let expect = if e % 2 == 1 { e1 } else { e2 };
+            assert!(
+                std::ptr::eq(Arc::as_ptr(&snap), expect),
+                "epoch {e} reuses the buffer of epoch {}",
+                e - 2
+            );
+            assert_eq!(snap.epoch(), e);
+            assert_eq!(ids(&snap), (1..=e + 1).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn held_snapshots_keep_their_epoch_and_bits() {
+        let mut publisher = MisPublisher::attach(set_of(&[0, 10]), 0);
+        let reader = publisher.reader();
+        let held = reader.snapshot();
+        let before: Vec<u64> = ids(&held);
+        let mut model = set_of(&[0, 10]);
+        // Every publish rewrites the held snapshot's bits; the first two
+        // must copy (no spare, then a pinned spare), the rest recycle.
+        for e in 1..=5u64 {
+            let flips = [
+                (NodeId(0), MisState::from_membership(e % 2 == 0)),
+                (NodeId(10), MisState::from_membership(e % 2 == 0)),
+                (NodeId(20 + e), MisState::In),
+            ];
+            for &(v, s) in &flips {
+                model_assign(&mut model, v, s.is_in());
+            }
+            publisher.publish(&flips, e);
+            assert_eq!(held.epoch(), 0, "a held snapshot keeps its epoch");
+            assert_eq!(ids(&held), before, "a held snapshot keeps its bits");
+            assert_eq!(held.mis_len(), 2);
+            let now = reader.snapshot();
+            assert_eq!(now.epoch(), e);
+            assert_eq!(now.members(), &model, "epoch {e}");
+        }
+        assert_eq!(held.rank_compactions(), 0);
+    }
+
+    #[test]
+    fn ids_beyond_the_buffer_grow_it() {
+        let mut publisher = MisPublisher::attach(set_of(&[1]), 0);
+        let reader = publisher.reader();
+        assert_eq!(reader.snapshot().words().len(), 1);
+        publisher.publish(&ins(&[10_000]), 0);
+        // Both ring buffers meet the far id: the copy at epoch 1, the
+        // recycled attach buffer (replaying epoch 1) at epoch 2.
+        publisher.publish(&ins(&[640]), 0);
+        publisher.publish(&[(NodeId(1), MisState::Out)], 0);
+        let snap = reader.snapshot();
+        assert_eq!(ids(&snap), vec![640, 10_000]);
+        assert_eq!(snap.words().len(), 10_000 / 64 + 1);
+        assert!(!snap.contains(NodeId(20_000)));
+    }
+
+    fn model_assign(model: &mut NodeSet, v: NodeId, member: bool) {
+        if member {
+            model.insert(v);
+        } else {
+            model.remove(v);
+        }
+    }
+
+    #[test]
+    fn seeded_pins_never_change_what_a_snapshot_shows() {
+        // Mixed assignments (re-asserts included) under seeded pin and
+        // release patterns: every current snapshot equals the model, and
+        // every held one still equals the model of its epoch.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let mut model = NodeSet::new();
+        let mut publisher = MisPublisher::attach(model.clone(), 0);
+        let reader = publisher.reader();
+        let mut held: Vec<(Arc<MisSnapshot>, NodeSet)> = Vec::new();
+        for e in 1..=400u64 {
+            // Recorded assignments precede the settle's flips in the log.
+            for _ in 0..next(3) {
+                let (v, member) = (NodeId(next(300)), next(2) == 0);
+                publisher.record(v, member);
+                model_assign(&mut model, v, member);
+            }
+            let flips: Vec<(NodeId, MisState)> = (0..next(6))
+                .map(|_| (NodeId(next(300)), MisState::from_membership(next(2) == 0)))
+                .collect();
+            for &(v, s) in &flips {
+                model_assign(&mut model, v, s.is_in());
+            }
+            publisher.publish(&flips, e);
+            let now = reader.snapshot();
+            assert_eq!((now.epoch(), now.members()), (e, &model), "epoch {e}");
+            assert_eq!(now.mis_len(), model.popcount());
+            match next(3) {
+                0 => held.push((now, model.clone())),
+                1 if !held.is_empty() => {
+                    let (snap, at) = held.swap_remove(next(held.len() as u64) as usize);
+                    assert_eq!(snap.members(), &at, "a held snapshot kept its bits");
+                }
+                _ => {}
+            }
+        }
+        for (snap, at) in held {
+            assert_eq!(snap.members(), &at);
+        }
     }
 
     #[test]
     fn publish_slot_clone_detaches() {
         let mut slot = PublishSlot::default();
-        slot.set(MisPublisher::attach(&NodeSet::new(), 0));
+        slot.set(MisPublisher::attach(NodeSet::new(), 0));
         assert!(slot.is_attached());
         assert!(!slot.clone().is_attached());
+    }
+
+    #[test]
+    fn a_detached_slot_records_nothing() {
+        let mut slot = PublishSlot::default();
+        slot.record(NodeId(3), true);
+        slot.set(MisPublisher::attach(NodeSet::new(), 0));
+        let reader = slot.get().expect("attached").reader();
+        slot.record(NodeId(5), true);
+        slot.get_mut().expect("attached").publish(&[], 0);
+        assert_eq!(ids(&reader.snapshot()), vec![5]);
     }
 }

@@ -9,9 +9,9 @@
 //! to an uncorrupted twin — which is exactly what this suite asserts,
 //! for every flavor, via `dyn DynamicMis` only.
 
-use dmis_core::{DynamicMis, Engine};
+use dmis_core::{DynamicMis, Engine, EngineBuilder, PriorityMap};
 use dmis_graph::stream::{self, ChurnConfig};
-use dmis_graph::{generators, DynGraph, NodeId, ShardLayout};
+use dmis_graph::{generators, DynGraph, NodeId, ShardLayout, TopologyChange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -135,6 +135,55 @@ fn a_clean_pass_publishes_no_epoch_a_healing_pass_publishes_one() {
             snap.iter().collect::<Vec<_>>(),
             quiesced,
             "{name}: the published snapshot is the healed membership"
+        );
+    }
+}
+
+#[test]
+fn a_corruption_a_settle_absorbs_still_reaches_the_snapshot() {
+    // Path n0–n1 with π(n0) < π(n1): n0 is in, n1 is out. Corrupt n1 in,
+    // then delete the edge: the settle finds n1 already where it belongs,
+    // so no net flip reports it and the repair pass that follows is
+    // clean. The snapshot must still show n1, as the engine does.
+    let (mut g, ids) = DynGraph::with_nodes(2);
+    g.insert_edge(ids[0], ids[1]).expect("fresh edge");
+    let base = || {
+        Engine::builder()
+            .graph(g.clone())
+            .priorities(PriorityMap::from_order(&ids))
+            .seed(3)
+    };
+    let builders: [(&str, EngineBuilder); 3] = [
+        ("unsharded", base()),
+        ("sharded-k2", base().sharding(ShardLayout::striped(2))),
+        (
+            "parallel-k2",
+            base()
+                .sharding(ShardLayout::striped(2))
+                .threads(2)
+                .spawn_threshold(0),
+        ),
+    ];
+    for (name, builder) in builders {
+        let (mut engine, reader) = builder.build_with_reader();
+        assert_eq!(
+            engine.mis_iter().collect::<Vec<_>>(),
+            vec![ids[0]],
+            "{name}"
+        );
+        assert_eq!(engine.corrupt_in_mis(&[ids[1]]), 1, "{name}");
+        engine
+            .apply(&TopologyChange::DeleteEdge(ids[0], ids[1]))
+            .expect("live edge");
+        assert!(engine.verify_and_repair().is_clean(), "{name}");
+        let live: Vec<NodeId> = engine.mis_iter().collect();
+        assert_eq!(live, ids, "{name}: both endpoints are isolated members");
+        let snap = reader.snapshot();
+        assert_eq!(snap.epoch(), 1, "{name}");
+        assert_eq!(
+            snap.iter().collect::<Vec<_>>(),
+            live,
+            "{name}: the published snapshot equals the engine's membership"
         );
     }
 }

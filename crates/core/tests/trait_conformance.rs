@@ -10,11 +10,13 @@
 //! `trait-conformance` job so an engine drifting out of the shared
 //! contract is attributed immediately.
 
-use dmis_core::{DynamicMis, Engine, MisState};
+use std::sync::Arc;
+
+use dmis_core::{DynamicMis, Engine, MisSnapshot, MisState};
 use dmis_graph::stream::{self, ChurnConfig};
 use dmis_graph::{generators, DynGraph, GraphError, NodeId, ShardLayout, TopologyChange};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// All engine flavors over the same graph and seed, as trait objects.
 fn flavors(g: &DynGraph, seed: u64) -> Vec<(&'static str, Box<dyn DynamicMis + Send>)> {
@@ -153,11 +155,15 @@ fn errors_are_uniform_across_flavors() {
     }
 }
 
-/// The snapshot read path through the trait: after every applied batch,
-/// the quiesced engine's `MisReader` agrees with `mis_iter`/`is_in_mis`/
-/// `mis_len` exactly — for every flavor, under node delete/recycle churn
+/// The snapshot read path through the trait: after every settle — a
+/// single change through `apply` or a batch through `apply_batch` — the
+/// quiesced engine's `MisReader` agrees with `mis_iter`/`is_in_mis`/
+/// `mis_len` exactly, for every flavor, under node delete/recycle churn
 /// (deletes evict rank slots, inserts recycle them), with one epoch
-/// published per settle.
+/// published per settle. Snapshots are pinned and released at seeded
+/// points, which forces the publisher's copy path whenever a reader
+/// holds its spare buffer; every pinned snapshot must keep showing the
+/// membership of its own epoch.
 #[test]
 fn reader_agrees_with_the_quiesced_engine_on_every_flavor() {
     // Node-heavy churn so rank slots are actually tombstoned and
@@ -175,29 +181,31 @@ fn reader_agrees_with_the_quiesced_engine_on_every_flavor() {
         for (name, mut e) in flavors(&g, 700 + seed) {
             let reader = e.reader();
             assert_eq!(reader.epoch(), 0, "{name}: attach is epoch 0");
-            let mut batches = 0u64;
-            for _ in 0..12 {
+            let mut pinned: Vec<(Arc<MisSnapshot>, Vec<NodeId>)> = Vec::new();
+            let mut settles = 0u64;
+            for _ in 0..40 {
                 let mut shadow = e.graph().clone();
                 let mut batch = Vec::new();
-                for _ in 0..4 {
+                for _ in 0..rng.random_range(1..=4) {
                     if let Some(c) = stream::random_change(&shadow, &churny, &mut rng) {
                         c.apply(&mut shadow).expect("valid");
                         batch.push(c);
                     }
                 }
-                if batch.is_empty() {
-                    continue;
+                match batch.as_slice() {
+                    [] => continue,
+                    [one] => drop(e.apply(one).expect("valid change")),
+                    _ => drop(e.apply_batch(&batch).expect("valid batch")),
                 }
-                e.apply_batch(&batch).expect("valid batch");
-                batches += 1;
-                assert_eq!(reader.epoch(), batches, "{name}: one epoch per settle");
+                settles += 1;
+                assert_eq!(reader.epoch(), settles, "{name}: one epoch per settle");
                 let snap = reader.snapshot();
-                assert_eq!(snap.epoch(), batches, "{name}");
+                assert_eq!(snap.epoch(), settles, "{name}");
                 assert_eq!(snap.mis_len(), e.mis_len(), "{name}");
                 let published: Vec<NodeId> = snap.iter().collect();
                 let mut quiesced: Vec<NodeId> = e.mis_iter().collect();
                 quiesced.sort_unstable();
-                assert_eq!(published, quiesced, "{name} batch {batches}");
+                assert_eq!(published, quiesced, "{name} settle {settles}");
                 for v in e.graph().nodes() {
                     assert_eq!(
                         Some(snap.contains(v)),
@@ -208,8 +216,19 @@ fn reader_agrees_with_the_quiesced_engine_on_every_flavor() {
                 // Convenience queries on the reader handle agree too.
                 assert_eq!(reader.mis_len(), e.mis_len(), "{name}");
                 assert_eq!(reader.mis_iter().collect::<Vec<_>>(), published, "{name}");
+                match rng.random_range(0..4) {
+                    0 => pinned.push((snap, published)),
+                    1 if !pinned.is_empty() => {
+                        let (held, at) = pinned.swap_remove(rng.random_range(0..pinned.len()));
+                        assert_eq!(held.iter().collect::<Vec<_>>(), at, "{name}: pinned");
+                    }
+                    _ => {}
+                }
             }
-            assert!(batches > 0, "{name}: churn produced work");
+            assert!(settles > 0, "{name}: churn produced work");
+            for (held, at) in pinned {
+                assert_eq!(held.iter().collect::<Vec<_>>(), at, "{name}: pinned");
+            }
             e.assert_internally_consistent();
         }
     }

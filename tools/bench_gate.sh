@@ -32,6 +32,10 @@
 #     (default 8.0) times the same family's n=4096 figure — per-change
 #     cost must stay flat in n up to cache effects, so a blown ratio
 #     means an O(n) scan crept back into the update path; or
+#     published_ns_per_change (the same churn with a MisReader held,
+#     so every toggle also publishes a snapshot) exceeds the same ratio
+#     times the family's n=4096 published figure — publish cost must
+#     follow the bits an epoch changed, not n; or
 #     bytes_per_node (peak-RSS delta over the whole graph+engine
 #     working set) exceeds BENCH_GATE_SCALE_MAX_BYTES_PER_NODE
 #     (default 600); or churn_regrows is nonzero — the pre-sized arenas
@@ -190,21 +194,24 @@ scfield() {
 }
 
 # Scale gate: per-change cost flat in n (up to the cache-effect
-# allowance), bounded bytes/node, and zero steady-state reallocations.
-# The 10^5 rows are mandatory; 10^6 rows are checked when present (the
-# committed full-mode snapshot carries them, smoke runs stop at 10^5).
+# allowance) with and without a reader attached, bounded bytes/node, and
+# zero steady-state reallocations. The 10^5 rows are mandatory; 10^6
+# rows are checked when present (the committed full-mode snapshot
+# carries them, smoke runs stop at 10^5).
 for fam in er chung_lu; do
   base="$(scfield "$fresh" 4096 "$fam" ns_per_change)"
-  if [ -z "$base" ]; then
+  pub_base="$(scfield "$fresh" 4096 "$fam" published_ns_per_change)"
+  if [ -z "$base" ] || [ -z "$pub_base" ]; then
     echo "bench gate: missing \"scale\" entry (n=4096, $fam) in $fresh" >&2
     status=1
     continue
   fi
   for n in 100000 1000000; do
     ns="$(scfield "$fresh" "$n" "$fam" ns_per_change)"
+    pub_ns="$(scfield "$fresh" "$n" "$fam" published_ns_per_change)"
     bpn="$(scfield "$fresh" "$n" "$fam" bytes_per_node)"
     regrows="$(scfield "$fresh" "$n" "$fam" churn_regrows)"
-    if [ -z "$ns" ] || [ -z "$bpn" ] || [ -z "$regrows" ]; then
+    if [ -z "$ns" ] || [ -z "$pub_ns" ] || [ -z "$bpn" ] || [ -z "$regrows" ]; then
       if [ "$n" -eq 100000 ]; then
         echo "bench gate: missing \"scale\" entry (n=$n, $fam) in $fresh" >&2
         status=1
@@ -216,6 +223,11 @@ for fam in er chung_lu; do
       echo "bench gate FAIL: scale $fam n=$n ${ns}ns/change > ${scale_max_ratio}x the n=4096 figure (${base}ns)" >&2
       status=1
     fi
+    if ! awk -v ns="$pub_ns" -v b="$pub_base" -v r="$scale_max_ratio" \
+        'BEGIN { exit !(ns <= r * b) }'; then
+      echo "bench gate FAIL: scale $fam n=$n ${pub_ns}ns/change with a reader > ${scale_max_ratio}x the n=4096 published figure (${pub_base}ns)" >&2
+      status=1
+    fi
     if ! awk -v v="$bpn" -v m="$scale_max_bytes" 'BEGIN { exit !(v <= m) }'; then
       echo "bench gate FAIL: scale $fam n=$n ${bpn} bytes/node > ${scale_max_bytes}" >&2
       status=1
@@ -224,7 +236,7 @@ for fam in er chung_lu; do
       echo "bench gate FAIL: scale $fam n=$n churn_regrows=${regrows} (pre-sized arenas must not reallocate)" >&2
       status=1
     fi
-    echo "bench gate: scale $fam n=$n ${ns}ns/change (base ${base}ns), ${bpn} bytes/node, regrows=${regrows}"
+    echo "bench gate: scale $fam n=$n ${ns}ns/change (base ${base}ns), published ${pub_ns}ns/change (base ${pub_base}ns), ${bpn} bytes/node, regrows=${regrows}"
   done
 done
 
