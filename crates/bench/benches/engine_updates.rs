@@ -9,13 +9,10 @@
 //! current directory, or `$BENCH_SNAPSHOT_DIR` if set) recording the dense
 //! vs BTree per-update latency on random-graph churn, plus the
 //! `engine_sharding` scaling sweep (per-update latency and cross-shard
-//! handoff counts of the K-shard engine for K ∈ {1, 2, 4}) and the
-//! `engine_parallel` sweep: the thread-executed engine across
-//! K ∈ {1, 2, 4} × threads ∈ {1, 2, 4}, as single-toggle latency
-//! (`"parallel"` section, gated by `tools/bench_gate.sh`) and as
-//! large-batch settle throughput (`"parallel_batch"` section, where the
-//! epoch executor actually engages its worker threads), and the
-//! `engine_ingest` sweep: a flapping change stream through the
+//! handoff counts of the K-shard engine for K ∈ {1, 2, 4}; the
+//! `"sharding"` section, whose n=1000 K=4 over K=1 ratio
+//! `tools/bench_gate.sh` bounds via `BENCH_GATE_SHARD_MAX_RATIO`), and
+//! the `engine_ingest` sweep: a flapping change stream through the
 //! coalescing ingestion queue at watermarks Q ∈ {1, 16, 64}
 //! (`"ingest"` section — per-change latency, flush counts, and the
 //! coalesce fraction `tools/bench_gate.sh` checks via
@@ -61,10 +58,6 @@ const FRONT_BATCH: usize = 64;
 
 /// Shard counts swept by the `engine_sharding` group and the snapshot.
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Worker-thread counts swept by the `engine_parallel` group and the
-/// snapshot's `"parallel"` / `"parallel_batch"` sections.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn bench_update_vs_recompute(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_update_vs_recompute");
@@ -215,12 +208,9 @@ fn bench_sharding(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched-settle workload for the parallel engine: toggle `batch`
-/// distinct edges of ER(n, 8/n) off and back on through two
-/// `apply_batch` calls. Deleting (then reinserting) many edges seeds many
-/// shards in one epoch, which is the regime where the epoch executor's
-/// worker threads engage (the single-toggle workload never crosses the
-/// spawn threshold — by design).
+/// Batched-settle workload: `batch` distinct edges of ER(n, 8/n), to be
+/// toggled off and back on through two `apply_batch` calls, so one
+/// settle carries the whole batch's cascade.
 fn batch_workload(n: usize, batch: usize) -> (dmis_graph::DynGraph, Vec<(NodeId, NodeId)>) {
     let mut rng = StdRng::seed_from_u64(n as u64);
     let (g, _) = generators::erdos_renyi(n, 8.0 / n as f64, &mut rng);
@@ -235,61 +225,6 @@ fn batch_workload(n: usize, batch: usize) -> (dmis_graph::DynGraph, Vec<(NodeId,
         }
     }
     (g, edges)
-}
-
-/// The thread-executed engine on the identical single-toggle workload
-/// (K = 4 across the thread axis; threads only engage past the spawn
-/// threshold, so this measures the parallel plumbing's overhead on the
-/// paper's tiny-cascade common case), plus the batched-settle workload
-/// where the worker threads actually run.
-fn bench_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_parallel");
-    let n = 1000usize;
-    let (g, edges) = toggle_workload(n);
-    for &t in &THREAD_COUNTS {
-        let name = format!("parallel_edge_toggle_k4_t{t}");
-        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-            let mut engine = dmis_core::Engine::builder()
-                .graph(g.clone())
-                .sharding(ShardLayout::striped(4))
-                .threads(t)
-                .seed(42)
-                .build_parallel();
-            let mut i = 0usize;
-            b.iter(|| {
-                let (u, v) = edges[i % edges.len()];
-                i += 1;
-                black_box(engine.remove_edge(u, v).expect("valid"));
-                black_box(engine.insert_edge(u, v).expect("valid"));
-            });
-        });
-    }
-    let bn = 4096usize;
-    let (bg, bedges) = batch_workload(bn, 1024);
-    let deletes: Vec<TopologyChange> = bedges
-        .iter()
-        .map(|&(u, v)| TopologyChange::DeleteEdge(u, v))
-        .collect();
-    let inserts: Vec<TopologyChange> = bedges
-        .iter()
-        .map(|&(u, v)| TopologyChange::InsertEdge(u, v))
-        .collect();
-    for &t in &THREAD_COUNTS {
-        let name = format!("parallel_batch_toggle_k4_t{t}");
-        group.bench_with_input(BenchmarkId::new(name, bn), &bn, |b, _| {
-            let mut engine = dmis_core::Engine::builder()
-                .graph(bg.clone())
-                .sharding(ShardLayout::striped(4))
-                .threads(t)
-                .seed(42)
-                .build_parallel();
-            b.iter(|| {
-                black_box(engine.apply_batch(&deletes).expect("valid"));
-                black_box(engine.apply_batch(&inserts).expect("valid"));
-            });
-        });
-    }
-    group.finish();
 }
 
 /// The ingestion queue on the flapping-stream workload: a 256-change
@@ -327,7 +262,7 @@ fn bench_ingest(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_update_vs_recompute, bench_node_churn, bench_dense_vs_btree, bench_sharding, bench_parallel, bench_ingest
+    targets = bench_update_vs_recompute, bench_node_churn, bench_dense_vs_btree, bench_sharding, bench_ingest
 }
 
 /// Median wall-clock nanoseconds per toggle over `iters` toggles.
@@ -378,9 +313,9 @@ fn measure_interleaved_ns(
 }
 
 /// Median ns per edge toggle of any [`DynamicMis`] engine — the shared
-/// metering loop behind the snapshot's dense, sharded, and parallel
-/// rows. One harness, every engine flavor: the per-engine copies of this
-/// loop were deleted when the unified API landed.
+/// metering loop behind the snapshot's dense and scale rows. One harness,
+/// every engine flavor: the per-engine copies of this loop were deleted
+/// when the unified API landed.
 fn measure_engine_toggle_ns(
     engine: &mut dyn DynamicMis,
     edges: &[(NodeId, NodeId)],
@@ -476,7 +411,10 @@ fn write_snapshot(test_mode: bool) {
         ));
     }
     // Shard-scaling section: per-update latency and cross-shard handoff
-    // traffic for each K on the same toggle workload.
+    // traffic for each K on the same toggle workload. tools/bench_gate.sh
+    // fails CI when the n=1000 K=4 row drifts beyond
+    // BENCH_GATE_SHARD_MAX_RATIO times the K=1 row: the price of the
+    // epoch barrier and its handoffs on the paper's tiny-cascade case.
     let mut shard_entries = Vec::new();
     for &n in &[100usize, 1000] {
         let (g, edges) = toggle_workload(n);
@@ -507,85 +445,6 @@ fn write_snapshot(test_mode: bool) {
                  \"handoffs_per_toggle\": {:.3}}}",
                 handoffs as f64 / toggles as f64
             ));
-        }
-    }
-    // Parallel sweep, single-toggle latency: K × threads on the same
-    // workload generator, in the *production* configuration (default
-    // spawn threshold). A single toggle never crosses the threshold, so
-    // threads must never engage here: the T column's rows execute an
-    // identical code path, which makes them same-code replicates — the
-    // spread across T is the measurement noise floor, useful when judging
-    // the gate margin. tools/bench_gate.sh fails CI when (K=4, T=4)
-    // drifts beyond a tolerance of the sequential (K=1, T=1) row, which
-    // is exactly the regression that would mean spawns leaked into the
-    // tiny-cascade fast path.
-    let mut par_entries = Vec::new();
-    {
-        let n = 1000usize;
-        let (g, edges) = toggle_workload(n);
-        for &k in &SHARD_COUNTS {
-            for &t in &THREAD_COUNTS {
-                let mut engine = Engine::builder()
-                    .graph(g.clone())
-                    .seed(42)
-                    .sharding(ShardLayout::striped(k))
-                    .threads(t)
-                    .build();
-                let ns = measure_engine_toggle_ns(&mut *engine, &edges, iters, samples);
-                par_entries.push(format!(
-                    "  {{\"n\": {n}, \"shards\": {k}, \"threads\": {t}, \
-                     \"ns_per_toggle\": {ns:.1}}}"
-                ));
-            }
-        }
-    }
-    // Parallel sweep, batched-settle throughput: toggling many edges per
-    // apply_batch seeds every shard in one epoch, which is where the
-    // worker threads actually engage (pending work crosses the spawn
-    // threshold). Epoch counts are identical across thread counts —
-    // that's the determinism contract — so the column is reported once
-    // per K via the T=1 run and checked against the others.
-    let mut par_batch_entries = Vec::new();
-    {
-        let bn = 4096usize;
-        let bsize = if test_mode { 128 } else { 1024 };
-        let bsamples = if test_mode { 2 } else { 5 };
-        let (g, bedges) = batch_workload(bn, bsize);
-        let deletes: Vec<TopologyChange> = bedges
-            .iter()
-            .map(|&(u, v)| TopologyChange::DeleteEdge(u, v))
-            .collect();
-        let inserts: Vec<TopologyChange> = bedges
-            .iter()
-            .map(|&(u, v)| TopologyChange::InsertEdge(u, v))
-            .collect();
-        for &k in &SHARD_COUNTS {
-            for &t in &THREAD_COUNTS {
-                let mut engine = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .sharding(ShardLayout::striped(k))
-                    .threads(t)
-                    .seed(42)
-                    .build_parallel();
-                let mut epochs = 0usize;
-                let ns_per_round = measure_toggle_ns(
-                    || {
-                        let r1 = engine.apply_batch(&deletes).expect("valid");
-                        let r2 = engine.apply_batch(&inserts).expect("valid");
-                        epochs = r1.settle_epochs().max(r2.settle_epochs());
-                        black_box(());
-                    },
-                    1,
-                    bsamples,
-                );
-                let changes = 2 * bsize;
-                par_batch_entries.push(format!(
-                    "  {{\"batch_n\": {bn}, \"shards\": {k}, \"threads\": {t}, \
-                     \"batch_changes\": {changes}, \"ns_per_change\": {:.1}, \
-                     \"max_epochs\": {epochs}}}",
-                    ns_per_round / changes as f64
-                ));
-            }
         }
     }
     // Ingestion sweep: the flapping stream (bounded edge pool, so
@@ -908,14 +767,11 @@ fn write_snapshot(test_mode: bool) {
         "{{\"bench\": \"engine_updates\", \"workload\": \"er_random_edge_toggle\", \
          \"mode\": \"{}\", \"results\": [\n{}\n],\n \
          \"sharding\": [\n{}\n],\n \
-         \"parallel\": [\n{}\n],\n \"parallel_batch\": [\n{}\n],\n \
          \"ingest\": [\n{}\n],\n \"ingest_policy\": [\n{}\n],\n \
          \"scale\": [\n{}\n],\n \"serve\": [\n{}\n],\n \"recovery\": [\n{}\n]}}\n",
         if test_mode { "smoke" } else { "full" },
         entries.join(",\n"),
         shard_entries.join(",\n"),
-        par_entries.join(",\n"),
-        par_batch_entries.join(",\n"),
         ingest_entries.join(",\n"),
         policy_entries.join(",\n"),
         scale_entries.join(",\n"),

@@ -15,7 +15,7 @@
 //! (first table), handoff traffic stays a small multiple of the batch
 //! size even though under striping most edges span shards.
 //!
-//! A fourth table adds the **queue-depth axis** (the ROADMAP's
+//! A third table adds the **queue-depth axis** (the ROADMAP's
 //! async-batching measurement): the adversary's change stream is fed
 //! through [`dmis_sim::IngestRun`] — the coalescing ingestion queue in
 //! front of a K = 4 sharded engine — at watermarks Q ∈ {1, 4, 16, 64}.
@@ -27,14 +27,9 @@
 //! what the table sweeps, and outputs are watermark-invariant (checked
 //! per trial against unbatched application).
 //!
-//! A third table adds the **thread axis**: the same batches on
-//! [`ParallelShardedMisEngine`] (K = 4, spawn threshold 0 so the worker
-//! threads really run), metering wall-clock against the two quantities
-//! that are *provably invariant* across thread counts — settle epochs
-//! (the parallel-time depth, the simulator's rounds) and cross-shard
-//! handoffs (broadcasts). At these batch sizes the cascades are small, so
-//! the table mostly prices the thread-coordination overhead — the
-//! latency/throughput trade-off the ROADMAP's async-batching item needs.
+//! A fourth table sweeps the **flush policy** over two adversarial
+//! stream shapes (coalescing-friendly flapping, anti-coalescing fresh
+//! pairs) on a manual clock, so its delay percentiles are exact.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -193,62 +188,6 @@ pub fn run(quick: bool) -> Report {
             Summary::of_counts(&runs4).mean_ci(),
             if identical { "yes".into() } else { "NO".into() },
         ]);
-    }
-    // Thread axis: the same batch construction on the parallel engine at
-    // K=4. Epochs/handoffs must agree with the sequential engine in every
-    // trial (bit-identical receipts); wall-clock is what the threads move.
-    let par_trials = (trials / 4).max(10);
-    let par_threads: &[usize] = &[1, 2, 4];
-    let mut par_table = Table::new(vec![
-        "k (batch size)",
-        "threads",
-        "wall-clock µs/batch (mean ± CI)",
-        "epochs = rounds (mean ± CI)",
-        "handoffs = broadcasts (mean ± CI)",
-        "identical",
-    ]);
-    for &k in ks {
-        for &t in par_threads {
-            let mut wall_us = Vec::with_capacity(par_trials);
-            let mut epochs = Vec::with_capacity(par_trials);
-            let mut handoffs = Vec::with_capacity(par_trials);
-            let mut identical = true;
-            for trial in 0..par_trials {
-                let mut rng = trial_rng(12_800 + k as u64, trial as u64);
-                let (g, _) = generators::erdos_renyi(n, 8.0 / n as f64, &mut rng);
-                let Some(batch) = build_batch(&g, k, &mut rng) else {
-                    continue;
-                };
-                let seed = 7_500 + trial as u64;
-                let mut sequential = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .sharding(ShardLayout::striped(4))
-                    .seed(seed)
-                    .build_sharded();
-                let expected = sequential.apply_batch(&batch).expect("valid batch");
-                let mut engine = dmis_core::Engine::builder()
-                    .graph(g.clone())
-                    .sharding(ShardLayout::striped(4))
-                    .threads(t)
-                    .seed(seed)
-                    .build_parallel();
-                engine.set_spawn_threshold(0);
-                let start = Instant::now();
-                let receipt = engine.apply_batch(&batch).expect("valid batch");
-                wall_us.push(start.elapsed().as_secs_f64() * 1e6);
-                identical &= receipt == expected && engine.mis_len() == sequential.mis_len();
-                epochs.push(receipt.settle_epochs());
-                handoffs.push(receipt.cross_shard_handoffs());
-            }
-            par_table.row(vec![
-                k.to_string(),
-                t.to_string(),
-                Summary::of(&wall_us).mean_ci(),
-                Summary::of_counts(&epochs).mean_ci(),
-                Summary::of_counts(&handoffs).mean_ci(),
-                if identical { "yes".into() } else { "NO".into() },
-            ]);
-        }
     }
     // Queue-depth axis: the ingestion queue in front of the K=4 sharded
     // engine. The stream is a toggle stream over a bounded edge pool so
@@ -419,16 +358,6 @@ pub fn run(quick: bool) -> Report {
          all settle work shard-local, which is what makes range-sharding \
          viable; outputs are bit-identical to the unsharded engine in \
          every trial.\n\n\
-         Thread axis ({par_trials} trials per cell, `ParallelShardedMisEngine`, \
-         K = 4 striped, spawn threshold 0 — worker threads forced on):\n\n\
-         {par_table}\n\
-         Reading: epochs and handoffs are invariant across the thread \
-         column — receipts are bit-identical to the sequential engine in \
-         every trial, so threads move only wall-clock. At these batch \
-         sizes the cascades are small and the spawn cost dominates, which \
-         is why the production engine keeps a spawn threshold: threads \
-         engage on large merged recoveries, never on Theorem-1-sized \
-         cascades.\n\n\
          Queue-depth axis ({ingest_trials} trials per Q, \
          {ingest_stream_len}-change flapping streams through \
          `dmis_sim::IngestRun`, K = 4 striped):\n\n{ingest_table}\n\
@@ -570,14 +499,13 @@ mod tests {
             .lines()
             .filter(|l| l.split('|').count() >= 6 && l.contains("yes"))
             .collect();
-        // One bit-identical shard row per batch size, one per batch
-        // size × thread count in the thread-axis table, one
+        // One bit-identical shard row per batch size, one
         // invariant-output row per queue depth, and one per
         // policy × stream cell in the flush-policy table.
         assert_eq!(
             identical_rows.len(),
-            3 + 9 + 4 + 10,
-            "every shard/thread/queue/policy row must be bit-identical: {report}"
+            3 + 4 + 10,
+            "every shard/queue/policy row must be bit-identical: {report}"
         );
     }
 }

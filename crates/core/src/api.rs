@@ -7,17 +7,16 @@
 //! collapses that:
 //!
 //! - [`DynamicMis`] is the object-safe trait capturing the full
-//!   update/receipt/query surface shared by [`crate::MisEngine`],
-//!   [`crate::ShardedMisEngine`], and
-//!   [`crate::ParallelShardedMisEngine`]. The convenience layer that used
-//!   to be triplicated (`apply` dispatch, `insert_node` key draws,
+//!   update/receipt/query surface shared by [`crate::MisEngine`] and
+//!   [`crate::ShardedMisEngine`]. The convenience layer that used to be
+//!   copied per engine (`apply` dispatch, `insert_node` key draws,
 //!   [`DynamicMis::mis`]'s ordered-set materialization, `state`) lives
 //!   here once, as provided methods over the engines' primitives.
 //! - [`Engine`] / [`EngineBuilder`] is the one way to construct an
 //!   engine: every engine flavor is a point in (seed, graph, π,
-//!   sharding, threads, spawn threshold, capacity) space, and
-//!   [`EngineBuilder::build`] picks the cheapest engine that realizes
-//!   the configured axes behind a `Box<dyn DynamicMis>`.
+//!   sharding, capacity) space, and [`EngineBuilder::build`] picks the
+//!   cheapest engine that realizes the configured axes behind a
+//!   `Box<dyn DynamicMis>`.
 //! - [`IngestSession`] is the change-ingestion queue the ROADMAP's
 //!   async-batching item asked for: [`IngestSession::push`] coalesces the
 //!   adversary's stream (opposing changes on the same edge cancel,
@@ -43,7 +42,7 @@
 //! ingestion queue exists to expose, and the property suite
 //! (`crates/core/tests/ingest_session.rs`) pins both halves — flips
 //! identical to the raw stream, work identical to `apply_batch` of the
-//! coalesced stream — for K ∈ {1, 2, 4} shards × {1, 2} threads.
+//! coalesced stream — for K ∈ {1, 2, 4} shards.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -54,10 +53,7 @@ use dmis_graph::{DynGraph, EdgeKey, GraphError, NodeId, ShardLayout, TopologyCha
 
 use crate::invariant::InvariantViolation;
 use crate::policy::{Clock, FlushController, FlushPolicy, MonotonicClock, QueueDelay};
-use crate::{
-    BatchReceipt, MisEngine, MisState, ParallelShardedMisEngine, PriorityMap, ShardedMisEngine,
-    UpdateReceipt,
-};
+use crate::{BatchReceipt, MisEngine, MisState, PriorityMap, ShardedMisEngine, UpdateReceipt};
 
 /// The realization of the π-ordered dirty queue a settle loop drains.
 ///
@@ -80,13 +76,13 @@ pub enum SettleStrategy {
 ///
 /// The trait is **object safe** — `Box<dyn DynamicMis>` is a first-class
 /// engine, which is what lets one equivalence suite, one bench harness,
-/// and one simulator runner drive all three engines through a single code
+/// and one simulator runner drive both engines through a single code
 /// path. Iterator-returning queries box their iterators for that reason;
 /// [`DynamicMis::mis`]'s `BTreeSet` materialization is a convenience
 /// built on [`DynamicMis::mis_iter`] (metering loops should prefer
 /// `mis_iter`/[`DynamicMis::mis_len`], which never allocate).
 ///
-/// All three engines are implementations; they are observationally
+/// Both engines are implementations; they are observationally
 /// equivalent on every change stream (same seed ⇒ same MIS, same
 /// adjustment sets), which the trait-conformance suite
 /// (`crates/core/tests/trait_conformance.rs`) pins through `dyn
@@ -344,114 +340,93 @@ pub trait DynamicMis: std::fmt::Debug {
 }
 
 /// Implements [`DynamicMis`] for an engine by forwarding every required
-/// method to a target expression — `self` for the engines that own the
-/// primitives, `self.inner` for wrappers. This macro is what keeps the
-/// trait's required surface from being hand-copied per engine (the
-/// pre-trait state of the codebase).
+/// method to the engine's inherent method of the same name. This macro
+/// is what keeps the trait's required surface from being hand-copied per
+/// engine (the pre-trait state of the codebase).
 macro_rules! forward_dynamic_mis {
-    ($ty:ty, |$s:ident| $t:expr) => {
+    ($ty:ty) => {
         impl crate::DynamicMis for $ty {
             fn insert_edge(
                 &mut self,
                 u: dmis_graph::NodeId,
                 v: dmis_graph::NodeId,
             ) -> Result<crate::UpdateReceipt, dmis_graph::GraphError> {
-                let $s = self;
-                $t.insert_edge(u, v)
+                self.insert_edge(u, v)
             }
             fn remove_edge(
                 &mut self,
                 u: dmis_graph::NodeId,
                 v: dmis_graph::NodeId,
             ) -> Result<crate::UpdateReceipt, dmis_graph::GraphError> {
-                let $s = self;
-                $t.remove_edge(u, v)
+                self.remove_edge(u, v)
             }
             fn insert_node_with_key(
                 &mut self,
                 neighbors: &[dmis_graph::NodeId],
                 key: u64,
             ) -> Result<(dmis_graph::NodeId, crate::UpdateReceipt), dmis_graph::GraphError> {
-                let $s = self;
-                $t.insert_node_with_key(neighbors.iter().copied(), key)
+                self.insert_node_with_key(neighbors.iter().copied(), key)
             }
             fn remove_node(
                 &mut self,
                 v: dmis_graph::NodeId,
             ) -> Result<crate::UpdateReceipt, dmis_graph::GraphError> {
-                let $s = self;
-                $t.remove_node(v)
+                self.remove_node(v)
             }
             fn apply_batch(
                 &mut self,
                 changes: &[dmis_graph::TopologyChange],
             ) -> Result<crate::BatchReceipt, dmis_graph::GraphError> {
-                let $s = self;
-                $t.apply_batch(changes)
+                self.apply_batch(changes)
             }
             fn draw_key(&mut self) -> u64 {
-                let $s = self;
-                $t.draw_key()
+                self.draw_key()
             }
             fn graph(&self) -> &dmis_graph::DynGraph {
-                let $s = self;
-                $t.graph()
+                self.graph()
             }
             fn priorities(&self) -> &crate::PriorityMap {
-                let $s = self;
-                $t.priorities()
+                self.priorities()
             }
             fn mis_iter(&self) -> Box<dyn Iterator<Item = dmis_graph::NodeId> + '_> {
-                let $s = self;
-                Box::new($t.mis_iter())
+                Box::new(self.mis_iter())
             }
             fn mis_len(&self) -> usize {
-                let $s = self;
-                $t.mis_len()
+                self.mis_len()
             }
             fn is_in_mis(&self, v: dmis_graph::NodeId) -> Option<bool> {
-                let $s = self;
-                $t.is_in_mis(v)
+                self.is_in_mis(v)
             }
             fn reader(&mut self) -> crate::MisReader {
-                let $s = self;
-                $t.reader()
+                self.reader()
             }
             fn verify_and_repair(&mut self) -> crate::durability::RepairReport {
-                let $s = self;
-                $t.verify_and_repair()
+                self.verify_and_repair()
             }
             fn corrupt_in_mis(&mut self, victims: &[dmis_graph::NodeId]) -> usize {
-                let $s = self;
-                $t.corrupt_in_mis(victims)
+                self.corrupt_in_mis(victims)
             }
             fn durability_meta(&self) -> crate::durability::DurabilityMeta {
-                let $s = self;
-                $t.durability_meta()
+                self.durability_meta()
             }
             fn restore_epoch(&mut self, epoch: u64) {
-                let $s = self;
-                $t.restore_epoch(epoch);
+                self.restore_epoch(epoch);
             }
             fn check_invariant(&self) -> Result<(), crate::invariant::InvariantViolation> {
-                let $s = self;
-                $t.check_invariant()
+                self.check_invariant()
             }
             fn assert_internally_consistent(&self) {
-                let $s = self;
-                $t.assert_internally_consistent();
+                self.assert_internally_consistent();
             }
             fn check_invariant_sampled(
                 &self,
                 sample: usize,
                 seed: u64,
             ) -> Result<(), crate::invariant::InvariantViolation> {
-                let $s = self;
-                $t.check_invariant_sampled(sample, seed)
+                self.check_invariant_sampled(sample, seed)
             }
             fn assert_internally_consistent_sampled(&self, sample: usize, seed: u64) {
-                let $s = self;
-                $t.assert_internally_consistent_sampled(sample, seed);
+                self.assert_internally_consistent_sampled(sample, seed);
             }
         }
     };
@@ -560,8 +535,8 @@ impl Engine {
 /// Axis-based engine construction.
 ///
 /// Every engine flavor in the workspace is a point in the configuration
-/// space (seed, graph, π, sharding, threads, spawn threshold, capacity),
-/// and the builder is its one fluent construction path:
+/// space (seed, graph, π, sharding, capacity), and the builder is its one
+/// fluent construction path:
 ///
 /// ```
 /// use dmis_core::{DynamicMis, Engine};
@@ -573,25 +548,20 @@ impl Engine {
 ///     .graph(g.clone())
 ///     .seed(9)
 ///     .sharding(ShardLayout::striped(4))
-///     .threads(2)
-///     .spawn_threshold(0)
 ///     .build();
 /// assert_eq!(engine.mis_len(), Engine::builder().graph(g).seed(9).build().mis_len());
 /// ```
 ///
 /// Typed escape hatches ([`EngineBuilder::build_unsharded`],
-/// [`EngineBuilder::build_sharded`], [`EngineBuilder::build_parallel`])
-/// return concrete engines when the caller needs engine-specific knobs;
-/// they panic on contradictory axes (e.g. `threads` on an unsharded
-/// build) instead of silently ignoring them.
+/// [`EngineBuilder::build_sharded`]) return concrete engines when the
+/// caller needs engine-specific knobs; `build_unsharded` panics on a
+/// sharding axis instead of silently ignoring it.
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     seed: u64,
     graph: Option<DynGraph>,
     priorities: Option<PriorityMap>,
     sharding: Option<ShardLayout>,
-    threads: Option<usize>,
-    spawn_threshold: Option<usize>,
     capacity: Option<usize>,
 }
 
@@ -629,22 +599,14 @@ impl EngineBuilder {
         self
     }
 
-    /// Executes settle epochs on up to `threads` worker threads
-    /// ([`crate::ParallelShardedMisEngine`]); implies a sharded engine
-    /// (defaulting to [`ShardLayout::single`] if no sharding axis is
-    /// set).
+    /// Inert: returns the builder unchanged. Every engine drains its
+    /// settle epochs inline, so there is no thread axis to set. Kept only
+    /// because the serving benchmark (`servebench/src/run.rs`) still
+    /// passes a thread count of 1 here; the next benchmark change drops
+    /// that call and deletes this method. Nothing else may call it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Pending-work floor below which an epoch drains inline even when
-    /// threads are configured; implies a parallel engine. See
-    /// [`ParallelShardedMisEngine::set_spawn_threshold`].
-    #[must_use]
-    pub fn spawn_threshold(mut self, threshold: usize) -> Self {
-        self.spawn_threshold = Some(threshold);
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -660,14 +622,11 @@ impl EngineBuilder {
     }
 
     /// Builds the cheapest engine realizing every configured axis, as a
-    /// trait object: parallel if `threads`/`spawn_threshold` was set,
-    /// sharded if `sharding` was, unsharded otherwise. The box is `Send`,
-    /// so built engines can migrate across threads.
+    /// trait object: sharded if `sharding` was set, unsharded otherwise.
+    /// The box is `Send`, so built engines can migrate across threads.
     #[must_use]
     pub fn build(self) -> Box<dyn DynamicMis + Send> {
-        if self.threads.is_some() || self.spawn_threshold.is_some() {
-            Box::new(self.build_parallel())
-        } else if self.sharding.is_some() {
+        if self.sharding.is_some() {
             Box::new(self.build_sharded())
         } else {
             Box::new(self.build_unsharded())
@@ -706,15 +665,14 @@ impl EngineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a sharding, thread, or spawn-threshold axis was set
-    /// (those require [`EngineBuilder::build_sharded`] /
-    /// [`EngineBuilder::build_parallel`]), or if priorities were given
+    /// Panics if a sharding axis was set (that requires
+    /// [`EngineBuilder::build_sharded`]), or if priorities were given
     /// without a graph.
     #[must_use]
     pub fn build_unsharded(self) -> MisEngine {
         assert!(
-            self.sharding.is_none() && self.threads.is_none() && self.spawn_threshold.is_none(),
-            "sharding/thread axes set: build_sharded()/build_parallel() realize them"
+            self.sharding.is_none(),
+            "sharding axis set: build_sharded() realizes it"
         );
         let mut engine = match (self.graph, self.priorities) {
             (None, None) => MisEngine::new_impl(self.seed),
@@ -728,20 +686,14 @@ impl EngineBuilder {
         engine
     }
 
-    /// Builds the sequentially-executed [`ShardedMisEngine`] (layout
-    /// defaults to [`ShardLayout::single`]).
+    /// Builds the [`ShardedMisEngine`] (layout defaults to
+    /// [`ShardLayout::single`]).
     ///
     /// # Panics
     ///
-    /// Panics if a thread or spawn-threshold axis was set (use
-    /// [`EngineBuilder::build_parallel`]), or if priorities were given
-    /// without a graph.
+    /// Panics if priorities were given without a graph.
     #[must_use]
     pub fn build_sharded(self) -> ShardedMisEngine {
-        assert!(
-            self.threads.is_none() && self.spawn_threshold.is_none(),
-            "thread axes set: build_parallel() realizes them"
-        );
         let layout = self.sharding.unwrap_or_else(ShardLayout::single);
         let mut engine = match (self.graph, self.priorities) {
             (None, None) => ShardedMisEngine::new_impl(layout, self.seed),
@@ -751,29 +703,6 @@ impl EngineBuilder {
         };
         if let Some(n) = self.capacity {
             engine.reserve_nodes(n);
-        }
-        engine
-    }
-
-    /// Builds the thread-executed [`ParallelShardedMisEngine`] (layout
-    /// defaults to [`ShardLayout::single`], threads to 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if priorities were given without a graph.
-    #[must_use]
-    pub fn build_parallel(self) -> ParallelShardedMisEngine {
-        let threads = self.threads.unwrap_or(1);
-        let threshold = self.spawn_threshold;
-        let sharded = EngineBuilder {
-            threads: None,
-            spawn_threshold: None,
-            ..self
-        }
-        .build_sharded();
-        let mut engine = ParallelShardedMisEngine::from_engine(sharded, threads);
-        if let Some(t) = threshold {
-            engine.set_spawn_threshold(t);
         }
         engine
     }
@@ -1392,33 +1321,27 @@ mod tests {
             .seed(11)
             .sharding(ShardLayout::striped(3))
             .build_sharded();
-        let parallel = Engine::builder()
-            .graph(g.clone())
+        assert_eq!(unsharded.mis(), sharded.mis());
+        // The boxed path picks the sharded flavor when a sharding axis is
+        // set.
+        let boxed = Engine::builder()
+            .graph(g)
             .seed(11)
             .sharding(ShardLayout::striped(3))
-            .threads(2)
-            .spawn_threshold(0)
-            .build_parallel();
-        assert_eq!(unsharded.mis(), sharded.mis());
-        assert_eq!(sharded.mis(), parallel.mis());
-        assert_eq!(parallel.threads(), 2);
-        assert_eq!(parallel.spawn_threshold(), 0);
-        // The boxed path picks the parallel flavor when a thread axis is
-        // set.
-        let boxed = Engine::builder().graph(g).seed(11).threads(2).build();
+            .build();
+        assert_eq!(
+            boxed.durability_meta().flavor,
+            crate::durability::EngineFlavor::Sharded
+        );
         assert_eq!(boxed.mis(), unsharded.mis());
     }
 
     #[test]
-    #[should_panic(expected = "build_sharded()/build_parallel()")]
-    fn unsharded_build_rejects_thread_axis() {
-        let _ = Engine::builder().threads(4).build_unsharded();
-    }
-
-    #[test]
-    #[should_panic(expected = "build_parallel()")]
-    fn sharded_build_rejects_spawn_threshold() {
-        let _ = Engine::builder().spawn_threshold(0).build_sharded();
+    #[should_panic(expected = "build_sharded()")]
+    fn unsharded_build_rejects_sharding_axis() {
+        let _ = Engine::builder()
+            .sharding(ShardLayout::striped(2))
+            .build_unsharded();
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! # On-disk format
 //!
 //! ```text
-//! "DMISCKP1"                                  (8-byte magic)
+//! "DMISCKP2"                                  (8-byte magic)
 //! four frames, in this order, each:
 //!   tag: u8 | len: u64 LE | payload | crc: u32 LE   (CRC over tag+len+payload)
 //!
-//! META  (tag 1): flavor u8, shards u64, block u64, threads u64,
-//!                seed u64, draws u64, epoch flag u8 (+ epoch u64),
-//!                wal_seq u64
+//! META  (tag 1): flavor u8, shards u64, block u64, seed u64, draws u64,
+//!                epoch flag u8 (+ epoch u64), wal_seq u64
 //! GRAPH (tag 2): next_id u64, node count + ids, edge count + (u,v) pairs
 //! PRIO  (tag 3): count + (id, key) pairs
 //! MIS   (tag 4): count + member ids — the corruption witness
@@ -25,8 +24,16 @@
 //! refuses ([`RecoverError::Witness`]) if it differs from what was
 //! captured, turning any logic or codec drift into a loud error instead
 //! of a silently different output.
+//!
+//! Version 2 (`DMISCKP2`) dropped version 1's META `threads` field. The
+//! magic changed with it because the two META layouts are not
+//! self-distinguishing: a v1 frame without an epoch is exactly as long as
+//! a v2 frame with one, so a v1 image read as v2 would shift every field
+//! (its `threads` read as the seed, its seed as the draw count) and
+//! restore would fast-forward the RNG by a seed-sized count. Version 1
+//! images are refused with [`CodecError::BadMagic`].
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::io;
 
 use dmis_graph::{DynGraph, EdgeKey, NodeId, ShardLayout};
@@ -35,9 +42,9 @@ use super::codec::{crc32, put_u32, put_u64, put_u8, CodecError, Cursor};
 use super::recover::RecoverError;
 use super::{DurabilityMeta, EngineFlavor, StorageIo, CHECKPOINT_FILE};
 use crate::api::DynamicMis;
-use crate::{MisEngine, ParallelShardedMisEngine, Priority, PriorityMap, ShardedMisEngine};
+use crate::{MisEngine, Priority, PriorityMap, ShardedMisEngine};
 
-const CKP_MAGIC: &[u8; 8] = b"DMISCKP1";
+const CKP_MAGIC: &[u8; 8] = b"DMISCKP2";
 
 const TAG_META: u8 = 1;
 const TAG_GRAPH: u8 = 2;
@@ -122,7 +129,6 @@ impl Checkpoint {
         );
         put_u64(&mut meta, self.meta.shards as u64);
         put_u64(&mut meta, self.meta.block);
-        put_u64(&mut meta, self.meta.threads as u64);
         put_u64(&mut meta, self.meta.seed);
         put_u64(&mut meta, self.meta.draws);
         match self.meta.epoch {
@@ -193,7 +199,6 @@ impl Checkpoint {
         };
         let shards = usize::try_from(m.u64()?).map_err(|_| CodecError::Truncated)?;
         let block = m.u64()?;
-        let threads = usize::try_from(m.u64()?).map_err(|_| CodecError::Truncated)?;
         let seed = m.u64()?;
         let draws = m.u64()?;
         let epoch = match m.u8()? {
@@ -205,8 +210,8 @@ impl Checkpoint {
         if !m.is_empty() {
             return Err(CodecError::Inconsistent("trailing bytes in META frame"));
         }
-        if shards == 0 || block == 0 || threads == 0 {
-            return Err(CodecError::Inconsistent("zero shard/block/thread axis"));
+        if shards == 0 || block == 0 {
+            return Err(CodecError::Inconsistent("zero shard/block axis"));
         }
 
         let graph_bytes = take_frame(&mut cur, TAG_GRAPH)?;
@@ -272,7 +277,6 @@ impl Checkpoint {
                 flavor,
                 shards,
                 block,
-                threads,
                 seed,
                 draws,
                 epoch,
@@ -315,13 +319,17 @@ impl Checkpoint {
     /// that pair), fast-forwards the RNG by the recorded draw count, and
     /// re-attaches the publisher at the captured epoch. The recomputed
     /// MIS is checked against the stored witness before the engine is
-    /// handed out.
+    /// handed out: both are ascending id lists ([`Checkpoint::capture`]
+    /// writes [`DynamicMis::mis_iter`] order), compared element by
+    /// element.
     ///
     /// # Errors
     ///
     /// [`RecoverError::Corrupt`] if the adjacency section is rejected by
     /// graph reconstruction, [`RecoverError::Witness`] if the recomputed
-    /// MIS differs from the captured one.
+    /// MIS differs from the captured one — including a witness that
+    /// names the right members out of ascending order, which `capture`
+    /// never writes.
     pub fn restore(&self) -> Result<Box<dyn DynamicMis + Send>, RecoverError> {
         let nodes: Vec<NodeId> = self.nodes.iter().copied().map(NodeId).collect();
         let edges: Vec<(NodeId, NodeId)> = self
@@ -338,15 +346,12 @@ impl Checkpoint {
         let meta = self.meta;
         let mut engine: Box<dyn DynamicMis + Send> = match meta.flavor {
             EngineFlavor::Unsharded => Box::new(MisEngine::from_parts_impl(graph, pm, meta.seed)),
-            EngineFlavor::Sharded => {
-                let layout = ShardLayout::blocked(meta.shards, meta.block);
-                let inner = ShardedMisEngine::from_parts_impl(graph, pm, layout, meta.seed);
-                if meta.threads > 1 {
-                    Box::new(ParallelShardedMisEngine::from_engine(inner, meta.threads))
-                } else {
-                    Box::new(inner)
-                }
-            }
+            EngineFlavor::Sharded => Box::new(ShardedMisEngine::from_parts_impl(
+                graph,
+                pm,
+                ShardLayout::blocked(meta.shards, meta.block),
+                meta.seed,
+            )),
         };
         // Fast-forward the RNG stream position: construction with
         // prescribed priorities drew nothing, so exactly `draws` throw-
@@ -355,9 +360,11 @@ impl Checkpoint {
         for _ in 0..meta.draws {
             let _ = engine.draw_key();
         }
-        let restored: BTreeSet<u64> = engine.mis_iter().map(NodeId::index).collect();
-        let witness: BTreeSet<u64> = self.mis.iter().copied().collect();
-        if restored != witness {
+        if !engine
+            .mis_iter()
+            .map(NodeId::index)
+            .eq(self.mis.iter().copied())
+        {
             return Err(RecoverError::Witness);
         }
         if let Some(epoch) = meta.epoch {
@@ -500,7 +507,21 @@ mod tests {
         // Forge the witness: drop one member. The recomputed greedy MIS
         // cannot match, so restore must refuse.
         assert!(!ckp.mis.is_empty());
-        ckp.mis.pop();
+        let mut dropped = ckp.clone();
+        dropped.mis.pop();
+        assert!(matches!(dropped.restore(), Err(RecoverError::Witness)));
+        // Forge it again: the right members, out of ascending order.
+        assert!(ckp.mis.len() >= 2);
+        ckp.mis.reverse();
         assert!(matches!(ckp.restore(), Err(RecoverError::Witness)));
+    }
+
+    #[test]
+    fn a_version_1_image_is_refused() {
+        // A v1 META frame without an epoch is as long as a v2 frame with
+        // one, so only the magic tells the layouts apart.
+        let mut bytes = Checkpoint::capture(&sample_engine(), 0).encode();
+        bytes[..CKP_MAGIC.len()].copy_from_slice(b"DMISCKP1");
+        assert_eq!(Checkpoint::decode(&bytes), Err(CodecError::BadMagic));
     }
 }

@@ -80,16 +80,14 @@ pub fn splitmix64(x: u64) -> u64 {
 pub enum EngineFlavor {
     /// [`crate::MisEngine`] — the unsharded sequential engine.
     Unsharded,
-    /// [`crate::ShardedMisEngine`] (and, with a worker-thread count
-    /// above one, [`crate::ParallelShardedMisEngine`], which is the
-    /// sharded engine plus an execution knob).
+    /// [`crate::ShardedMisEngine`] — the K-shard epoch coordinator.
     Sharded,
 }
 
 /// Everything beyond the graph and priorities that
 /// [`Checkpoint::capture`] must persist to rebuild an engine
-/// bit-identically: the realization, its layout/execution axes, the RNG
-/// stream position, and the published epoch.
+/// bit-identically: the realization, its shard layout, the RNG stream
+/// position, and the published epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityMeta {
     /// The engine realization the state was captured from.
@@ -98,10 +96,6 @@ pub struct DurabilityMeta {
     pub shards: usize,
     /// Block length of the range partition (1 for the unsharded engine).
     pub block: u64,
-    /// Worker threads per settle epoch (1 means inline execution; a
-    /// value above 1 restores a [`crate::ParallelShardedMisEngine`]).
-    /// Purely an execution knob — it never changes outputs.
-    pub threads: usize,
     /// The seed the engine's RNG was constructed from.
     pub seed: u64,
     /// Number of priority keys drawn from the RNG since construction.

@@ -584,7 +584,6 @@ impl MisEngine {
             flavor: crate::durability::EngineFlavor::Unsharded,
             shards: 1,
             block: 1,
-            threads: 1,
             seed: self.seed,
             draws: self.draws,
             epoch: self.publisher.get().map(MisPublisher::epoch),
@@ -835,7 +834,7 @@ impl MisEngine {
 // The shared convenience layer (`apply` dispatch, `insert_node` key
 // draws, `mis`, `state`) is provided once by `DynamicMis`; the macro
 // forwards the trait's required primitives to the methods above.
-crate::api::forward_dynamic_mis!(MisEngine, |s| s);
+crate::api::forward_dynamic_mis!(MisEngine);
 
 #[cfg(test)]
 mod tests {

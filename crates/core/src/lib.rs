@@ -24,10 +24,6 @@
 //!   locally in barrier-synchronized epochs and exchanging cross-shard
 //!   cascades as handoffs — bit-identical output, with the coordination
 //!   traffic audited on every receipt;
-//! - [`ParallelShardedMisEngine`]: the sharded engine with each epoch's
-//!   independent shard runs executed on worker threads — deterministically
-//!   bit-identical to the sequential coordinator for every layout and
-//!   thread count;
 //! - [`MisReader`] / [`MisSnapshot`] ([`snapshot`]): the epoch-versioned
 //!   concurrent read path — every settle publishes the quiesced membership
 //!   at its flush boundary, and cheaply-cloneable `Send + Sync` reader
@@ -82,7 +78,6 @@ mod state;
 pub mod api;
 pub mod durability;
 pub mod invariant;
-pub mod parallel;
 pub mod policy;
 pub mod rank;
 pub mod sharding;
@@ -96,7 +91,6 @@ pub use api::{
     SettleStrategy,
 };
 pub use engine::MisEngine;
-pub use parallel::ParallelShardedMisEngine;
 pub use policy::{AdaptiveConfig, Clock, FlushPolicy, ManualClock, MonotonicClock, QueueDelay};
 pub use priority::{Priority, PriorityMap};
 pub use rank::RankIndex;

@@ -9,8 +9,8 @@
 //! ([`UpdateReceipt::cross_shard_handoffs`]), how many shard activations
 //! the coordinator scheduled ([`UpdateReceipt::shard_runs`]), and how
 //! many barrier-synchronized epochs the recovery took
-//! ([`UpdateReceipt::settle_epochs`] — the parallel-time depth of the
-//! cascade). Receipts are how experiments and benches observe the
+//! ([`UpdateReceipt::settle_epochs`] — the cascade's depth in
+//! synchronous rounds). Receipts are how experiments and benches observe the
 //! engines without reaching into their internals.
 
 use std::collections::BTreeSet;
@@ -133,11 +133,11 @@ impl UpdateReceipt {
     }
 
     /// Number of barrier-synchronized settle epochs the coordinator ran
-    /// before global quiescence — the parallel-time depth of the
-    /// recovery: shard runs within one epoch are independent and may
-    /// execute on worker threads ([`crate::ParallelShardedMisEngine`]),
-    /// so wall-clock scales with epochs, not shard runs. Zero for the
-    /// unsharded engine and for recoveries with no dirty node.
+    /// before global quiescence — the recovery's depth in the paper's
+    /// synchronous rounds: shard runs within one epoch act only on what
+    /// the previous barrier delivered, as nodes in one round act only on
+    /// the previous round's messages. Zero for the unsharded engine and
+    /// for recoveries with no dirty node.
     #[must_use]
     pub fn settle_epochs(&self) -> usize {
         self.settle_epochs

@@ -34,12 +34,13 @@
 //! shards that became dirty. The loop ends when every front and outbox is
 //! empty.
 //!
-//! Because shard runs within an epoch share no mutable state, the epoch's
-//! outcome is independent of *how* the runs execute — one thread, many
-//! threads, any interleaving. That is what makes
-//! [`crate::ParallelShardedMisEngine`] bit-identical to this sequential
-//! engine by construction: same flip log, same receipts, same MIS, for
-//! every [`ShardLayout`] and thread count.
+//! Epochs are the paper's synchronous rounds and handoffs its messages:
+//! a shard acts on what the others announced at the previous barrier,
+//! never on their in-flight state. Because a shard run reads only the
+//! frozen view and writes only its own tables and outbox, the order in
+//! which the coordinator visits an epoch's dirty shards (shard-index
+//! order) cannot change the outcome; the fixed merge order at the
+//! barrier is what pins the receipts.
 //!
 //! # Quiescence and correctness
 //!
@@ -74,103 +75,68 @@ use crate::{BatchReceipt, MisState, Priority, PriorityMap, RankIndex, UpdateRece
 /// directly by single-change routes and via `seeds`/`stale` at settle
 /// start for batches; it drains in global-π order.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Shard {
+struct Shard {
     /// Membership bits of the nodes this shard owns.
-    pub(crate) in_mis: NodeSet,
+    in_mis: NodeSet,
     /// Lower-π MIS neighbor counters of the nodes this shard owns.
-    pub(crate) lower_mis_count: NodeMap<usize>,
+    lower_mis_count: NodeMap<usize>,
     /// The dirty set: pending **global ranks**. Persistent — empty
     /// between updates, never reallocated per update.
-    pub(crate) front: RankFront,
+    front: RankFront,
     /// Staging area: nodes routed dirty while an update's mutations are
     /// still landing. Converted to ranks at settle start, *after* all
     /// mutations, so batch re-ranks cannot invalidate a parked rank.
-    pub(crate) seeds: Vec<NodeId>,
+    seeds: Vec<NodeId>,
     /// Seeds whose node a later batch change deleted before the settle
     /// began. They carry no state, but each costs one settle pop, so a
     /// batch's `heap_pops` counts every node it marked dirty.
-    pub(crate) stale: Vec<NodeId>,
+    stale: Vec<NodeId>,
     /// Dedup bitset for the dirty set (local slots), empty between
     /// updates.
-    pub(crate) enqueued: NodeSet,
+    enqueued: NodeSet,
     /// Outbound handoffs buffered during the current epoch: counter
     /// deltas for remote nodes, drained at the barrier. Emission order is
     /// preserved, which keeps per-neighbor delta streams in order.
-    pub(crate) outbox: Vec<(NodeId, isize)>,
+    outbox: Vec<(NodeId, isize)>,
     /// First-touch dedup for `log` (local slots), empty between updates.
-    pub(crate) touched: NodeSet,
+    touched: NodeSet,
     /// First-touch flip log: `(node, membership before its first flip)`,
     /// drained when the receipt is built.
-    pub(crate) log: Vec<(NodeId, bool)>,
+    log: Vec<(NodeId, bool)>,
 }
 
 impl Shard {
     /// Pending dirty entries, stale seeds included — the epoch
-    /// scheduler's and spawn threshold's unit of work.
-    pub(crate) fn pending(&self) -> usize {
+    /// scheduler's unit of work.
+    fn pending(&self) -> usize {
         self.front.len() + self.stale.len()
     }
 }
 
 /// Work/traffic counters accumulated over one recovery.
-///
-/// Every field is a sum (or, for `epochs`, a loop count), so merging
-/// per-worker instances is order-independent — a prerequisite for the
-/// parallel executor reporting bit-identical receipts.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SettleStats {
-    pub(crate) pops: usize,
-    pub(crate) counter_updates: usize,
-    pub(crate) handoffs: usize,
-    pub(crate) shard_runs: usize,
-    pub(crate) epochs: usize,
+struct SettleStats {
+    pops: usize,
+    counter_updates: usize,
+    handoffs: usize,
+    shard_runs: usize,
+    epochs: usize,
 }
 
-impl SettleStats {
-    /// Folds another worker's counters into this one.
-    pub(crate) fn absorb(&mut self, other: SettleStats) {
-        self.pops += other.pops;
-        self.counter_updates += other.counter_updates;
-        self.handoffs += other.handoffs;
-        self.shard_runs += other.shard_runs;
-        self.epochs += other.epochs;
-    }
-}
-
-/// Pending-work floor below which an epoch is drained inline even when
-/// worker threads are configured: spawning threads for a handful of settle
-/// pops costs orders of magnitude more than the pops themselves. Purely a
-/// performance knob — the epoch outcome is executor-independent, so any
-/// threshold yields bit-identical results (see
-/// [`crate::ParallelShardedMisEngine::set_spawn_threshold`]).
-pub(crate) const DEFAULT_SPAWN_THRESHOLD: usize = 256;
-
-/// The shared read-only inputs of every shard drain in one settle: the
-/// frozen view worker threads read concurrently.
-#[derive(Clone, Copy)]
-pub(crate) struct SettleCtx<'a> {
-    pub(crate) graph: &'a DynGraph,
-    pub(crate) ranks: &'a RankIndex,
-    pub(crate) layout: ShardLayout,
-}
-
-/// Drains shard `s`'s dirty set to completion against the shared
-/// read-only graph/π — the unsharded settle loop confined to one shard.
-/// Pops are whole-word scans over pending global ranks and the neighbor
-/// filter compares dense `u32` ranks. Same-shard neighbors of a flip are
-/// updated in place; remote neighbors' deltas are buffered in the
-/// shard's outbox for the epoch barrier.
-pub(crate) fn run_shard_epoch(
-    ctx: SettleCtx<'_>,
+/// Drains shard `s`'s dirty set to completion against the frozen view —
+/// the shared read-only graph and π ranks — as the unsharded settle loop
+/// confined to one shard. Pops are whole-word scans over pending global
+/// ranks and the neighbor filter compares dense `u32` ranks. Same-shard
+/// neighbors of a flip are updated in place; remote neighbors' deltas are
+/// buffered in the shard's outbox for the epoch barrier.
+fn run_shard_epoch(
+    graph: &DynGraph,
+    ranks: &RankIndex,
+    layout: ShardLayout,
     s: usize,
     shard: &mut Shard,
     stats: &mut SettleStats,
 ) {
-    let SettleCtx {
-        graph,
-        ranks,
-        layout,
-    } = ctx;
     stats.shard_runs += 1;
     // Stale seeds first: a stale pop touches no state, so popping them
     // up front is the same as meeting them mid-drain.
@@ -263,12 +229,6 @@ pub struct ShardedMisEngine {
     /// Priority keys drawn from `rng` since construction; a restored
     /// engine replays exactly this many draws to park the stream.
     draws: u64,
-    /// Worker threads per epoch; 1 = drain epochs inline (sequential).
-    /// Exposed publicly through [`crate::ParallelShardedMisEngine`].
-    threads: usize,
-    /// Minimum pending dirty entries before an epoch pays for thread
-    /// spawns; see [`DEFAULT_SPAWN_THRESHOLD`].
-    spawn_threshold: usize,
     /// Snapshot publication slot: empty (and free on the settle path)
     /// until [`Self::reader`] attaches a read path. Cloning detaches —
     /// see [`crate::snapshot`].
@@ -289,8 +249,6 @@ impl ShardedMisEngine {
             rng: StdRng::seed_from_u64(seed),
             seed,
             draws: 0,
-            threads: 1,
-            spawn_threshold: DEFAULT_SPAWN_THRESHOLD,
             publisher: PublishSlot::default(),
         }
     }
@@ -351,8 +309,6 @@ impl ShardedMisEngine {
             rng,
             seed,
             draws,
-            threads: 1,
-            spawn_threshold: DEFAULT_SPAWN_THRESHOLD,
             publisher: PublishSlot::default(),
         };
         for v in engine.graph.nodes() {
@@ -412,20 +368,6 @@ impl ShardedMisEngine {
     #[must_use]
     pub fn mis_len(&self) -> usize {
         self.shards.iter().map(|s| s.in_mis.len()).sum()
-    }
-
-    /// Execution configuration `(threads, spawn_threshold)` — see
-    /// [`crate::ParallelShardedMisEngine`], which owns the public knobs.
-    pub(crate) fn execution(&self) -> (usize, usize) {
-        (self.threads, self.spawn_threshold)
-    }
-
-    /// Reconfigures epoch execution. Purely a performance knob: the epoch
-    /// schedule never depends on it, so outputs and receipts are
-    /// unchanged for any setting.
-    pub(crate) fn set_execution(&mut self, threads: usize, spawn_threshold: usize) {
-        self.threads = threads.max(1);
-        self.spawn_threshold = spawn_threshold;
     }
 
     /// Returns whether `v` is in the MIS, or `None` if `v` does not exist.
@@ -728,11 +670,9 @@ impl ShardedMisEngine {
     /// receipt.
     ///
     /// Each epoch drains every dirty shard to local completion against a
-    /// frozen view of the others (see the [module docs](self)); the
-    /// barrier then merges all buffered handoffs in shard-index order,
-    /// seeding the next epoch. Shard runs within an epoch share no
-    /// mutable state, so the executor — inline or the worker threads of
-    /// [`crate::ParallelShardedMisEngine`] — cannot change the outcome.
+    /// frozen view of the others, in shard-index order (see the
+    /// [module docs](self)); the barrier then merges all buffered
+    /// handoffs in shard-index order, seeding the next epoch.
     fn settle(&mut self, kind: ChangeKind, mut stats: SettleStats) -> UpdateReceipt {
         // All of this update's mutations have landed: one coalesced
         // re-rank covers every node the update inserted out of π order.
@@ -744,22 +684,10 @@ impl ShardedMisEngine {
         self.convert_seeds();
         while self.shards.iter().any(|sh| sh.pending() > 0) {
             stats.epochs += 1;
-            {
-                let ShardedMisEngine {
-                    graph,
-                    ranks,
-                    layout,
-                    shards,
-                    threads,
-                    spawn_threshold,
-                    ..
-                } = self;
-                let ctx = SettleCtx {
-                    graph,
-                    ranks,
-                    layout: *layout,
-                };
-                crate::parallel::execute_epoch(ctx, shards, *threads, *spawn_threshold, &mut stats);
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                if shard.pending() > 0 {
+                    run_shard_epoch(&self.graph, &self.ranks, self.layout, s, shard, &mut stats);
+                }
             }
             self.merge_outboxes(&mut stats);
         }
@@ -946,7 +874,6 @@ impl ShardedMisEngine {
             flavor: crate::durability::EngineFlavor::Sharded,
             shards: self.layout.shards(),
             block: self.layout.block(),
-            threads: self.threads,
             seed: self.seed,
             draws: self.draws,
             epoch: self.publisher.get().map(MisPublisher::epoch),
@@ -1126,7 +1053,7 @@ impl ShardedMisEngine {
 // The shared convenience layer (`apply` dispatch, `insert_node` key
 // draws, `mis`, `state`) is provided once by `DynamicMis`; the macro
 // forwards the trait's required primitives to the methods above.
-crate::api::forward_dynamic_mis!(ShardedMisEngine, |s| s);
+crate::api::forward_dynamic_mis!(ShardedMisEngine);
 
 #[cfg(test)]
 mod tests {

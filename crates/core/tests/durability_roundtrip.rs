@@ -55,26 +55,6 @@ fn flavors(g: &DynGraph, seed: u64) -> Vec<(&'static str, Box<dyn DynamicMis + S
                 .sharding(ShardLayout::striped(4))
                 .build(),
         ),
-        (
-            "parallel-k1",
-            Engine::builder()
-                .graph(g.clone())
-                .seed(seed)
-                .sharding(ShardLayout::single())
-                .threads(2)
-                .spawn_threshold(0)
-                .build(),
-        ),
-        (
-            "parallel-k4",
-            Engine::builder()
-                .graph(g.clone())
-                .seed(seed)
-                .sharding(ShardLayout::striped(4))
-                .threads(2)
-                .spawn_threshold(0)
-                .build(),
-        ),
     ]
 }
 

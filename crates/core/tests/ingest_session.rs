@@ -1,8 +1,7 @@
 //! Property suite for the change-ingestion queue ([`IngestSession`]).
 //!
-//! Two halves, each checked for K ∈ {1, 2, 4} shards × threads ∈ {1, 2}
-//! (the engines built through [`Engine::builder`] and driven as
-//! `dyn DynamicMis`):
+//! Two halves, each checked for K ∈ {1, 2, 4} shards (the engines built
+//! through [`Engine::builder`] and driven as `dyn DynamicMis`):
 //!
 //! 1. **Coalescing is semantics-preserving.** `push*; flush` is
 //!    *bit-identical* (whole [`dmis_core::BatchReceipt`]) to
@@ -23,17 +22,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-const THREADS: [usize; 2] = [1, 2];
 
-/// Builds one engine of the (K, T) cell over `g` — spawn threshold 0 so
-/// the threaded cells really exercise worker threads.
-fn engine(g: &DynGraph, k: usize, t: usize, seed: u64) -> Box<dyn DynamicMis + Send> {
+/// Builds one K-shard engine over `g`.
+fn engine(g: &DynGraph, k: usize, seed: u64) -> Box<dyn DynamicMis + Send> {
     Engine::builder()
         .graph(g.clone())
         .seed(seed)
         .sharding(ShardLayout::striped(k))
-        .threads(t)
-        .spawn_threshold(0)
         .build()
 }
 
@@ -60,39 +55,37 @@ fn push_flush_equals_apply_batch_of_the_coalesced_sequence() {
         let (coalesced, pushed) = coalescer.drain();
         assert_eq!(pushed, raw.len());
         for &k in &SHARD_COUNTS {
-            for &t in &THREADS {
-                // Session path.
-                let mut session_engine = engine(&g, k, t, 77 + seed);
-                let mut session = IngestSession::new(&mut *session_engine);
-                for c in &raw {
-                    session.push(c.clone()).expect("no watermark, cannot fail");
-                }
-                let receipt = session.flush().expect("valid stream");
-                assert_eq!(receipt.pushed(), raw.len());
-                assert_eq!(
-                    receipt.coalesced_changes(),
-                    raw.len() - coalesced.len(),
-                    "K={k} T={t}"
-                );
-                // Twin 1: apply_batch of the coalesced sequence must be
-                // bit-identical (the session IS one merged batch).
-                let mut twin = engine(&g, k, t, 77 + seed);
-                let expected = twin.apply_batch(&coalesced).expect("valid batch");
-                assert_eq!(receipt.batch(), &expected, "K={k} T={t} seed={seed}");
-                assert_eq!(session_engine.mis(), twin.mis());
-                // Twin 2: the RAW batch settles the same net topology, so
-                // flips and final MIS agree; only work counters may
-                // differ (that delta is the coalescing win).
-                let mut raw_twin = engine(&g, k, t, 77 + seed);
-                let raw_receipt = raw_twin.apply_batch(&raw).expect("valid batch");
-                assert_eq!(raw_receipt.flips(), receipt.batch().flips(), "K={k} T={t}");
-                assert_eq!(raw_twin.mis(), session_engine.mis());
-                assert!(
-                    receipt.batch().heap_pops() <= raw_receipt.heap_pops(),
-                    "coalescing must never add settle work (K={k} T={t})"
-                );
-                session_engine.assert_internally_consistent();
+            // Session path.
+            let mut session_engine = engine(&g, k, 77 + seed);
+            let mut session = IngestSession::new(&mut *session_engine);
+            for c in &raw {
+                session.push(c.clone()).expect("no watermark, cannot fail");
             }
+            let receipt = session.flush().expect("valid stream");
+            assert_eq!(receipt.pushed(), raw.len());
+            assert_eq!(
+                receipt.coalesced_changes(),
+                raw.len() - coalesced.len(),
+                "K={k}"
+            );
+            // Twin 1: apply_batch of the coalesced sequence must be
+            // bit-identical (the session IS one merged batch).
+            let mut twin = engine(&g, k, 77 + seed);
+            let expected = twin.apply_batch(&coalesced).expect("valid batch");
+            assert_eq!(receipt.batch(), &expected, "K={k} seed={seed}");
+            assert_eq!(session_engine.mis(), twin.mis());
+            // Twin 2: the RAW batch settles the same net topology, so
+            // flips and final MIS agree; only work counters may
+            // differ (that delta is the coalescing win).
+            let mut raw_twin = engine(&g, k, 77 + seed);
+            let raw_receipt = raw_twin.apply_batch(&raw).expect("valid batch");
+            assert_eq!(raw_receipt.flips(), receipt.batch().flips(), "K={k}");
+            assert_eq!(raw_twin.mis(), session_engine.mis());
+            assert!(
+                receipt.batch().heap_pops() <= raw_receipt.heap_pops(),
+                "coalescing must never add settle work (K={k})"
+            );
+            session_engine.assert_internally_consistent();
         }
     }
 }
@@ -111,34 +104,32 @@ fn cancel_pairs_produce_zero_settle_work() {
             window.push(TopologyChange::InsertEdge(u, v));
         }
         for &k in &SHARD_COUNTS {
-            for &t in &THREADS {
-                let mut e = engine(&g, k, t, 5 + seed);
-                let before = e.mis();
-                let mut session = IngestSession::new(&mut *e);
-                for c in &window {
-                    session.push(c.clone()).expect("cannot fail");
-                }
-                assert_eq!(session.queue_depth(), 0, "all pairs cancelled");
-                let receipt = session.flush().expect("empty batch");
-                assert_eq!(receipt.pushed(), window.len());
-                assert_eq!(receipt.coalesced_changes(), window.len());
-                assert_eq!(receipt.applied(), 0);
-                let b = receipt.batch();
-                assert_eq!(b.adjustments(), 0, "K={k} T={t}");
-                assert_eq!(b.heap_pops(), 0, "K={k} T={t}");
-                assert_eq!(b.counter_updates(), 0, "K={k} T={t}");
-                assert_eq!(b.cross_shard_handoffs(), 0, "K={k} T={t}");
-                assert_eq!(b.settle_epochs(), 0, "K={k} T={t}");
-                assert_eq!(e.mis(), before, "a cancelled window must not move the MIS");
-                e.assert_internally_consistent();
+            let mut e = engine(&g, k, 5 + seed);
+            let before = e.mis();
+            let mut session = IngestSession::new(&mut *e);
+            for c in &window {
+                session.push(c.clone()).expect("cannot fail");
             }
+            assert_eq!(session.queue_depth(), 0, "all pairs cancelled");
+            let receipt = session.flush().expect("empty batch");
+            assert_eq!(receipt.pushed(), window.len());
+            assert_eq!(receipt.coalesced_changes(), window.len());
+            assert_eq!(receipt.applied(), 0);
+            let b = receipt.batch();
+            assert_eq!(b.adjustments(), 0, "K={k}");
+            assert_eq!(b.heap_pops(), 0, "K={k}");
+            assert_eq!(b.counter_updates(), 0, "K={k}");
+            assert_eq!(b.cross_shard_handoffs(), 0, "K={k}");
+            assert_eq!(b.settle_epochs(), 0, "K={k}");
+            assert_eq!(e.mis(), before, "a cancelled window must not move the MIS");
+            e.assert_internally_consistent();
         }
     }
 }
 
 /// Watermarked sessions (auto-flush at depth Q) reach the same final MIS
 /// as unbatched sequential application of the raw stream, for every
-/// Q × K × T cell — and on these (deterministic, toggle-heavy) streams a
+/// Q × K cell — and on these (deterministic, toggle-heavy) streams a
 /// deeper queue never does more total settle work than Q=1: merging
 /// windows unions their conservative seeds and cancels opposing pairs
 /// outright. (The baseline is the Q=1 *session*, not per-change `apply`:
@@ -152,35 +143,33 @@ fn watermark_sweep_preserves_outputs() {
         let (g, _) = generators::erdos_renyi(20, 0.2, &mut rng);
         let raw = toggle_stream(&g, 48, &mut rng);
         // Sequential oracle for outputs.
-        let mut oracle = engine(&g, 1, 1, 9 + seed);
+        let mut oracle = engine(&g, 1, 9 + seed);
         for c in &raw {
             oracle.apply(c).expect("valid");
         }
         for &k in &SHARD_COUNTS {
-            for &t in &THREADS {
-                let mut pops_by_q = Vec::new();
-                for q in [1usize, 4, 16] {
-                    let mut e = engine(&g, k, t, 9 + seed);
-                    let mut session = IngestSession::with_watermark(&mut *e, q);
-                    let mut pops = 0usize;
-                    for c in &raw {
-                        if let Some(receipt) = session.push(c.clone()).expect("valid stream") {
-                            pops += receipt.batch().heap_pops();
-                        }
+            let mut pops_by_q = Vec::new();
+            for q in [1usize, 4, 16] {
+                let mut e = engine(&g, k, 9 + seed);
+                let mut session = IngestSession::with_watermark(&mut *e, q);
+                let mut pops = 0usize;
+                for c in &raw {
+                    if let Some(receipt) = session.push(c.clone()).expect("valid stream") {
+                        pops += receipt.batch().heap_pops();
                     }
-                    pops += session.flush().expect("valid tail").batch().heap_pops();
-                    assert_eq!(e.mis(), oracle.mis(), "Q={q} K={k} T={t} seed={seed}");
-                    pops_by_q.push(pops);
-                    e.assert_internally_consistent();
                 }
-                assert!(
-                    pops_by_q[2] <= pops_by_q[0],
-                    "K={k} T={t}: deep queue did more settle work than Q=1 \
-                     ({} > {})",
-                    pops_by_q[2],
-                    pops_by_q[0]
-                );
+                pops += session.flush().expect("valid tail").batch().heap_pops();
+                assert_eq!(e.mis(), oracle.mis(), "Q={q} K={k} seed={seed}");
+                pops_by_q.push(pops);
+                e.assert_internally_consistent();
             }
+            assert!(
+                pops_by_q[2] <= pops_by_q[0],
+                "K={k}: deep queue did more settle work than Q=1 \
+                 ({} > {})",
+                pops_by_q[2],
+                pops_by_q[0]
+            );
         }
     }
 }
@@ -202,11 +191,11 @@ fn node_barriers_keep_mixed_streams_valid() {
                 raw.push(c);
             }
         }
-        let mut oracle = engine(&g, 2, 1, 40 + seed);
+        let mut oracle = engine(&g, 2, 40 + seed);
         for c in &raw {
             oracle.apply(c).expect("valid");
         }
-        let mut e = engine(&g, 2, 1, 40 + seed);
+        let mut e = engine(&g, 2, 40 + seed);
         let mut session = IngestSession::with_watermark(&mut *e, 6);
         for c in &raw {
             session.push(c.clone()).expect("valid stream");

@@ -29,16 +29,6 @@ fn flavors(g: &DynGraph, seed: u64) -> Vec<(&'static str, Box<dyn DynamicMis + S
                 .sharding(ShardLayout::striped(4))
                 .build(),
         ),
-        (
-            "parallel-k4",
-            Engine::builder()
-                .graph(g.clone())
-                .seed(seed)
-                .sharding(ShardLayout::striped(4))
-                .threads(2)
-                .spawn_threshold(0)
-                .build(),
-        ),
     ]
 }
 
@@ -153,16 +143,9 @@ fn a_corruption_a_settle_absorbs_still_reaches_the_snapshot() {
             .priorities(PriorityMap::from_order(&ids))
             .seed(3)
     };
-    let builders: [(&str, EngineBuilder); 3] = [
+    let builders: [(&str, EngineBuilder); 2] = [
         ("unsharded", base()),
         ("sharded-k2", base().sharding(ShardLayout::striped(2))),
-        (
-            "parallel-k2",
-            base()
-                .sharding(ShardLayout::striped(2))
-                .threads(2)
-                .spawn_threshold(0),
-        ),
     ];
     for (name, builder) in builders {
         let (mut engine, reader) = builder.build_with_reader();

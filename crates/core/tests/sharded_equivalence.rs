@@ -1,32 +1,23 @@
-//! Sharding- and parallel-equivalence property suite — **generic over
+//! Sharding-equivalence property suite — **generic over
 //! [`DynamicMis`]**.
 //!
-//! Three engines must be observationally identical on every change
-//! stream: the unsharded [`dmis_core::MisEngine`] (the oracle for outputs
-//! and adjustment sets), the K-shard [`dmis_core::ShardedMisEngine`], and
-//! the thread-executed [`dmis_core::ParallelShardedMisEngine`]. Since the
-//! unified-API redesign the suite drives every engine through one code
-//! path: each is built by [`Engine::builder`] as a `Box<dyn DynamicMis>`,
-//! and the replay loop only ever sees the trait — the per-engine copies
-//! of this driver are gone. The sharded engines must agree with the
-//! oracle on the MIS and the adjustment set after every prefix; the
-//! parallel engines must additionally be **bit-identical to the
-//! sequential sharded engine on the whole receipt** — flip log, handoffs,
-//! shard runs, epochs — for every layout × thread count, with the spawn
-//! threshold forced to zero so worker threads really run. The sequences
-//! are biased toward *boundary churn* — random edge/node insert/delete
-//! streams whose edges overwhelmingly span shard boundaries under
-//! striping, plus adversarial stars whose leaves are dealt across all
-//! shards — because cross-shard handoffs are exactly where a
-//! scheduling-dependent divergence would hide.
-//!
-//! The `DMIS_PAR_THREADS` environment variable appends an extra thread
-//! count to the tested axis; CI's `parallel-determinism` matrix job sets
-//! it to {1, 2, 8} to hunt nondeterminism under real schedulers.
+//! Two engines must be observationally identical on every change stream:
+//! the unsharded [`dmis_core::MisEngine`] (the oracle for outputs and
+//! adjustment sets) and the K-shard [`dmis_core::ShardedMisEngine`].
+//! Since the unified-API redesign the suite drives every engine through
+//! one code path: each is built by [`Engine::builder`] as a
+//! `Box<dyn DynamicMis>`, and the replay loop only ever sees the trait —
+//! its per-engine copies are gone. The sharded engines must agree with
+//! the oracle on the MIS and the adjustment set after every prefix. The sequences are biased toward *boundary churn* —
+//! random edge/node insert/delete streams whose edges overwhelmingly span
+//! shard boundaries under striping, plus adversarial stars whose leaves
+//! are dealt across all shards — because cross-shard handoffs and the
+//! epoch barrier that merges them are exactly where a divergence would
+//! hide.
 
 use std::collections::BTreeSet;
 
-use dmis_core::{DynamicMis, Engine, PriorityMap, UpdateReceipt};
+use dmis_core::{DynamicMis, Engine, PriorityMap};
 use dmis_graph::stream::{self, ChurnConfig};
 use dmis_graph::{generators, DynGraph, NodeId, ShardLayout};
 use rand::rngs::StdRng;
@@ -34,36 +25,15 @@ use rand::SeedableRng;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// Worker-thread counts exercised by the parallel engines: {1, 2, 4}
-/// plus whatever CI injects through `DMIS_PAR_THREADS`.
-fn thread_axis() -> Vec<usize> {
-    let mut axis = vec![1, 2, 4];
-    if let Some(extra) = std::env::var("DMIS_PAR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        if !axis.contains(&extra) {
-            axis.push(extra);
-        }
-    }
-    axis
-}
-
-/// One engine under test: the boxed trait object plus the axes it was
-/// built with (for failure labels and for pairing parallel engines with
-/// their sequential counterparts).
+/// One engine under test: the boxed trait object plus a failure label
+/// naming the axes it was built with.
 struct Subject {
     label: String,
-    /// Shard-count index into `SHARD_COUNTS` for parallel engines, so a
-    /// receipt can be checked against the sequential engine of the same
-    /// layout; `None` for sequential subjects.
-    paired_with: Option<usize>,
     engine: Box<dyn DynamicMis + Send>,
 }
 
-/// Builds the full engine matrix for one stream: the unsharded oracle,
-/// one sequential sharded engine per K, and one parallel engine per
-/// K × thread count — all through [`Engine::builder`], all driven as
+/// Builds the engine matrix for one stream: the unsharded oracle and one
+/// sharded engine per K — all through [`Engine::builder`], all driven as
 /// `dyn DynamicMis`.
 fn subjects(
     g: &DynGraph,
@@ -81,30 +51,19 @@ fn subjects(
         b
     };
     let oracle = base(None).build();
-    let mut list = Vec::new();
-    for &k in &SHARD_COUNTS {
-        list.push(Subject {
+    let list = SHARD_COUNTS
+        .iter()
+        .map(|&k| Subject {
             label: format!("K={k}"),
-            paired_with: None,
             engine: base(Some(k)).build(),
-        });
-    }
-    for (ki, &k) in SHARD_COUNTS.iter().enumerate() {
-        for &t in &thread_axis() {
-            list.push(Subject {
-                label: format!("K={k} threads={t}"),
-                paired_with: Some(ki),
-                engine: base(Some(k)).threads(t).spawn_threshold(0).build(),
-            });
-        }
-    }
+        })
+        .collect();
     (oracle, list)
 }
 
 /// Drives the same change stream through the whole engine matrix,
-/// asserting agreement after every single change: outputs and adjustment
-/// sets against the oracle, full receipts between the sequential and
-/// parallel coordinators.
+/// asserting agreement with the oracle on outputs and adjustment sets
+/// after every single change.
 fn assert_equivalent_on_stream(
     g: &DynGraph,
     seed: u64,
@@ -126,33 +85,20 @@ fn assert_equivalent_on_stream(
             break;
         };
         let receipt = plain.apply(&change).expect("valid change");
-        let mut sequential_receipts: Vec<UpdateReceipt> = Vec::with_capacity(SHARD_COUNTS.len());
         for s in &mut matrix {
             let r = s.engine.apply(&change).expect("valid change");
-            match s.paired_with {
-                None => {
-                    assert_eq!(
-                        s.engine.mis(),
-                        plain.mis(),
-                        "{} output diverged (seed {seed})",
-                        s.label
-                    );
-                    assert_eq!(
-                        r.adjusted_nodes(),
-                        receipt.adjusted_nodes(),
-                        "{} adjustment set diverged (seed {seed})",
-                        s.label
-                    );
-                    sequential_receipts.push(r);
-                }
-                Some(ki) => {
-                    assert_eq!(
-                        r, sequential_receipts[ki],
-                        "{} receipt diverged from sequential (seed {seed})",
-                        s.label
-                    );
-                }
-            }
+            assert_eq!(
+                s.engine.mis(),
+                plain.mis(),
+                "{} output diverged (seed {seed})",
+                s.label
+            );
+            assert_eq!(
+                r.adjusted_nodes(),
+                receipt.adjusted_nodes(),
+                "{} adjustment set diverged (seed {seed})",
+                s.label
+            );
         }
     }
     for s in &matrix {
@@ -161,24 +107,22 @@ fn assert_equivalent_on_stream(
     }
 }
 
-/// ≥ 1000 random insert/delete sequences across K ∈ {1, 2, 4, 7} ×
-/// threads ∈ {1, 2, 4}: after every change, every sharded engine's MIS is
-/// bit-identical to the unsharded engine's, and every parallel engine's
-/// receipt is bit-identical to its sequential counterpart's.
+/// ≥ 1000 random insert/delete sequences across K ∈ {1, 2, 4, 7}: after
+/// every change, every sharded engine's MIS and adjustment set are
+/// bit-identical to the unsharded engine's.
 #[test]
 fn sharded_engines_match_unsharded_over_random_sequences() {
-    let per_stream = (SHARD_COUNTS.len() * (1 + thread_axis().len())) as u32;
+    let per_stream = SHARD_COUNTS.len() as u32;
     let mut sequences = 0u32;
-    for seed in 0..100u64 {
+    for seed in 0..250u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 2 + (seed as usize % 18);
         let p = 0.05 + 0.4 * ((seed % 7) as f64 / 6.0);
         let (g, _) = generators::erdos_renyi(n, p, &mut rng);
         let steps = 3 + (seed as usize % 10);
         assert_equivalent_on_stream(&g, seed ^ 0x5AAD, steps, &ChurnConfig::default(), &mut rng);
-        // One stream is checked against 4 sequential layouts plus
-        // 4 × |threads| parallel engines, each an engine-vs-oracle
-        // sequence.
+        // One stream is checked against 4 sharded layouts, each an
+        // engine-vs-oracle sequence.
         sequences += per_stream;
     }
     assert!(sequences >= 1000, "ran only {sequences} sequences");
@@ -199,30 +143,15 @@ fn boundary_spanning_stars_settle_identically() {
         let (mut plain, mut matrix) = subjects(&g, Some(&pm), 0);
         let oracle_receipt = plain.remove_node(ids[0]).expect("center exists");
         assert_eq!(oracle_receipt.adjustments(), leaves, "all leaves join");
-        let mut sequential_receipts: Vec<UpdateReceipt> = Vec::new();
         for s in &mut matrix {
             let r = s.engine.remove_node(ids[0]).expect("center exists");
             assert_eq!(r.adjustments(), leaves, "all leaves join ({})", s.label);
-            match s.paired_with {
-                None => {
-                    if s.label != "K=1" {
-                        assert!(
-                            r.cross_shard_handoffs() > 0,
-                            "star cascade must cross boundaries ({})",
-                            s.label
-                        );
-                    }
-                    sequential_receipts.push(r);
-                }
-                Some(ki) => {
-                    // The all-handoff promotion cascade is the worst case
-                    // for a scheduling bug: demand the receipt bit for bit.
-                    assert_eq!(
-                        r, sequential_receipts[ki],
-                        "{} star receipt diverged",
-                        s.label
-                    );
-                }
+            if s.label != "K=1" {
+                assert!(
+                    r.cross_shard_handoffs() > 0,
+                    "star cascade must cross boundaries ({})",
+                    s.label
+                );
             }
             assert_eq!(s.engine.mis(), plain.mis(), "{}", s.label);
             s.engine.assert_internally_consistent();
@@ -283,26 +212,17 @@ fn batched_boundary_churn_matches_unsharded() {
         }
         let (mut plain, mut matrix) = subjects(&g, None, seed);
         plain.apply_batch(&batch).expect("valid batch");
-        let mut sequential_receipts = Vec::new();
         for s in &mut matrix {
-            let receipt = s.engine.apply_batch(&batch).expect("valid batch");
+            s.engine.apply_batch(&batch).expect("valid batch");
             assert_eq!(s.engine.mis(), plain.mis(), "{} seed={seed}", s.label);
             s.engine.assert_internally_consistent();
-            match s.paired_with {
-                None => sequential_receipts.push(receipt),
-                // Batches are where threads actually engage (many shards
-                // seeded per epoch): the parallel batch receipt must
-                // still be bit-identical to the sequential one.
-                Some(ki) => assert_eq!(receipt, sequential_receipts[ki], "{} seed={seed}", s.label),
-            }
         }
     }
 }
 
 /// Blocked layouts (ranges of consecutive identifiers per shard) are
 /// equivalent too — the layout only moves the boundaries, never the
-/// output — and the parallel executor tracks the sequential receipts on
-/// them just like on striping.
+/// output.
 #[test]
 fn blocked_layouts_are_equivalent_as_well() {
     for seed in 0..60u64 {
@@ -320,18 +240,6 @@ fn blocked_layouts_are_equivalent_as_well() {
                     .build()
             })
             .collect();
-        let mut parallels: Vec<Box<dyn DynamicMis + Send>> = layouts
-            .iter()
-            .map(|&(k, b)| {
-                Engine::builder()
-                    .graph(g.clone())
-                    .seed(seed)
-                    .sharding(ShardLayout::blocked(k, b))
-                    .threads(2)
-                    .spawn_threshold(0)
-                    .build()
-            })
-            .collect();
         for _ in 0..8 {
             let Some(change) =
                 stream::random_change(plain.graph(), &ChurnConfig::default(), &mut rng)
@@ -339,11 +247,9 @@ fn blocked_layouts_are_equivalent_as_well() {
                 break;
             };
             plain.apply(&change).expect("valid");
-            for (i, (engine, par)) in engines.iter_mut().zip(&mut parallels).enumerate() {
-                let r = engine.apply(&change).expect("valid");
-                assert_eq!(engine.mis(), plain.mis(), "layout {:?}", layouts[i]);
-                let rp = par.apply(&change).expect("valid");
-                assert_eq!(rp, r, "parallel diverged on {:?}", layouts[i]);
+            for (engine, layout) in engines.iter_mut().zip(&layouts) {
+                engine.apply(&change).expect("valid");
+                assert_eq!(engine.mis(), plain.mis(), "layout {layout:?}");
             }
         }
     }

@@ -88,7 +88,7 @@ impl YieldInjector {
 }
 
 /// All engine flavors over the same graph and seed, as trait objects —
-/// the same trio the trait-conformance suite drives.
+/// the same set the trait-conformance suite drives.
 fn flavors(g: &DynGraph, seed: u64) -> Vec<(&'static str, Box<dyn DynamicMis + Send>)> {
     vec![
         (
@@ -101,16 +101,6 @@ fn flavors(g: &DynGraph, seed: u64) -> Vec<(&'static str, Box<dyn DynamicMis + S
                 .graph(g.clone())
                 .seed(seed)
                 .sharding(ShardLayout::striped(3))
-                .build(),
-        ),
-        (
-            "parallel",
-            Engine::builder()
-                .graph(g.clone())
-                .seed(seed)
-                .sharding(ShardLayout::striped(3))
-                .threads(2)
-                .spawn_threshold(0)
                 .build(),
         ),
     ]
@@ -331,9 +321,7 @@ fn snapshots_publish_after_rank_compaction_unsharded() {
     engine.assert_internally_consistent();
 }
 
-/// The same ordering witness on the sharded engine (the parallel flavor
-/// forwards to it, and its `reader()` is macro-forwarded — covered by
-/// the flush-boundary test above).
+/// The same ordering witness on the sharded engine.
 #[test]
 fn snapshots_publish_after_rank_compaction_sharded() {
     let (g, ids) = generators::erdos_renyi(64, 0.1, &mut StdRng::seed_from_u64(6));

@@ -1,24 +1,19 @@
 //! Compile-time thread-safety gate for the engines.
 //!
-//! The parallel executor hands `&mut Shard` slices to scoped worker
-//! threads and shares the graph/π read-only, which requires `Send` data
-//! throughout; whole engines are also expected to migrate across threads
-//! (e.g. a deployment settling disjoint graphs on a thread pool). These
-//! `const` items are `static_assertions`-style trait checks: if any
-//! engine ever grows a non-`Send`/non-`Sync` member (an `Rc`, a raw
-//! pointer, a thread-local handle), this *test target fails to compile* —
-//! the CI `parallel-determinism` job runs it explicitly so the breakage
-//! is attributed, not buried in a build log.
+//! Engines never spawn threads themselves, but whole engines are expected
+//! to migrate across threads (a serving writer thread, a deployment
+//! settling disjoint graphs on a thread pool), and the snapshot read path
+//! shares published state with reader threads. These `const` items are
+//! `static_assertions`-style trait checks: if any engine ever grows a
+//! non-`Send`/non-`Sync` member (an `Rc`, a raw pointer, a thread-local
+//! handle), this *test target fails to compile*, so the breakage is
+//! attributed to this file, not buried in a build log.
 
-use dmis_core::{
-    BatchReceipt, DynamicMis, MisEngine, ParallelShardedMisEngine, ShardedMisEngine, UpdateReceipt,
-};
+use dmis_core::{BatchReceipt, DynamicMis, MisEngine, ShardedMisEngine, UpdateReceipt};
 
 const fn assert_send<T: Send>() {}
 const fn assert_sync<T: Sync>() {}
 
-const _: () = assert_send::<ParallelShardedMisEngine>();
-const _: () = assert_sync::<ParallelShardedMisEngine>();
 const _: () = assert_send::<ShardedMisEngine>();
 const _: () = assert_sync::<ShardedMisEngine>();
 const _: () = assert_send::<MisEngine>();
@@ -39,9 +34,8 @@ fn engines_cross_thread_boundaries() {
     let mut engine = dmis_core::Engine::builder()
         .graph(g)
         .sharding(dmis_graph::ShardLayout::striped(2))
-        .threads(2)
         .seed(1)
-        .build_parallel();
+        .build_sharded();
     let mis = std::thread::spawn(move || {
         engine.remove_edge(ids[0], ids[1]).expect("valid edge");
         engine.mis()

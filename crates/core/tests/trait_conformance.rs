@@ -5,7 +5,7 @@
 //! complete engine — the full update/query/receipt surface, including the
 //! provided conveniences (`apply` dispatch, `insert_node` key draws,
 //! `mis`, `state`), behaves identically whether the caller holds the
-//! concrete type or the trait object, and identically *across* the three
+//! concrete type or the trait object, and identically *across* the
 //! flavors for the same seed. CI runs this target in a dedicated
 //! `trait-conformance` job so an engine drifting out of the shared
 //! contract is attributed immediately.
@@ -31,16 +31,6 @@ fn flavors(g: &DynGraph, seed: u64) -> Vec<(&'static str, Box<dyn DynamicMis + S
                 .graph(g.clone())
                 .seed(seed)
                 .sharding(ShardLayout::striped(3))
-                .build(),
-        ),
-        (
-            "parallel",
-            Engine::builder()
-                .graph(g.clone())
-                .seed(seed)
-                .sharding(ShardLayout::striped(3))
-                .threads(2)
-                .spawn_threshold(0)
                 .build(),
         ),
     ]

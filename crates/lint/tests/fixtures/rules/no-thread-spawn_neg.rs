@@ -1,6 +1,7 @@
-use crate::parallel::EpochExecutor;
-
-pub fn fan_out(exec: &EpochExecutor) {
-    // Work is submitted to the epoch executor; only parallel.rs spawns.
-    exec.run_epoch();
+pub fn settle(shards: &mut [Shard]) {
+    // Every dirty shard drains inline, in shard-index order; the engine
+    // never spawns.
+    for shard in shards.iter_mut() {
+        shard.drain();
+    }
 }

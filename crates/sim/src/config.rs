@@ -1,9 +1,9 @@
 //! Shared deployment configuration for the metered harnesses.
 //!
 //! [`RunConfig`] is the one description both deployment-shaped harnesses
-//! boot from: graph, shard layout, worker threads, flush policy (or
-//! plain depth watermark), session clock, rng seed, and — for the
-//! serving side — reader-thread count and probes per sample. Finish
+//! boot from: graph, shard layout, flush policy (or plain depth
+//! watermark), session clock, rng seed, and — for the serving side —
+//! reader-thread count and probes per sample. Finish
 //! with [`RunConfig::ingest`] for the queue-in-front-of-engine harness
 //! ([`IngestRun`]) or [`RunConfig::serve`] for the concurrent-read
 //! harness ([`ServeRun`]); both sweep the *same* axes, so an experiment
@@ -41,7 +41,6 @@ use crate::serve::ServeRun;
 pub struct RunConfig {
     graph: DynGraph,
     layout: ShardLayout,
-    threads: usize,
     policy: FlushPolicy,
     clock: Option<Arc<dyn Clock>>,
     seed: u64,
@@ -51,7 +50,7 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Starts a configuration over `graph` with the neutral axes: a
-    /// single shard, one worker thread, per-change flushing
+    /// single shard, per-change flushing
     /// ([`FlushPolicy::Depth`]`(1)`), the monotonic wall clock, seed 0,
     /// one reader making 8 probes per sample.
     #[must_use]
@@ -59,7 +58,6 @@ impl RunConfig {
         RunConfig {
             graph,
             layout: ShardLayout::single(),
-            threads: 1,
             policy: FlushPolicy::Depth(1),
             clock: None,
             seed: 0,
@@ -73,14 +71,6 @@ impl RunConfig {
     #[must_use]
     pub fn layout(mut self, layout: ShardLayout) -> Self {
         self.layout = layout;
-        self
-    }
-
-    /// Worker threads for the settle epochs (1 keeps the sequential
-    /// coordinator).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -139,7 +129,6 @@ impl RunConfig {
             .graph(self.graph)
             .seed(self.seed)
             .sharding(self.layout)
-            .threads(self.threads)
             .build();
         let clock = self
             .clock
@@ -160,7 +149,6 @@ impl RunConfig {
             .graph(self.graph)
             .seed(self.seed)
             .sharding(self.layout)
-            .threads(self.threads)
             .build_with_reader();
         let clock = self
             .clock

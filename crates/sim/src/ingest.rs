@@ -7,8 +7,8 @@
 //! boundaries chosen by any [`dmis_core::FlushPolicy`] — so the run
 //! meters the ROADMAP's async-batching trade-off end to end —
 //!
-//! - **rounds** — settle epochs of the flushed recoveries (parallel-time
-//!   depth, amortized over the whole window);
+//! - **rounds** — settle epochs of the flushed recoveries (synchronous
+//!   rounds, amortized over the whole window);
 //! - **broadcasts** — cross-shard handoffs of the flushed recoveries;
 //! - **bits** — handoff payload, as in [`crate::ShardedRun`];
 //! - **coalesced changes** — stream entries the queue eliminated before
@@ -19,8 +19,8 @@
 //!   [`IngestRun::delay_p99`] — the SLO columns the bench gate bounds).
 //!
 //! The harness is generic over the engine: it drives a boxed
-//! [`DynamicMis`], so the same run works unsharded, sharded, or
-//! thread-parallel — experiment E12's queue-depth table sweeps the
+//! [`DynamicMis`], so the same run works unsharded or sharded —
+//! experiment E12's queue-depth table sweeps the
 //! watermark against a K-sharded engine built through
 //! [`crate::RunConfig`].
 

@@ -17,9 +17,8 @@
 //!   changes), **rounds** (to re-stabilization), and **broadcasts** (number
 //!   of `O(log n)`-bit broadcast messages), plus exact **bit** accounting;
 //! - a **sharded-deployment harness** ([`ShardedRun`]) metering the
-//!   K-shard engine of `dmis-core` — optionally with its settle epochs on
-//!   worker threads — in the same vocabulary: barrier epochs as rounds,
-//!   cross-shard handoffs as broadcasts;
+//!   K-shard engine of `dmis-core` in the same vocabulary: barrier epochs
+//!   as rounds, cross-shard handoffs as broadcasts;
 //! - an **ingestion harness** ([`IngestRun`]) putting the coalescing
 //!   change queue of `dmis-core`'s unified API in front of any
 //!   [`dmis_core::DynamicMis`] engine, metering the queue-depth

@@ -1,36 +1,29 @@
-//! Sharded-engine harness: shard count and thread count as simulator axes.
+//! Sharded-engine harness: shard count as a simulator axis.
 //!
 //! The broadcast networks in this crate simulate the paper's *per-node*
 //! distributed model. [`ShardedRun`] covers the complementary deployment
 //! the ROADMAP targets: `K` engine shards (think: cores or machines)
 //! cooperating through cross-shard handoffs, as implemented by
-//! [`dmis_core::ShardedMisEngine`] and executed — optionally on worker
-//! threads — by [`dmis_core::ParallelShardedMisEngine`]. The harness
-//! translates every receipt into the simulator's [`Metrics`] vocabulary
-//! so experiments can sweep shard and thread counts exactly like they
-//! sweep graph families:
+//! [`dmis_core::ShardedMisEngine`]. The harness translates every receipt
+//! into the simulator's [`Metrics`] vocabulary so experiments can sweep
+//! shard counts exactly like they sweep graph families:
 //!
 //! - **rounds** — barrier-synchronized settle epochs until global
-//!   quiescence (the parallel-time depth: shard runs within an epoch are
-//!   independent, so wall-clock scales with epochs, not runs);
+//!   quiescence (a shard acts on what the previous barrier delivered, as
+//!   a node acts on the previous round's messages);
 //! - **broadcasts** — cross-shard handoff messages;
 //! - **bits** — handoff payload, one node identifier plus one counter
 //!   delta per message.
-//!
-//! Because the parallel engine is bit-identical to the sequential one,
-//! the `threads` axis changes *wall-clock only*: rounds, broadcasts, and
-//! bits are invariant across thread counts, which is exactly what E12's
-//! threads table demonstrates.
 
 use std::collections::BTreeSet;
 
-use dmis_core::{DynamicMis, ParallelShardedMisEngine};
+use dmis_core::{DynamicMis, ShardedMisEngine};
 use dmis_graph::{DynGraph, GraphError, NodeId, ShardLayout, TopologyChange};
 
 use crate::metrics::{ChangeOutcome, Metrics};
 
-/// A dynamic execution of the (optionally parallel) sharded engine, with
-/// per-change and lifetime [`Metrics`] in simulator terms.
+/// A dynamic execution of the sharded engine, with per-change and
+/// lifetime [`Metrics`] in simulator terms.
 ///
 /// # Example
 ///
@@ -50,56 +43,29 @@ use crate::metrics::{ChangeOutcome, Metrics};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
-    engine: ParallelShardedMisEngine,
+    engine: ShardedMisEngine,
     lifetime: Metrics,
 }
 
 impl ShardedRun {
-    /// Boots a sequentially-executed sharded engine over `graph` (drawing
-    /// priorities from `seed`) and starts metering.
+    /// Boots a sharded engine over `graph` (drawing priorities from
+    /// `seed`) and starts metering.
     #[must_use]
     pub fn bootstrap(graph: DynGraph, layout: ShardLayout, seed: u64) -> Self {
-        Self::bootstrap_parallel(graph, layout, 1, seed)
-    }
-
-    /// Boots a sharded engine whose epochs run on up to `threads` worker
-    /// threads. Metrics are identical to [`Self::bootstrap`] for the same
-    /// seed — the thread axis only moves wall-clock.
-    #[must_use]
-    pub fn bootstrap_parallel(
-        graph: DynGraph,
-        layout: ShardLayout,
-        threads: usize,
-        seed: u64,
-    ) -> Self {
         ShardedRun {
             engine: dmis_core::Engine::builder()
                 .graph(graph)
                 .sharding(layout)
-                .threads(threads)
                 .seed(seed)
-                .build_parallel(),
+                .build_sharded(),
             lifetime: Metrics::new(),
         }
     }
 
     /// The underlying engine.
     #[must_use]
-    pub fn engine(&self) -> &ParallelShardedMisEngine {
+    pub fn engine(&self) -> &ShardedMisEngine {
         &self.engine
-    }
-
-    /// Worker threads the settle epochs may use (1 = sequential).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    /// Forces or suppresses thread spawning; see
-    /// [`ParallelShardedMisEngine::set_spawn_threshold`]. Metrics are
-    /// unaffected for any value.
-    pub fn set_spawn_threshold(&mut self, threshold: usize) {
-        self.engine.set_spawn_threshold(threshold);
     }
 
     /// The current MIS.
@@ -163,16 +129,17 @@ impl ShardedRun {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`GraphError`]; the applied prefix is metered.
+    /// Propagates the first [`GraphError`]. Nothing is metered then, but
+    /// the changes before the failing one stay applied: the engine
+    /// settles that prefix and drops its receipt (see
+    /// [`DynamicMis::apply_batch`]).
     pub fn apply_batch(&mut self, changes: &[TopologyChange]) -> Result<ChangeOutcome, GraphError> {
-        match self.engine.apply_batch(changes) {
-            Ok(receipt) => Ok(self.outcome(
-                receipt.adjusted_nodes(),
-                receipt.settle_epochs(),
-                receipt.cross_shard_handoffs(),
-            )),
-            Err(e) => Err(e),
-        }
+        let receipt = self.engine.apply_batch(changes)?;
+        Ok(self.outcome(
+            receipt.adjusted_nodes(),
+            receipt.settle_epochs(),
+            receipt.cross_shard_handoffs(),
+        ))
     }
 }
 
@@ -232,30 +199,23 @@ mod tests {
     }
 
     #[test]
-    fn thread_axis_leaves_metrics_invariant() {
-        // The parallel engine is bit-identical to the sequential one, so
-        // a metered run reports the same rounds/broadcasts/bits for any
-        // thread count — the axis only moves wall-clock.
-        let run_with = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(7);
-            let (g, _) = generators::erdos_renyi(24, 0.25, &mut rng);
-            let mut run = ShardedRun::bootstrap_parallel(g, ShardLayout::striped(4), threads, 11);
-            run.set_spawn_threshold(0);
-            let mut log = Vec::new();
-            for _ in 0..40 {
-                if let Some(change) =
-                    stream::random_change(run.engine().graph(), &ChurnConfig::default(), &mut rng)
-                {
-                    let outcome = run.apply_change(&change).unwrap();
-                    log.push((outcome.metrics, outcome.adjusted));
-                }
-            }
-            (log, run.lifetime_metrics(), run.mis())
-        };
-        let baseline = run_with(1);
-        for threads in [2usize, 4] {
-            assert_eq!(run_with(threads), baseline, "threads={threads}");
-        }
+    fn a_failed_batch_meters_nothing_and_keeps_its_prefix() {
+        let (g, ids) = generators::cycle(8);
+        let mut run = ShardedRun::bootstrap(g, ShardLayout::striped(2), 6);
+        run.apply_change(&TopologyChange::DeleteEdge(ids[2], ids[3]))
+            .unwrap();
+        let before = run.lifetime_metrics();
+        let result = run.apply_batch(&[
+            TopologyChange::DeleteEdge(ids[0], ids[1]),
+            TopologyChange::DeleteEdge(ids[2], ids[3]),
+        ]);
+        assert!(result.is_err(), "the second edge is already gone");
+        assert_eq!(run.lifetime_metrics(), before, "nothing is metered");
+        assert!(
+            !run.engine().graph().has_edge(ids[0], ids[1]),
+            "the valid prefix stays applied"
+        );
+        run.engine().assert_internally_consistent();
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //!
 //! ```text
 //! cargo run --bin mis_serve -- [--nodes N] [--changes C] [--seed S]
-//!                              [--shards K] [--threads T]
-//!                              [--watermark W] [--policy SPEC]
+//!                              [--shards K] [--watermark W] [--policy SPEC]
 //!                              [--readers R] [--probes P]
 //!                              [--checkpoint-dir DIR] [--checkpoint-every N]
 //! ```
+//!
+//! `--nodes` must be at least 8 (the bootstrap graph is ER(N, 8/N)) and
+//! `--shards` at least 1; bad flags exit with status 2.
 //!
 //! `--policy` selects the flush policy by spec string — `depth:N`,
 //! `deadline:MS`, `either:N:MS`, or `adaptive` — and overrides
@@ -37,7 +39,6 @@ struct Options {
     changes: usize,
     seed: u64,
     shards: usize,
-    threads: usize,
     policy: FlushPolicy,
     readers: usize,
     probes: usize,
@@ -72,7 +73,6 @@ fn parse_args() -> Result<Options, String> {
         changes: 4096,
         seed: 1,
         shards: 4,
-        threads: 2,
         policy: FlushPolicy::Depth(8),
         readers: 2,
         probes: 32,
@@ -94,7 +94,6 @@ fn parse_args() -> Result<Options, String> {
             "--changes" => opts.changes = parse(take_value(&mut i)?)?,
             "--seed" => opts.seed = take_value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--shards" => opts.shards = parse(take_value(&mut i)?)?,
-            "--threads" => opts.threads = parse(take_value(&mut i)?)?,
             "--watermark" => opts.policy = FlushPolicy::Depth(parse(take_value(&mut i)?)?),
             "--policy" => opts.policy = parse_policy(&take_value(&mut i)?)?,
             "--readers" => opts.readers = parse(take_value(&mut i)?)?,
@@ -103,7 +102,7 @@ fn parse_args() -> Result<Options, String> {
             "--checkpoint-every" => opts.checkpoint_every = parse(take_value(&mut i)?)?,
             "--help" | "-h" => {
                 return Err("usage: mis_serve [--nodes N] [--changes C] [--seed S] \
-                            [--shards K] [--threads T] [--watermark W] \
+                            [--shards K] [--watermark W] \
                             [--policy depth:N|deadline:MS|either:N:MS|adaptive] \
                             [--readers R] [--probes P] \
                             [--checkpoint-dir DIR] [--checkpoint-every N]"
@@ -112,6 +111,15 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
         i += 1;
+    }
+    if opts.nodes < 8 {
+        return Err(format!(
+            "--nodes must be at least 8 (the graph is ER(N, 8/N)), got {}",
+            opts.nodes
+        ));
+    }
+    if opts.shards == 0 {
+        return Err("--shards must be at least 1".to_string());
     }
     Ok(opts)
 }
@@ -125,16 +133,9 @@ fn main() {
         }
     };
     println!(
-        "serve demo: n={}, changes={}, seed={}, shards={}, threads={}, \
+        "serve demo: n={}, changes={}, seed={}, shards={}, \
          policy={:?}, readers={}, probes={}",
-        opts.nodes,
-        opts.changes,
-        opts.seed,
-        opts.shards,
-        opts.threads,
-        opts.policy,
-        opts.readers,
-        opts.probes
+        opts.nodes, opts.changes, opts.seed, opts.shards, opts.policy, opts.readers, opts.probes
     );
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let (g, _ids) = generators::erdos_renyi(opts.nodes, 8.0 / opts.nodes as f64, &mut rng);
@@ -147,7 +148,6 @@ fn main() {
     );
     let mut run = RunConfig::new(g)
         .layout(ShardLayout::striped(opts.shards))
-        .threads(opts.threads)
         .policy(opts.policy)
         .seed(opts.seed)
         .readers(opts.readers)

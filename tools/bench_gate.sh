@@ -13,18 +13,18 @@
 #     settle work — a fraction collapsing toward zero means the
 #     ingestion layer stopped cancelling opposing churn. Fresh-run-only,
 #     so fidelity-independent, or
-#   - in the fresh "parallel" section, the thread-executed engine at
-#     K=4/threads=4 is slower than the sequential K=1/threads=1 row by
-#     more than BENCH_GATE_PAR_MAX_RATIO (default 3.0). Both rows come
-#     from the same fresh run, so the check is fidelity-independent and
+#   - in the fresh "sharding" section, the K=4 engine's n=1000
+#     single-toggle latency exceeds the K=1 row's by more than
+#     BENCH_GATE_SHARD_MAX_RATIO (default 3.0). Both rows come from the
+#     same fresh run, so the check is fidelity-independent and
 #     BENCH_SNAPSHOT_FULL semantics are preserved: CI forces full
 #     iteration counts for the committed-snapshot comparisons, and the
-#     parallel ratio is meaningful either way. The default tolerance is
-#     deliberately loose: the compared rows differ by sharding overhead
-#     and single-run noise (the snapshot's same-code-path replicate rows
-#     have been observed ~1.4x apart on busy runners), while the
-#     regression this gate exists to catch — thread spawns leaking into
-#     the tiny-cascade fast path — costs 10-100x and clears any sane cap.
+#     shard ratio is meaningful either way. The two rows differ only by
+#     the epoch barrier and its cross-shard handoffs, which Theorem 1
+#     keeps rare on a single toggle. The default tolerance is
+#     deliberately loose against single-run noise; what the gate exists
+#     to catch is per-epoch coordination work that grows with n or K
+#     leaking into the tiny-cascade fast path.
 #   - in the fresh "scale" section (sustained churn on pre-sized
 #     engines; ER and Chung–Lu), for the largest size present per
 #     family (n=10^5 required, the full-mode 10^6 rows checked when
@@ -84,8 +84,7 @@
 #
 # The JSON format is the one write_snapshot() in
 # crates/bench/benches/engine_updates.rs emits: one object per line in
-# the "results"/"sharding"/"parallel" arrays, which keeps this parser to
-# grep/awk.
+# every section's array, which keeps this parser to grep/awk.
 set -euo pipefail
 
 fresh="${1:?usage: bench_gate.sh <fresh.json> <committed.json>}"
@@ -112,7 +111,7 @@ if [ -n "$stale" ]; then
   exit 1
 fi
 max_ratio="${BENCH_GATE_MAX_RATIO:-2.0}"
-par_max_ratio="${BENCH_GATE_PAR_MAX_RATIO:-3.0}"
+shard_max_ratio="${BENCH_GATE_SHARD_MAX_RATIO:-3.0}"
 ingest_min_coalesce="${BENCH_GATE_INGEST_MIN_COALESCE:-0.25}"
 scale_max_ratio="${BENCH_GATE_SCALE_MAX_RATIO:-8.0}"
 scale_max_bytes="${BENCH_GATE_SCALE_MAX_BYTES_PER_NODE:-600}"
@@ -131,12 +130,12 @@ field() {
     | grep -o "\"$3\": [0-9.]*" | awk '{print $2}'; } || true
 }
 
-# pfield <file> <n> <shards> <threads> <key>: value of <key> in the
-# "parallel" entry for that (n, K, T) triple. The leading key sequence
-# "n", "shards", "threads" is unique to that section.
-pfield() {
-  { grep -o "{\"n\": $2, \"shards\": $3, \"threads\": $4,[^}]*}" "$1" \
-    | head -n 1 | grep -o "\"$5\": [0-9.]*" | awk '{print $2}'; } || true
+# shfield <file> <n> <shards> <key>: value of <key> in the "sharding"
+# entry for that (n, K) pair. The leading key sequence "n", "shards" is
+# unique to that section.
+shfield() {
+  { grep -o "{\"n\": $2, \"shards\": $3,[^}]*}" "$1" \
+    | head -n 1 | grep -o "\"$4\": [0-9.]*" | awk '{print $2}'; } || true
 }
 
 status=0
@@ -378,21 +377,21 @@ else
   echo "bench gate: recovery replay ratio ${rc_ratio}x (live ${rc_live}ns vs replay ${rc_replay}ns per change), checkpoint ${rc_bpn} bytes/node"
 fi
 
-# Parallel-execution gate: the worker-thread plumbing must not tax the
+# Sharding gate: the epoch barrier and its handoffs must not tax the
 # paper's tiny-cascade common case. Compares two rows of the same fresh
 # run, so machine speed and iteration counts cancel out.
-par44="$(pfield "$fresh" 1000 4 4 ns_per_toggle)"
-par11="$(pfield "$fresh" 1000 1 1 ns_per_toggle)"
-if [ -z "$par44" ] || [ -z "$par11" ]; then
-  echo "bench gate: missing \"parallel\" entries for n=1000 (K,T)=(4,4)/(1,1) in $fresh" >&2
+shard4="$(shfield "$fresh" 1000 4 ns_per_toggle)"
+shard1="$(shfield "$fresh" 1000 1 ns_per_toggle)"
+if [ -z "$shard4" ] || [ -z "$shard1" ]; then
+  echo "bench gate: missing \"sharding\" entries for n=1000 K=4/K=1 in $fresh" >&2
   status=1
 else
-  if ! awk -v p="$par44" -v s="$par11" -v r="$par_max_ratio" \
-      'BEGIN { exit !(p <= r * s) }'; then
-    echo "bench gate FAIL: parallel K=4/T=4 ${par44}ns/toggle > ${par_max_ratio}x sequential K=1/T=1 ${par11}ns" >&2
+  if ! awk -v k4="$shard4" -v k1="$shard1" -v r="$shard_max_ratio" \
+      'BEGIN { exit !(k4 <= r * k1) }'; then
+    echo "bench gate FAIL: sharded K=4 ${shard4}ns/toggle > ${shard_max_ratio}x K=1 ${shard1}ns at n=1000" >&2
     status=1
   fi
-  echo "bench gate: parallel K=4/T=4 ${par44}ns vs sequential K=1/T=1 ${par11}ns (cap ${par_max_ratio}x)"
+  echo "bench gate: sharded K=4 ${shard4}ns vs K=1 ${shard1}ns at n=1000 (cap ${shard_max_ratio}x)"
 fi
 
 if [ "$status" -eq 0 ]; then
