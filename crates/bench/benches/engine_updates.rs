@@ -245,7 +245,7 @@ fn bench_ingest(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
             let mut run = RunConfig::new(g.clone())
                 .layout(ShardLayout::striped(4))
-                .watermark(q)
+                .policy(FlushPolicy::Depth(q))
                 .seed(42)
                 .ingest();
             b.iter(|| {
@@ -463,7 +463,7 @@ fn write_snapshot(test_mode: bool) {
         for &q in &[1usize, 16, 64] {
             let mut run = RunConfig::new(g.clone())
                 .layout(ShardLayout::striped(4))
-                .watermark(q)
+                .policy(FlushPolicy::Depth(q))
                 .seed(42)
                 .ingest();
             let mut per_sample: Vec<f64> = (0..samples)
@@ -677,7 +677,7 @@ fn write_snapshot(test_mode: bool) {
         let readers = 2usize;
         let mut run = RunConfig::new(g)
             .layout(ShardLayout::striped(4))
-            .watermark(8)
+            .policy(FlushPolicy::Depth(8))
             .seed(42)
             .readers(readers)
             .probes(32)

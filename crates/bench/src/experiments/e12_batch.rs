@@ -222,7 +222,7 @@ pub fn run(quick: bool) -> Report {
             // Oracle: unbatched application of the same stream.
             let mut oracle = RunConfig::new(g.clone())
                 .layout(ShardLayout::striped(4))
-                .watermark(1)
+                .policy(FlushPolicy::Depth(1))
                 .seed(seed)
                 .ingest();
             for c in &stream {
@@ -230,7 +230,7 @@ pub fn run(quick: bool) -> Report {
             }
             let mut run = RunConfig::new(g)
                 .layout(ShardLayout::striped(4))
-                .watermark(q)
+                .policy(FlushPolicy::Depth(q))
                 .seed(seed)
                 .ingest();
             let start = Instant::now();
@@ -305,7 +305,7 @@ pub fn run(quick: bool) -> Report {
                 let seed = 8_500 + trial as u64;
                 let mut oracle = RunConfig::new(g.clone())
                     .layout(ShardLayout::striped(4))
-                    .watermark(1)
+                    .policy(FlushPolicy::Depth(1))
                     .seed(seed)
                     .ingest();
                 for c in &stream {

@@ -983,20 +983,6 @@ impl<E: DynamicMis> IngestSession<E> {
         Self::with_policy(engine, FlushPolicy::Manual)
     }
 
-    /// Opens a session that auto-flushes whenever `watermark` changes
-    /// have been pushed since the last flush — a thin shim for
-    /// [`Self::with_policy`] with [`FlushPolicy::Depth`]`(watermark)`,
-    /// kept for the PR-5 call sites. Counting *pushes* — not the
-    /// coalesced depth — bounds both the pending buffer and the time a
-    /// change waits before its window settles, even on cancel-heavy
-    /// streams where the coalesced depth hovers near zero; a window
-    /// therefore holds at most `watermark` pushes, and a change waits at
-    /// most `watermark − 1` arrivals. A watermark of 1 degenerates to
-    /// unbatched per-change application.
-    pub fn with_watermark(engine: E, watermark: usize) -> Self {
-        Self::with_policy(engine, FlushPolicy::Depth(watermark))
-    }
-
     /// Opens a session flushing per `policy`, timed by the default
     /// [`MonotonicClock`]. Tests that need deterministic deadlines or
     /// adaptive observations should inject a [`crate::ManualClock`] via
@@ -1057,16 +1043,6 @@ impl<E: DynamicMis> IngestSession<E> {
     #[must_use]
     pub fn policy(&self) -> &FlushPolicy {
         self.controller.policy()
-    }
-
-    /// Reconfigures (or removes) the auto-flush depth watermark — a
-    /// shim for [`Self::set_policy`] mapping `Some(w)` to
-    /// [`FlushPolicy::Depth`] and `None` to [`FlushPolicy::Manual`].
-    pub fn set_watermark(&mut self, watermark: Option<usize>) {
-        self.set_policy(match watermark {
-            Some(w) => FlushPolicy::Depth(w),
-            None => FlushPolicy::Manual,
-        });
     }
 
     /// The depth watermark currently in force, if the policy has one:
@@ -1348,7 +1324,7 @@ mod tests {
     fn session_watermark_auto_flushes() {
         let (g, ids) = generators::cycle(8);
         let mut engine = Engine::builder().graph(g).seed(3).build_unsharded();
-        let mut session = IngestSession::with_watermark(&mut engine, 2);
+        let mut session = IngestSession::with_policy(&mut engine, FlushPolicy::Depth(2));
         assert_eq!(session.watermark(), Some(2));
         assert!(session
             .push(TopologyChange::DeleteEdge(ids[0], ids[1]))

@@ -10,8 +10,8 @@
 //!
 //! - [`FlushPolicy::Manual`] — never auto-flush (the old
 //!   `IngestSession::new` behavior);
-//! - [`FlushPolicy::Depth`] — flush after `n` pushes (the old
-//!   `with_watermark` behavior);
+//! - [`FlushPolicy::Depth`] — flush after `n` pushes (the depth
+//!   watermark);
 //! - [`FlushPolicy::Deadline`] — flush as soon as the **oldest** queued
 //!   change has waited the budget, regardless of depth;
 //! - [`FlushPolicy::Either`] — depth *or* deadline, whichever trips

@@ -15,7 +15,7 @@
 //!    to the empty batch flushes with every receipt counter zero: no
 //!    pops, no counter updates, no handoffs, no epochs.
 
-use dmis_core::{ChangeCoalescer, DynamicMis, Engine, IngestSession};
+use dmis_core::{ChangeCoalescer, DynamicMis, Engine, FlushPolicy, IngestSession};
 use dmis_graph::stream::{self, ChurnConfig};
 use dmis_graph::{generators, DynGraph, ShardLayout, TopologyChange};
 use rand::rngs::StdRng;
@@ -151,7 +151,7 @@ fn watermark_sweep_preserves_outputs() {
             let mut pops_by_q = Vec::new();
             for q in [1usize, 4, 16] {
                 let mut e = engine(&g, k, 9 + seed);
-                let mut session = IngestSession::with_watermark(&mut *e, q);
+                let mut session = IngestSession::with_policy(&mut *e, FlushPolicy::Depth(q));
                 let mut pops = 0usize;
                 for c in &raw {
                     if let Some(receipt) = session.push(c.clone()).expect("valid stream") {
@@ -196,7 +196,7 @@ fn node_barriers_keep_mixed_streams_valid() {
             oracle.apply(c).expect("valid");
         }
         let mut e = engine(&g, 2, 40 + seed);
-        let mut session = IngestSession::with_watermark(&mut *e, 6);
+        let mut session = IngestSession::with_policy(&mut *e, FlushPolicy::Depth(6));
         for c in &raw {
             session.push(c.clone()).expect("valid stream");
         }

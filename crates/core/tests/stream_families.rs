@@ -7,7 +7,7 @@
 //! structural reason the Chung–Lu family exists: its hubs reach `√n`
 //! degree, the regime the chunked adjacency layout is built for.
 
-use dmis_core::{Engine, IngestSession};
+use dmis_core::{Engine, FlushPolicy, IngestSession};
 use dmis_graph::{generators, stream, DynGraph, ShardLayout, TopologyChange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ fn ingest_matches_sequential(g: &DynGraph, raw: &[TopologyChange], seed: u64) {
             .seed(seed)
             .sharding(ShardLayout::striped(k))
             .build();
-        let mut session = IngestSession::with_watermark(&mut *engine, 8);
+        let mut session = IngestSession::with_policy(&mut *engine, FlushPolicy::Depth(8));
         for c in raw {
             session
                 .push(c.clone())
@@ -121,7 +121,8 @@ fn session_flushes_publish_exactly_the_flush_boundaries() {
                 .build();
             let reader = engine.reader();
             assert_eq!(reader.epoch(), 0, "{family}: attach is epoch 0");
-            let mut session = IngestSession::with_watermark(&mut *engine, watermark);
+            let mut session =
+                IngestSession::with_policy(&mut *engine, FlushPolicy::Depth(watermark));
             let mut flushes = 0u64;
             for (i, c) in raw.iter().enumerate() {
                 let outcome = session.push(c.clone()).expect("valid window");

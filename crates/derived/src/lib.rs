@@ -5,11 +5,12 @@
 //! current graph, standard reductions compose with it to give
 //! history-independent algorithms for other problems.
 //!
-//! - [`DynamicMatching`] — **maximal matching** by simulating the MIS
-//!   engine on the line graph `L(G)`: edges of `G` are nodes of `L(G)`, and
-//!   an MIS of `L(G)` is exactly a maximal matching of `G`. Worked example
-//!   (Section 5, Example 2): on disjoint 3-edge paths the expected matching
-//!   size is `5n/12` versus the worst case `n/4`.
+//! - [`NativeMatching`] — **maximal matching** as the MIS of the line
+//!   graph `L(G)`, realized directly over edges: edges of `G` are nodes of
+//!   `L(G)`, an MIS of `L(G)` is exactly a maximal matching of `G`, and the
+//!   engine runs the random-greedy order on edges without building `L(G)`.
+//!   Worked example (Section 5, Example 2): on disjoint 3-edge paths the
+//!   expected matching size is `5n/12` versus the worst case `n/4`.
 //! - [`ColoringEngine`] — dynamic **greedy coloring** by random order:
 //!   every node holds the smallest color unused by its lower-π neighbors
 //!   (at most `Δ+1` colors). This is the random greedy coloring of
@@ -26,12 +27,10 @@
 
 mod blowup_coloring;
 mod coloring;
-mod matching;
 mod matching_native;
 
 pub mod verify;
 
 pub use blowup_coloring::BlowupColoring;
 pub use coloring::{ColoringEngine, ColoringReceipt};
-pub use matching::DynamicMatching;
 pub use matching_native::{EdgeFlip, MatchingReceipt, NativeMatching};

@@ -35,16 +35,16 @@ impl MatchingReceipt {
     }
 }
 
-/// Dynamic maximal matching implemented **natively over edges** — the same
-/// random-greedy process as [`crate::DynamicMatching`] (which simulates the
-/// MIS engine on an explicitly materialized line graph), but without ever
+/// Dynamic maximal matching implemented **natively over edges** — the
+/// random-greedy MIS of the line graph `L(G)` (Section 5), without ever
 /// building `L(G)`: each edge draws a random priority at insertion, and an
 /// edge is matched iff no incident edge of lower priority is matched.
 ///
-/// Functionally the two are interchangeable — a differential test drives
-/// both with identical priorities and checks they produce the same
-/// matching — but the native engine stores `O(n + m)` state instead of the
-/// line graph's `O(m + Σ deg²)` adjacency, which matters on dense graphs.
+/// The facade's `tests/reductions.rs` checks it against the reduction
+/// itself: after every change, the matching equals the static greedy MIS
+/// of a freshly built `L(G)` whose line nodes carry the same keys. The
+/// engine stores `O(n + m)` state instead of the line graph's
+/// `O(m + Σ deg²)` adjacency, which matters on dense graphs.
 ///
 /// # Example
 ///
@@ -313,12 +313,15 @@ impl NativeMatching {
     ///
     /// Propagates [`GraphError`]; on error the structure is unchanged.
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<MatchingReceipt, GraphError> {
+        // Draw only once the graph has accepted the edge, so a rejected
+        // insert leaves the key stream where it was.
+        self.graph.insert_edge(u, v)?;
         let key = self.rng.random();
-        self.insert_edge_with_key(u, v, key)
+        Ok(self.admit_edge(EdgeKey::new(u, v), key))
     }
 
-    /// Inserts an edge with a prescribed key (for differential tests that
-    /// need identical priorities across implementations).
+    /// Inserts an edge with a prescribed key (for tests that check the
+    /// matching against an oracle built from the same keys).
     ///
     /// # Errors
     ///
@@ -330,9 +333,14 @@ impl NativeMatching {
         key: u64,
     ) -> Result<MatchingReceipt, GraphError> {
         self.graph.insert_edge(u, v)?;
-        let e = EdgeKey::new(u, v);
+        Ok(self.admit_edge(EdgeKey::new(u, v), key))
+    }
+
+    /// Gives an edge the graph just accepted its line id and key, then
+    /// settles from it.
+    fn admit_edge(&mut self, e: EdgeKey, key: u64) -> MatchingReceipt {
         self.alloc_line(e, key);
-        Ok(self.propagate(vec![e]))
+        self.propagate(vec![e])
     }
 
     /// Removes a base edge and restores the matching invariant.
@@ -344,24 +352,18 @@ impl NativeMatching {
         self.graph.remove_edge(u, v)?;
         let e = EdgeKey::new(u, v);
         let (_, was_matched) = self.release_line(e);
-        let mut seeds = Vec::new();
-        if was_matched {
+        let seeds = if was_matched {
             for endpoint in [u, v] {
                 if self.cover.get(endpoint) == Some(&e) {
                     self.cover.remove(endpoint);
                 }
             }
-            seeds.extend(self.incident(e));
-            // incident() no longer sees e; seed the incident edges of both
-            // endpoints, which may now be matchable.
-            for endpoint in [u, v] {
-                if let Some(nbrs) = self.graph.neighbors(endpoint) {
-                    for w in nbrs {
-                        seeds.push(EdgeKey::new(endpoint, w));
-                    }
-                }
-            }
-        }
+            // `e` has left the graph, so these are every edge at either
+            // endpoint: the ones that may now be matchable.
+            self.incident(e)
+        } else {
+            Vec::new()
+        };
         Ok(self.propagate(seeds))
     }
 
@@ -523,6 +525,36 @@ mod tests {
         }
         let mean = total as f64 / trials as f64;
         assert!((mean - 5.0 / 3.0).abs() < 0.12, "mean {mean} ≠ 5/3");
+    }
+
+    #[test]
+    fn rejected_inserts_draw_no_key() {
+        // Twin engines from one seed: one also sees rejected inserts (a
+        // duplicate edge, a missing endpoint). Neither may draw a key, so
+        // the twins stay identical on the valid stream that follows.
+        for seed in 0..20u64 {
+            let (g, ids) = generators::path(6);
+            let mut plain = NativeMatching::new(g.clone(), seed);
+            let mut twin = NativeMatching::new(g, seed);
+            assert!(twin.insert_edge(ids[0], ids[1]).is_err());
+            assert!(twin.insert_edge(ids[0], NodeId(99)).is_err());
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..60 {
+                let receipts = if rng.random_bool(0.5) {
+                    let Some((u, v)) = generators::random_non_edge(plain.graph(), &mut rng) else {
+                        continue;
+                    };
+                    (plain.insert_edge(u, v), twin.insert_edge(u, v))
+                } else {
+                    let Some((u, v)) = generators::random_edge(plain.graph(), &mut rng) else {
+                        continue;
+                    };
+                    (plain.remove_edge(u, v), twin.remove_edge(u, v))
+                };
+                assert_eq!(receipts.0.unwrap(), receipts.1.unwrap(), "seed {seed}");
+            }
+            assert_eq!(plain.matching(), twin.matching(), "seed {seed}");
+        }
     }
 
     #[test]

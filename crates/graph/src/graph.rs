@@ -2,9 +2,8 @@ use crate::{GraphError, NodeId, NodeMap, NodeSet};
 
 /// Canonical (unordered) key of an undirected edge: the endpoints sorted.
 ///
-/// Used wherever an edge must serve as a map key, most prominently by
-/// [`crate::LineGraphMirror`], which names each line-graph node after the
-/// underlying edge.
+/// Used wherever an edge must serve as a map key, such as the edge
+/// presence sets of the [`crate::stream`] generators.
 ///
 /// # Example
 ///

@@ -23,8 +23,7 @@
 //! - [`generators`]: graph families used throughout the paper's examples and
 //!   our experiments (stars, complete bipartite graphs, disjoint 3-paths,
 //!   Erdős–Rényi, Barabási–Albert, grids, ...);
-//! - [`LineGraphMirror`] and [`CliqueBlowup`]: the two standard reductions of
-//!   Section 5 (maximal matching via the line graph, (Δ+1)-coloring via the
+//! - [`CliqueBlowup`]: the (Δ+1)-coloring reduction of Section 5 (the
 //!   clique blow-up);
 //! - [`stream`]: random update-stream generators driving long-lived dynamic
 //!   executions.
@@ -54,7 +53,6 @@ mod change;
 mod error;
 mod graph;
 mod id;
-mod linegraph;
 mod shard;
 mod storage;
 mod traversal;
@@ -67,7 +65,6 @@ pub use change::{ChangeKind, DistributedChange, TopologyChange};
 pub use error::GraphError;
 pub use graph::{DynGraph, EdgeKey};
 pub use id::NodeId;
-pub use linegraph::LineGraphMirror;
 pub use shard::ShardLayout;
 pub use storage::{NodeMap, NodeSet, RankFront};
 pub use traversal::{bfs_order, connected_components, is_connected, shortest_path_len};

@@ -41,7 +41,7 @@ pub const NO_ORDERED_MAP: Rule = Rule {
     name: "no-ordered-map-hot-path",
     contract: "BTreeMap/BTreeSet/HashMap/HashSet are banned in crates/graph/src, the core hot \
                modules (engine.rs, sharding.rs, rank.rs, snapshot.rs), and the derived \
-               matching engines; hot paths stay on dense NodeMap/NodeSet storage.",
+               matching engine; hot paths stay on dense NodeMap/NodeSet storage.",
     why: "PR 1/6 moved every per-node table to arena-backed dense storage: ordered maps \
           reintroduce O(log n) pointer-chasing on paths gated at O(touched), and HashMap's \
           RandomState makes iteration order run-dependent, which breaks receipt bit-identity. \
@@ -258,7 +258,6 @@ pub fn applies(rule: &Rule, path: &str) -> bool {
         "no-ordered-map-hot-path" => {
             in_dir(path, "crates/graph/src")
                 || CORE_HOT_MODULES.contains(&path)
-                || path == "crates/derived/src/matching.rs"
                 || path == "crates/derived/src/matching_native.rs"
         }
         "no-ambient-time" => {

@@ -82,15 +82,6 @@ impl RunConfig {
         self
     }
 
-    /// Depth-watermark convenience: flush every `watermark` pushes —
-    /// shorthand for `.policy(FlushPolicy::Depth(watermark))`, the axis
-    /// experiment E12 sweeps.
-    #[must_use]
-    pub fn watermark(mut self, watermark: usize) -> Self {
-        self.policy = FlushPolicy::Depth(watermark);
-        self
-    }
-
     /// Injects the session clock every arrival stamp, deadline check,
     /// and settle-cost observation reads — a [`dmis_core::ManualClock`]
     /// makes deadline and adaptive policies deterministic.

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use dmis_core::durability::{recover, splitmix64, FaultIo, MemIo, StorageIo, WAL_FILE};
-use dmis_core::{DynamicMis, IngestSession, MisReader};
+use dmis_core::{DynamicMis, FlushPolicy, IngestSession, MisReader};
 use dmis_graph::stream::{self, ChurnConfig};
 use dmis_graph::{generators, DynGraph, GraphError, TopologyChange};
 use rand::rngs::StdRng;
@@ -97,7 +97,7 @@ fn drill_stream(seed: u64) -> (DynGraph, Vec<TopologyChange>) {
 /// A durable watermark-1 serving run over `g` on `io`.
 fn durable_run(g: DynGraph, readers: usize, io: Arc<dyn StorageIo>) -> ServeRun {
     RunConfig::new(g)
-        .watermark(1)
+        .policy(FlushPolicy::Depth(1))
         .seed(ENGINE_SEED)
         .readers(readers)
         .probes(4)
@@ -212,7 +212,7 @@ struct DrillRecovered {
 fn reattach(mut engine: Box<dyn DynamicMis + Send>) -> DrillRecovered {
     let reader = engine.reader();
     DrillRecovered {
-        session: IngestSession::with_watermark(engine, 1),
+        session: IngestSession::with_policy(engine, FlushPolicy::Depth(1)),
         reader,
     }
 }

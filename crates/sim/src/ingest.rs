@@ -40,13 +40,14 @@ use crate::metrics::{ChangeOutcome, Metrics};
 /// # Example
 ///
 /// ```
+/// use dmis_core::FlushPolicy;
 /// use dmis_graph::{generators, ShardLayout, TopologyChange};
 /// use dmis_sim::RunConfig;
 ///
 /// let (g, ids) = generators::cycle(10);
 /// let mut run = RunConfig::new(g)
 ///     .layout(ShardLayout::striped(4))
-///     .watermark(2)
+///     .policy(FlushPolicy::Depth(2))
 ///     .seed(3)
 ///     .ingest();
 /// // First push queues; the second reaches the watermark and flushes.
@@ -280,7 +281,7 @@ mod tests {
         let (g, ids) = generators::cycle(12);
         let mut run = RunConfig::new(g.clone())
             .layout(ShardLayout::striped(4))
-            .watermark(1)
+            .policy(FlushPolicy::Depth(1))
             .seed(7)
             .ingest();
         let mut reference = crate::ShardedRun::bootstrap(g, ShardLayout::striped(4), 7);
@@ -302,7 +303,7 @@ mod tests {
         let (g, ids) = generators::cycle(10);
         let mut run = RunConfig::new(g)
             .layout(ShardLayout::striped(2))
-            .watermark(4)
+            .policy(FlushPolicy::Depth(4))
             .seed(5)
             .ingest();
         let before = run.mis_len();
@@ -328,7 +329,7 @@ mod tests {
             let (g, ids) = generators::cycle(16);
             let mut run = RunConfig::new(g)
                 .layout(ShardLayout::striped(4))
-                .watermark(watermark)
+                .policy(FlushPolicy::Depth(watermark))
                 .seed(9)
                 .ingest();
             // Toggle a rotating edge: off, on, off, on, … so deep windows
@@ -363,7 +364,7 @@ mod tests {
         let (g, ids) = generators::cycle(8);
         let clock = ManualClock::new();
         let mut run = RunConfig::new(g)
-            .watermark(4)
+            .policy(FlushPolicy::Depth(4))
             .clock(Arc::new(clock.clone()))
             .seed(2)
             .ingest();

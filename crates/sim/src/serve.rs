@@ -60,6 +60,7 @@ struct ReaderTally {
 /// # Example
 ///
 /// ```
+/// use dmis_core::FlushPolicy;
 /// use dmis_graph::{generators, ShardLayout, TopologyChange};
 /// use dmis_sim::RunConfig;
 ///
@@ -70,7 +71,7 @@ struct ReaderTally {
 ///     .collect();
 /// let mut run = RunConfig::new(g)
 ///     .layout(ShardLayout::striped(2))
-///     .watermark(4)
+///     .policy(FlushPolicy::Depth(4))
 ///     .seed(7)
 ///     .readers(2)
 ///     .probes(8)
@@ -406,6 +407,7 @@ fn percentile_d(sorted: &[Duration], p: usize) -> Duration {
 mod tests {
     use super::*;
     use crate::RunConfig;
+    use dmis_core::FlushPolicy;
     use dmis_graph::{generators, ShardLayout};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -418,7 +420,7 @@ mod tests {
         let stream = dmis_graph::stream::flapping_stream(&g, &pool, 200, false, &mut rng);
         let mut run = RunConfig::new(g)
             .layout(ShardLayout::striped(2))
-            .watermark(4)
+            .policy(FlushPolicy::Depth(4))
             .seed(3)
             .readers(2)
             .probes(16)
@@ -441,7 +443,11 @@ mod tests {
             .step_by(2)
             .map(|w| TopologyChange::DeleteEdge(w[0], w[1]))
             .collect();
-        let mut run = RunConfig::new(g).watermark(3).seed(9).probes(4).serve();
+        let mut run = RunConfig::new(g)
+            .policy(FlushPolicy::Depth(3))
+            .seed(9)
+            .probes(4)
+            .serve();
         let report = run.run(&stream).unwrap();
         assert_eq!(report.applied, stream.len());
         let snap = run.reader().snapshot();
@@ -463,7 +469,7 @@ mod tests {
         let store = MemIo::new();
         let mut run = RunConfig::new(g)
             .layout(ShardLayout::striped(2))
-            .watermark(4)
+            .policy(FlushPolicy::Depth(4))
             .seed(6)
             .probes(4)
             .serve()
@@ -487,7 +493,7 @@ mod tests {
     fn empty_stream_reports_the_attach_epoch() {
         let (g, _) = generators::path(8);
         let mut run = RunConfig::new(g)
-            .watermark(2)
+            .policy(FlushPolicy::Depth(2))
             .seed(1)
             .readers(2)
             .probes(4)

@@ -1,4 +1,4 @@
-//! Dynamic task–worker matching via the line-graph reduction.
+//! Dynamic task–worker matching: the MIS of the line graph, run over edges.
 //!
 //! ```text
 //! cargo run --example task_matching
@@ -7,12 +7,14 @@
 //! Scenario: a dispatch system where edges are *compatible (worker, task)
 //! pairs* and we continuously maintain a **maximal matching** — no
 //! compatible pair is left idle while both sides are free. Section 5 of
-//! the paper: simulate the dynamic MIS on the line graph. The result is
-//! history independent, so the matching quality cannot be degraded by the
-//! order in which compatibilities appear; on the paper's 3-path workload
-//! the expected matching is 5n/12, beating the n/4 worst case.
+//! the paper: a maximal matching is an MIS of the line graph, and
+//! `NativeMatching` runs that random-greedy order directly over edges,
+//! without building the line graph. The result is history independent,
+//! so the matching quality cannot be degraded by the order in which
+//! compatibilities appear; on the paper's 3-path workload the expected
+//! matching is 5n/12, beating the n/4 worst case.
 
-use dynamic_mis::derived::{verify, DynamicMatching};
+use dynamic_mis::derived::{verify, NativeMatching};
 use dynamic_mis::graph::{generators, DynGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,13 +23,13 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(99);
     // A bipartite compatibility graph: 30 workers × 30 tasks.
     let (graph, workers, tasks) = generators::random_bipartite(30, 30, 0.12, &mut rng);
-    let mut dm = DynamicMatching::new(graph, 5);
+    let mut nm = NativeMatching::new(graph, 5);
     println!(
         "dispatch: {} workers, {} tasks, {} compatible pairs, {} matched",
         workers.len(),
         tasks.len(),
-        dm.base_graph().edge_count(),
-        dm.matching().len()
+        nm.graph().edge_count(),
+        nm.matching().len()
     );
 
     // Live updates: compatibilities appear and expire; workers churn.
@@ -35,40 +37,43 @@ fn main() {
     let events = 200;
     for _ in 0..events {
         let roll: f64 = rng.random();
-        let before = dm.matching().len();
+        let before = nm.matching().len();
         if roll < 0.4 {
             // New compatibility discovered.
-            if let Some((u, v)) = random_cross_pair(dm.base_graph(), &workers, &tasks, &mut rng) {
-                if !dm.base_graph().has_edge(u, v) {
-                    dm.insert_edge(u, v).expect("valid");
+            if let Some((u, v)) = random_cross_pair(nm.graph(), &workers, &tasks, &mut rng) {
+                if !nm.graph().has_edge(u, v) {
+                    nm.insert_edge(u, v).expect("valid");
                 }
             }
         } else if roll < 0.8 {
             // A compatibility expires.
-            if let Some((u, v)) = generators::random_edge(dm.base_graph(), &mut rng) {
-                dm.remove_edge(u, v).expect("valid");
+            if let Some((u, v)) = generators::random_edge(nm.graph(), &mut rng) {
+                nm.remove_edge(u, v).expect("valid");
             }
         } else {
             // A worker disconnects and reconnects with fresh compatibilities.
             if let Some(&w) = workers.get(rng.random_range(0..workers.len())) {
-                if dm.base_graph().has_node(w) {
-                    dm.remove_node(w).expect("valid");
+                if nm.graph().has_node(w) {
+                    nm.remove_node(w).expect("valid");
                     let nbrs: Vec<NodeId> = tasks
                         .iter()
                         .copied()
                         .filter(|_| rng.random_bool(0.1))
                         .collect();
-                    dm.insert_node(nbrs).expect("valid");
+                    let rejoined = nm.add_node();
+                    for t in nbrs {
+                        nm.insert_edge(rejoined, t).expect("valid");
+                    }
                 }
             }
         }
-        matched_deltas += dm.matching().len().abs_diff(before);
+        matched_deltas += nm.matching().len().abs_diff(before);
     }
-    assert!(verify::is_maximal_matching(dm.base_graph(), &dm.matching()));
+    assert!(verify::is_maximal_matching(nm.graph(), &nm.matching()));
     println!(
         "after {events} events: {} matched pairs (maximality verified ✓), \
          mean |matching| change per event: {:.2}",
-        dm.matching().len(),
+        nm.matching().len(),
         matched_deltas as f64 / f64::from(events)
     );
 
@@ -78,7 +83,7 @@ fn main() {
     let mut total = 0usize;
     for t in 0..trials {
         let (g, _) = generators::disjoint_three_paths(k);
-        total += DynamicMatching::new(g, t).matching().len();
+        total += NativeMatching::new(g, t).matching().len();
     }
     let n = 4 * k;
     println!(

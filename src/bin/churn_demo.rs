@@ -5,6 +5,9 @@
 //! cargo run --bin churn_demo -- [--nodes N] [--changes C] [--seed S]
 //!                               [--protocol alg2|direct] [--trace]
 //! ```
+//!
+//! `--nodes` must be at least 8 (the bootstrap graph is ER(N, 8/N)); bad
+//! flags exit with status 2.
 
 #![forbid(unsafe_code)]
 
@@ -56,6 +59,12 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
         i += 1;
+    }
+    if opts.nodes < 8 {
+        return Err(format!(
+            "--nodes must be at least 8 (the graph is ER(N, 8/N)), got {}",
+            opts.nodes
+        ));
     }
     Ok(opts)
 }

@@ -1,10 +1,15 @@
 //! Integration of the derived structures: matching, coloring (both
 //! reductions) and clustering maintained side by side over one shared
-//! change stream, with every structural guarantee checked at every step.
+//! change stream, with every structural guarantee checked at every step;
+//! plus the matching engine checked against the line-graph reduction it
+//! implements, rebuilt from scratch after every change.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use dynamic_mis::cluster::DynamicClustering;
-use dynamic_mis::derived::{verify, BlowupColoring, ColoringEngine, DynamicMatching};
-use dynamic_mis::graph::{generators, DynGraph, NodeId, TopologyChange};
+use dynamic_mis::core::{static_greedy, Priority, PriorityMap};
+use dynamic_mis::derived::{verify, BlowupColoring, ColoringEngine, NativeMatching};
+use dynamic_mis::graph::{generators, DynGraph, EdgeKey, NodeId, TopologyChange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,7 +19,7 @@ fn all_structures_survive_one_shared_edge_stream() {
     let mut rng = StdRng::seed_from_u64(42);
     let (g, _) = generators::cycle(12);
     // Degree cap 4 for the blow-up (palette 5).
-    let mut matching = DynamicMatching::new(g.clone(), 1);
+    let mut matching = NativeMatching::new(g.clone(), 1);
     let mut coloring = ColoringEngine::from_graph(g.clone(), 2);
     let mut blowup = BlowupColoring::new(g.clone(), 5, 3);
     let mut clustering = DynamicClustering::new(g.clone(), 4);
@@ -53,7 +58,7 @@ fn all_structures_survive_one_shared_edge_stream() {
         clustering.apply(&change).expect("valid");
 
         assert!(verify::is_maximal_matching(
-            matching.base_graph(),
+            matching.graph(),
             &matching.matching()
         ));
         assert!(verify::is_proper_coloring(
@@ -90,19 +95,23 @@ fn both_coloring_routes_respect_palette() {
 fn matching_under_bipartite_node_churn() {
     let mut rng = StdRng::seed_from_u64(6);
     let (g, _, right) = generators::random_bipartite(8, 8, 0.3, &mut rng);
-    let mut dm = DynamicMatching::new(g, 7);
+    let mut nm = NativeMatching::new(g, 7);
     for _ in 0..40 {
         // A right-side node leaves; a fresh one joins with random links.
-        if let Some(&victim) = right.iter().find(|v| dm.base_graph().has_node(**v)) {
-            dm.remove_node(victim).expect("valid");
+        if let Some(&victim) = right.iter().find(|v| nm.graph().has_node(**v)) {
+            nm.remove_node(victim).expect("valid");
+            nm.assert_consistent();
         }
-        let targets: Vec<NodeId> = dm
-            .base_graph()
+        let targets: Vec<NodeId> = nm
+            .graph()
             .nodes()
             .filter(|_| rng.random_bool(0.25))
             .collect();
-        dm.insert_node(targets).expect("valid");
-        dm.assert_consistent();
+        let joined = nm.add_node();
+        for t in targets {
+            nm.insert_edge(joined, t).expect("valid");
+            nm.assert_consistent();
+        }
     }
 }
 
@@ -124,64 +133,127 @@ fn clustering_is_exact_on_clique_unions() {
     }
 }
 
-/// Matching receipts bound the change in matched edges.
+/// Matching receipts account exactly for the change in matched edges:
+/// every flip is reported once, and the only silent change is a removed
+/// edge leaving the matching with itself.
 #[test]
 fn matching_changes_are_bounded_by_receipts() {
     let mut rng = StdRng::seed_from_u64(11);
     let (g, _) = generators::erdos_renyi(12, 0.3, &mut rng);
-    let mut dm = DynamicMatching::new(g, 13);
+    let mut nm = NativeMatching::new(g, 13);
     for _ in 0..60 {
-        let before = dm.matching();
+        let before = nm.matching();
         if rng.random_bool(0.5) {
-            if let Some((u, v)) = generators::random_non_edge(dm.base_graph(), &mut rng) {
-                let receipt = dm.insert_edge(u, v).expect("valid");
-                let after = dm.matching();
-                let diff = before.symmetric_difference(&after).count();
-                // The new line node may join silently (flip count covers
-                // surviving flips; the inserted edge appears via its own
-                // receipt flip).
-                assert!(diff <= receipt.adjustments() + 1);
+            if let Some((u, v)) = generators::random_non_edge(nm.graph(), &mut rng) {
+                let receipt = nm.insert_edge(u, v).expect("valid");
+                let diff = before.symmetric_difference(&nm.matching()).count();
+                assert_eq!(diff, receipt.adjustments());
             }
-        } else if let Some((u, v)) = generators::random_edge(dm.base_graph(), &mut rng) {
-            let receipt = dm.remove_edge(u, v).expect("valid");
-            let after = dm.matching();
-            let diff = before.symmetric_difference(&after).count();
-            assert!(diff <= receipt.adjustments() + 1);
+        } else if let Some((u, v)) = generators::random_edge(nm.graph(), &mut rng) {
+            let was_matched = nm.is_matched(u, v);
+            let receipt = nm.remove_edge(u, v).expect("valid");
+            let diff = before.symmetric_difference(&nm.matching()).count();
+            assert_eq!(diff, receipt.adjustments() + usize::from(was_matched));
         }
     }
 }
 
-/// Differential test: the native edge-level matching engine and the
-/// line-graph-reduction matching draw identical key sequences from equal
-/// seeds, so their matchings must be *identical* (not just both maximal)
-/// through arbitrary edge churn.
+/// The line-graph reduction of Section 5, rebuilt from scratch: `L(G)`
+/// has one node per edge of `g`, carrying that edge's key, and two line
+/// nodes are adjacent iff their edges share an endpoint. Returns the
+/// edges of the static greedy MIS of `L(G)`.
+fn line_graph_greedy_matching(g: &DynGraph, keys: &BTreeMap<EdgeKey, u64>) -> BTreeSet<EdgeKey> {
+    let edges: Vec<EdgeKey> = g.edges().collect();
+    let (mut line, line_ids) = DynGraph::with_nodes(edges.len());
+    let mut order = PriorityMap::new();
+    for (i, &e) in edges.iter().enumerate() {
+        order.insert(line_ids[i], Priority::new(keys[&e], line_ids[i]));
+        let (a, b) = e.endpoints();
+        for (j, f) in edges.iter().enumerate().skip(i + 1) {
+            if f.contains(a) || f.contains(b) {
+                line.insert_edge(line_ids[i], line_ids[j]).expect("fresh");
+            }
+        }
+    }
+    let edge_of: BTreeMap<NodeId, EdgeKey> = line_ids.into_iter().zip(edges).collect();
+    static_greedy::greedy_mis(&line, &order)
+        .into_iter()
+        .map(|ln| edge_of[&ln])
+        .collect()
+}
+
+/// Inserts `{u, v}` under a test-drawn key and records the key.
+fn insert_keyed(
+    nm: &mut NativeMatching,
+    keys: &mut BTreeMap<EdgeKey, u64>,
+    rng: &mut StdRng,
+    u: NodeId,
+    v: NodeId,
+) {
+    let key = rng.random();
+    keys.insert(EdgeKey::new(u, v), key);
+    nm.insert_edge_with_key(u, v, key).expect("valid");
+}
+
+/// Oracle test: `NativeMatching` is the line-graph reduction run over
+/// edges. Edges enter with test-drawn keys, and after every edge and node
+/// change the maintained matching must equal the static greedy MIS of a
+/// freshly built `L(G)` whose line nodes carry those keys.
 #[test]
 fn native_and_reduction_matchings_are_identical() {
-    use dynamic_mis::derived::NativeMatching;
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let (g, _) = generators::erdos_renyi(14, 0.25, &mut rng);
-        let mut reduction = DynamicMatching::new(g.clone(), seed);
-        let mut native = NativeMatching::new(g, seed);
-        assert_eq!(reduction.matching(), native.matching(), "initial state");
-        for _ in 0..120 {
-            if rng.random_bool(0.5) {
-                if let Some((u, v)) = generators::random_non_edge(reduction.base_graph(), &mut rng)
-                {
-                    reduction.insert_edge(u, v).expect("valid");
-                    native.insert_edge(u, v).expect("valid");
-                }
-            } else if let Some((u, v)) = generators::random_edge(reduction.base_graph(), &mut rng) {
-                reduction.remove_edge(u, v).expect("valid");
-                native.remove_edge(u, v).expect("valid");
-            }
+        let (empty, _) = DynGraph::with_nodes(g.node_count());
+        let mut nm = NativeMatching::new(empty, seed);
+        let mut keys = BTreeMap::new();
+        let check = |nm: &NativeMatching, keys: &BTreeMap<EdgeKey, u64>, step: &str| {
             assert_eq!(
-                reduction.matching(),
-                native.matching(),
-                "implementations diverged (seed {seed})"
+                nm.matching(),
+                line_graph_greedy_matching(nm.graph(), keys),
+                "seed {seed}: diverged from the L(G) oracle after {step}"
             );
+        };
+        for e in g.edges() {
+            let (u, v) = e.endpoints();
+            insert_keyed(&mut nm, &mut keys, &mut rng, u, v);
+            check(&nm, &keys, "build");
         }
-        reduction.assert_consistent();
-        native.assert_consistent();
+        // Edge churn.
+        for _ in 0..100 {
+            if rng.random_bool(0.5) {
+                if let Some((u, v)) = generators::random_non_edge(nm.graph(), &mut rng) {
+                    insert_keyed(&mut nm, &mut keys, &mut rng, u, v);
+                    check(&nm, &keys, "edge insert");
+                }
+            } else if let Some((u, v)) = generators::random_edge(nm.graph(), &mut rng) {
+                keys.remove(&EdgeKey::new(u, v));
+                nm.remove_edge(u, v).expect("valid");
+                check(&nm, &keys, "edge removal");
+            }
+        }
+        // Node churn: a node leaves with all its edges, or a fresh one
+        // joins with links to random live nodes.
+        for _ in 0..50 {
+            if rng.random_bool(0.5) {
+                if let Some(v) = generators::random_node(nm.graph(), &mut rng) {
+                    keys.retain(|e, _| !e.contains(v));
+                    nm.remove_node(v).expect("valid");
+                    check(&nm, &keys, "node removal");
+                }
+            } else {
+                let targets: Vec<NodeId> = nm
+                    .graph()
+                    .nodes()
+                    .filter(|_| rng.random_bool(0.3))
+                    .collect();
+                let joined = nm.add_node();
+                for t in targets {
+                    insert_keyed(&mut nm, &mut keys, &mut rng, joined, t);
+                    check(&nm, &keys, "node join");
+                }
+            }
+        }
+        nm.assert_consistent();
     }
 }
