@@ -33,13 +33,13 @@
 //! restore would fast-forward the RNG by a seed-sized count. Version 1
 //! images are refused with [`CodecError::BadMagic`].
 
-use std::collections::HashSet;
 use std::io;
 
 use dmis_graph::{DynGraph, EdgeKey, NodeId, ShardLayout};
 
 use super::codec::{crc32, put_u32, put_u64, put_u8, CodecError, Cursor};
 use super::recover::RecoverError;
+use super::wal::retire_before;
 use super::{DurabilityMeta, EngineFlavor, StorageIo, CHECKPOINT_FILE};
 use crate::api::DynamicMis;
 use crate::{MisEngine, Priority, PriorityMap, ShardedMisEngine};
@@ -173,8 +173,9 @@ impl Checkpoint {
     }
 
     /// Decodes and fully vets a checkpoint image: magic, per-frame
-    /// CRCs, tag order, and internal consistency (priorities cover the
-    /// node set exactly; the witness is a subset of the nodes). Designed
+    /// CRCs, tag order, and internal consistency (node ids strictly
+    /// ascending; priority ids equal to the node ids, in order; the
+    /// witness an ascending sub-sequence of the nodes). Designed
     /// to reject arbitrary corrupted bytes with an error, never a panic
     /// or a huge allocation.
     ///
@@ -253,23 +254,30 @@ impl Checkpoint {
         // Cross-section consistency: the priority map must cover the
         // node set exactly (engine construction *panics* otherwise, and
         // decode of hostile bytes must never panic), and the witness
-        // can only name live nodes.
-        let node_set: HashSet<u64> = nodes.iter().copied().collect();
-        if priorities.len() != node_set.len() {
+        // can only name live nodes. `capture` writes all three lists in
+        // ascending id order, so merge walks check both in O(n).
+        if !nodes.windows(2).all(|w| w[0] < w[1]) {
             return Err(CodecError::Inconsistent(
-                "priority count differs from node count",
+                "node ids are not strictly ascending",
             ));
         }
-        let mut seen = HashSet::with_capacity(priorities.len());
-        for &(id, _) in &priorities {
-            if !node_set.contains(&id) || !seen.insert(id) {
-                return Err(CodecError::Inconsistent(
-                    "priorities do not cover the node set exactly",
-                ));
-            }
+        if !priorities
+            .iter()
+            .map(|&(id, _)| id)
+            .eq(nodes.iter().copied())
+        {
+            return Err(CodecError::Inconsistent(
+                "priorities do not cover the node set exactly",
+            ));
         }
-        if !mis.iter().all(|v| node_set.contains(v)) {
-            return Err(CodecError::Inconsistent("witness names a dead node"));
+        // A strictly ascending node list makes any sub-sequence of it
+        // strictly ascending too; a repeated or out-of-order witness id
+        // finds no match left in `live`.
+        let mut live = nodes.iter();
+        if !mis.iter().all(|v| live.any(|u| u == v)) {
+            return Err(CodecError::Inconsistent(
+                "witness names a dead node or is out of order",
+            ));
         }
 
         Ok(Checkpoint {
@@ -290,13 +298,27 @@ impl Checkpoint {
         })
     }
 
-    /// Atomically writes the image as [`CHECKPOINT_FILE`].
+    /// Atomically writes the image as [`CHECKPOINT_FILE`], then retires
+    /// the WAL records it reflects: the log is rewritten to hold only
+    /// the records from [`Self::wal_seq`] on, so recovery reads one
+    /// checkpoint interval of log, not the whole uptime. The rewrite
+    /// starts only after the image's `write_atomic` has returned, and
+    /// [`StorageIo::write_atomic`] makes returned calls durable in order,
+    /// so no crash can leave a log whose base is past the durable image.
+    /// A log that is missing, foreign, already based at or past
+    /// `wal_seq`, or shorter than `wal_seq` records is left as it is.
+    ///
+    /// Call it on the thread that appends to the log: an append racing
+    /// the rewrite would be lost with the replaced file.
     ///
     /// # Errors
     ///
-    /// Propagates storage errors; on error the previous image survives.
+    /// Propagates storage errors. If the image write fails, the previous
+    /// image and the log survive; if the log rewrite fails, the new image
+    /// and the old log survive, and recovery replays from the new image.
     pub fn save(&self, io: &dyn StorageIo) -> io::Result<()> {
-        io.write_atomic(CHECKPOINT_FILE, &self.encode())
+        io.write_atomic(CHECKPOINT_FILE, &self.encode())?;
+        retire_before(io, self.wal_seq)
     }
 
     /// Reads and decodes [`CHECKPOINT_FILE`]; `Ok(None)` if absent.
@@ -514,6 +536,37 @@ mod tests {
         assert!(ckp.mis.len() >= 2);
         ckp.mis.reverse();
         assert!(matches!(ckp.restore(), Err(RecoverError::Witness)));
+    }
+
+    #[test]
+    fn hostile_lists_decode_to_inconsistent_never_a_panic() {
+        let ckp = Checkpoint::capture(&sample_engine(), 0);
+        assert!(ckp.nodes.len() >= 2 && ckp.mis.len() >= 2);
+        let mut nodes_out_of_order = ckp.clone();
+        nodes_out_of_order.nodes.swap(0, 1);
+        let mut priority_not_a_node = ckp.clone();
+        priority_not_a_node.priorities[1].0 = ckp.next_id + 7;
+        let mut priority_duplicated = ckp.clone();
+        priority_duplicated.priorities[1].0 = ckp.priorities[0].0;
+        let mut witness_dead_node = ckp.clone();
+        witness_dead_node.mis.push(ckp.next_id);
+        let mut witness_out_of_order = ckp.clone();
+        witness_out_of_order.mis.reverse();
+        for (what, image) in [
+            ("nodes out of order", nodes_out_of_order),
+            ("priority id missing from the nodes", priority_not_a_node),
+            ("duplicated priority id", priority_duplicated),
+            ("witness names a dead node", witness_dead_node),
+            ("witness out of order", witness_out_of_order),
+        ] {
+            assert!(
+                matches!(
+                    Checkpoint::decode(&image.encode()),
+                    Err(CodecError::Inconsistent(_))
+                ),
+                "{what}"
+            );
+        }
     }
 
     #[test]

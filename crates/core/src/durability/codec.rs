@@ -1,7 +1,7 @@
 //! Hand-rolled binary framing shared by the checkpoint and WAL formats.
 //!
 //! Everything is little-endian, length-prefixed, and guarded by CRC-32
-//! (IEEE polynomial, table-driven). No external serialization crate is
+//! (IEEE polynomial, slicing-by-8). No external serialization crate is
 //! involved: the formats are small enough that an explicit codec is both
 //! auditable and corruption-testable byte by byte.
 
@@ -39,8 +39,12 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables: `T[0]` is the classic bytewise table for the
+/// reflected IEEE polynomial, and `T[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight table lookups advance the
+/// checksum over eight input bytes at once.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -53,19 +57,44 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) over `bytes`.
+/// CRC-32 (IEEE 802.3 polynomial) over `bytes`, eight bytes per step
+/// (slicing-by-8), with a bytewise loop over the last `len % 8` bytes.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -210,11 +239,48 @@ pub(crate) fn take_change(cur: &mut Cursor<'_>) -> Result<TopologyChange, CodecE
 mod tests {
     use super::*;
 
+    /// Bit-at-a-time CRC-32/IEEE, one input byte per step: the
+    /// definition the sliced tables must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The standard check vector for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_crc_at_every_length_and_offset() {
+        // Every tail length (len % 8) meets every alignment of the
+        // eight-byte steps.
+        let buf: Vec<u8> = (0..308u64)
+            .map(|i| (super::super::splitmix64(i) >> 24) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start={start} len={len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// A minimal named-file byte store, injectable like
@@ -30,7 +30,11 @@ pub trait StorageIo: fmt::Debug + Send + Sync {
     fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>>;
 
     /// Replaces `name` with `bytes` atomically: after a crash the file
-    /// holds either the old contents or the new, never a mixture.
+    /// holds either the old contents or the new, never a mixture. Calls
+    /// that have returned are durable in the order they returned: a
+    /// crash never keeps a later replacement and loses an earlier one
+    /// (a checkpoint save rewrites the log only after its image call
+    /// returned, and relies on this).
     ///
     /// # Errors
     ///
@@ -57,7 +61,9 @@ pub trait StorageIo: fmt::Debug + Send + Sync {
 /// Directory-backed [`StorageIo`]: the production implementation used
 /// by `mis_serve --checkpoint-dir`. Writes are fsynced; whole-file
 /// replacement goes through a temp file + rename so a crash mid-write
-/// never corrupts the previous image.
+/// never corrupts the previous image, and on Unix the directory is
+/// fsynced after the rename, so the replacement is durable before the
+/// call returns.
 #[derive(Debug, Clone)]
 pub struct RealIo {
     dir: PathBuf,
@@ -96,7 +102,8 @@ impl StorageIo for RealIo {
             f.write_all(bytes)?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, self.path(name))
+        std::fs::rename(&tmp, self.path(name))?;
+        sync_dir(&self.dir)
     }
 
     fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
@@ -114,6 +121,19 @@ impl StorageIo for RealIo {
             .open(self.path(name))?;
         f.set_len(len)
     }
+}
+
+/// Makes a rename inside `dir` durable: the new name lives in the
+/// directory's entries, which the file's own `sync_all` does not cover.
+#[cfg(unix)]
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// Elsewhere a directory cannot be opened as a file to sync it.
+#[cfg(not(unix))]
+fn sync_dir(_dir: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 /// In-memory [`StorageIo`] for tests. [`Clone`] *shares* the backing

@@ -16,17 +16,23 @@
 //! - [`WriteAheadLog`] appends every flushed change window as a
 //!   length-prefixed, CRC-framed record *before* the engine applies it
 //!   (log-then-publish, wired through [`WalSink`] into
-//!   [`IngestSession::flush`](crate::IngestSession::flush)).
+//!   [`IngestSession::flush`](crate::IngestSession::flush)). Its header
+//!   carries the sequence number of its first record, and
+//!   [`Checkpoint::save`] rewrites it, once the image has landed, to hold
+//!   only the records the image does not reflect: the log, and so the
+//!   work of a recovery, spans one checkpoint interval, not the uptime.
 //! - [`recover`] loads the last valid checkpoint, scans the log and
-//!   truncates it to the last whole record, and replays the surviving
-//!   suffix through [`apply_batch`](crate::DynamicMis::apply_batch).
+//!   truncates it to the last whole record, refuses a log that starts
+//!   after the checkpoint ([`RecoverError::Gap`]), and replays the
+//!   surviving suffix through
+//!   [`apply_batch`](crate::DynamicMis::apply_batch).
 //!   Replay determinism makes the result checkable: the recovered MIS,
 //!   flip log, receipts, and reader epoch equal the uncrashed twin's.
 //! - [`StorageIo`] abstracts the byte store, mirroring the
 //!   [`Clock`](crate::Clock) pattern: [`RealIo`] (directory-backed,
-//!   fsync + atomic rename) in production, [`MemIo`] in tests, and
-//!   [`FaultIo`] injecting torn appends and crash-at-byte-`k` on a
-//!   seeded schedule.
+//!   fsync + atomic rename + directory fsync) in production, [`MemIo`]
+//!   in tests, and [`FaultIo`] injecting torn appends and
+//!   crash-at-byte-`k` on a seeded schedule.
 //! - [`RepairReport`] is returned by
 //!   [`verify_and_repair`](crate::DynamicMis::verify_and_repair), the
 //!   *in-memory* healing tier: a full truth sweep over the counters and

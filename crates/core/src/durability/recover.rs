@@ -2,8 +2,10 @@
 //!
 //! [`recover`] is the whole restart story: load the last valid
 //! [`Checkpoint`], open the [`WriteAheadLog`] (which scans and
-//! truncates any torn tail), and replay every surviving record at or
-//! after the checkpoint's sequence number through
+//! truncates any torn tail, and holds only the records since the last
+//! checkpoint save), refuse a log that starts after the checkpoint, and
+//! replay every surviving record at or after the checkpoint's sequence
+//! number through
 //! [`apply_batch`](crate::DynamicMis::apply_batch). Because the engine
 //! is a deterministic function of `(graph, π, RNG position)` and the
 //! log holds the *coalesced* windows in flush order, replay reproduces
@@ -41,6 +43,15 @@ pub enum RecoverError {
     /// A logged change was rejected during replay — the log and the
     /// checkpoint disagree about the graph they describe.
     Replay(GraphError),
+    /// The log's first record comes after the checkpoint's `wal_seq`:
+    /// the records between them are gone, so no replay can reach the
+    /// logged state.
+    Gap {
+        /// The checkpoint's `wal_seq`: where replay had to start.
+        checkpoint_seq: u64,
+        /// The sequence number of the log's first record.
+        log_starts_at: u64,
+    },
 }
 
 impl fmt::Display for RecoverError {
@@ -53,6 +64,14 @@ impl fmt::Display for RecoverError {
                 write!(f, "restored MIS does not match the checkpoint witness")
             }
             RecoverError::Replay(e) => write!(f, "WAL replay rejected a logged change: {e}"),
+            RecoverError::Gap {
+                checkpoint_seq,
+                log_starts_at,
+            } => write!(
+                f,
+                "WAL gap: the log starts at record {log_starts_at}, after the \
+                 checkpoint's record {checkpoint_seq}; the records between are lost"
+            ),
         }
     }
 }
@@ -63,7 +82,9 @@ impl std::error::Error for RecoverError {
             RecoverError::Io(e) => Some(e),
             RecoverError::Corrupt(e) => Some(e),
             RecoverError::Replay(e) => Some(e),
-            RecoverError::MissingCheckpoint | RecoverError::Witness => None,
+            RecoverError::MissingCheckpoint | RecoverError::Witness | RecoverError::Gap { .. } => {
+                None
+            }
         }
     }
 }
@@ -77,8 +98,11 @@ pub struct Recovered {
     /// The write-ahead log, truncated to whole records and positioned
     /// to append the next flush.
     pub wal: WriteAheadLog,
-    /// The WAL sequence number the checkpoint was consistent with
-    /// (records below it were already reflected and skipped).
+    /// The WAL sequence number the checkpoint was consistent with:
+    /// replay starts at this record. The log normally starts here too,
+    /// because each save retires the records below it; a crash between
+    /// the image and the log rewrite leaves older records, which are
+    /// skipped.
     pub checkpoint_seq: u64,
     /// Number of WAL records replayed on top of the checkpoint.
     pub replayed: usize,
@@ -106,12 +130,20 @@ impl fmt::Debug for Recovered {
 ///
 /// See [`RecoverError`]; notably a *torn or corrupted WAL tail is not
 /// an error* — it is truncated to the last whole record and the intact
-/// prefix is replayed.
+/// prefix is replayed. A log that starts after the checkpoint's
+/// `wal_seq` is [`RecoverError::Gap`]: nothing is replayed across it.
 pub fn recover(io: Arc<dyn StorageIo>) -> Result<Recovered, RecoverError> {
     let checkpoint = Checkpoint::load(io.as_ref())?.ok_or(RecoverError::MissingCheckpoint)?;
     let mut engine = checkpoint.restore()?;
     let (wal, records) = WriteAheadLog::open(io).map_err(RecoverError::Io)?;
     let checkpoint_seq = checkpoint.wal_seq();
+    let log_starts_at = wal.records_persisted() - records.len() as u64;
+    if log_starts_at > checkpoint_seq {
+        return Err(RecoverError::Gap {
+            checkpoint_seq,
+            log_starts_at,
+        });
+    }
     let mut receipts = Vec::new();
     for record in records.iter().filter(|r| r.seq() >= checkpoint_seq) {
         receipts.push(replay(engine.as_mut(), record)?);
@@ -193,11 +225,38 @@ mod tests {
     }
 
     #[test]
+    fn a_log_that_starts_after_the_checkpoint_is_a_loud_gap() {
+        let store = MemIo::new();
+        let _ = run_logged(&store, 60, 16);
+        let log = store.read(super::super::WAL_FILE).unwrap();
+        // An image older than the log's base: the one saved at record 0.
+        let stale = Checkpoint::capture(&Engine::builder().seed(5).build_unsharded(), 0);
+        store
+            .write_atomic(super::super::CHECKPOINT_FILE, &stale.encode())
+            .unwrap();
+        let err = recover(Arc::new(store.clone())).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RecoverError::Gap {
+                    checkpoint_seq: 0,
+                    log_starts_at: 48
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("WAL gap"), "{err}");
+        assert_eq!(store.read(super::super::WAL_FILE).unwrap(), log);
+    }
+
+    #[test]
     fn crash_during_logging_recovers_a_prefix_and_resumes() {
         // Learn the full log length, then crash a fresh run at a seeded
         // byte offset and prove recovery lands on a replayable state.
+        // The probe checkpoints only at 0, like the crashed run below,
+        // so no save retires any of its log.
         let probe = MemIo::new();
-        let _ = run_logged(&probe, 40, 8);
+        let _ = run_logged(&probe, 40, usize::MAX);
         let full = probe.file_len(super::super::WAL_FILE).unwrap() as u64;
 
         for seed in 1..=5u64 {

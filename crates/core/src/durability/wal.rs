@@ -4,12 +4,15 @@
 //! # On-disk format
 //!
 //! ```text
-//! "DMISWAL1"                                       (8-byte magic)
+//! header (20 bytes):
+//!   "DMISWAL2"       — 8-byte magic
+//!   base:  u64 LE    — sequence number of the first record
+//!   crc:   u32 LE    — CRC-32 of the 16 bytes above
 //! repeated records:
 //!   len: u32 LE      — payload length in bytes
 //!   crc: u32 LE      — CRC-32 of the payload
 //!   payload:
-//!     seq:   u64 LE  — record sequence number (0, 1, 2, …)
+//!     seq:   u64 LE  — record sequence number (base, base + 1, …)
 //!     count: u64 LE  — number of changes
 //!     count × change — tag byte + LE u64 operands (see the codec)
 //! ```
@@ -22,6 +25,13 @@
 //! [`IngestSession::flush`](crate::IngestSession::flush) — *including
 //! empty windows* — so the record count equals the engine's flush
 //! count, which is what makes replay's epoch arithmetic exact.
+//!
+//! The file holds only the records after the last durable checkpoint:
+//! [`Checkpoint::save`](super::Checkpoint::save) rewrites it through
+//! [`retire_before`] once the image has landed, with the checkpoint's
+//! `wal_seq` as the new base. Version 1 (`DMISWAL1`, no base) files are
+//! foreign to this reader and start a fresh log, like any other
+//! unrecognized header.
 
 use std::io;
 use std::sync::Arc;
@@ -31,7 +41,14 @@ use dmis_graph::TopologyChange;
 use super::codec::{crc32, put_change, put_u32, put_u64, take_change, Cursor};
 use super::{StorageIo, WalSink, WAL_FILE};
 
-const WAL_MAGIC: &[u8; 8] = b"DMISWAL1";
+const WAL_MAGIC: &[u8; 8] = b"DMISWAL2";
+
+/// Bytes before the first record: magic, base sequence number, and the
+/// header's own CRC.
+const HEADER_LEN: usize = 20;
+
+/// Bytes before a record's payload: its length and its CRC.
+const FRAME_LEN: usize = 8;
 
 /// One decoded log record: a flushed change window and its sequence
 /// number.
@@ -42,7 +59,9 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    /// The record's sequence number (position in the log, from 0).
+    /// The record's sequence number: the index of its flush since the
+    /// log was created, which is also the epoch its window published.
+    /// The first record in the file carries the header's base.
     #[must_use]
     pub fn seq(&self) -> u64 {
         self.seq
@@ -59,28 +78,41 @@ impl WalRecord {
 ///
 /// Implements [`WalSink`], so a handle can be plugged straight into
 /// [`IngestSession::set_wal_sink`](crate::IngestSession::set_wal_sink).
+///
+/// A failed [`Self::append`] may leave a torn record in the file, and
+/// bytes appended after it would be unreachable: the next
+/// [`Self::open`] truncates at the tear. So the first failed append
+/// poisons the handle, and every later append fails until the log is
+/// reopened with [`Self::open`].
 #[derive(Debug)]
 pub struct WriteAheadLog {
     io: Arc<dyn StorageIo>,
     next_seq: u64,
+    poisoned: bool,
 }
 
 impl WriteAheadLog {
-    /// Starts a fresh, empty log, replacing any existing one.
+    /// Starts a fresh, empty log at sequence number 0, replacing any
+    /// existing one.
     ///
     /// # Errors
     ///
     /// Propagates storage errors.
     pub fn create(io: Arc<dyn StorageIo>) -> io::Result<Self> {
-        io.write_atomic(WAL_FILE, WAL_MAGIC)?;
-        Ok(WriteAheadLog { io, next_seq: 0 })
+        io.write_atomic(WAL_FILE, &header(0))?;
+        Ok(WriteAheadLog {
+            io,
+            next_seq: 0,
+            poisoned: false,
+        })
     }
 
     /// Opens the existing log: scans its records, truncates the file at
     /// the first invalid byte (torn tail, checksum failure, malformed
     /// change, sequence gap), and returns the surviving records along
     /// with a handle positioned to append after them. A missing file or
-    /// unrecognized magic yields a fresh empty log.
+    /// a short, foreign or checksum-failing header yields a fresh empty
+    /// log at sequence number 0.
     ///
     /// # Errors
     ///
@@ -90,38 +122,32 @@ impl WriteAheadLog {
         let Some(bytes) = io.read(WAL_FILE)? else {
             return Self::create(io).map(|log| (log, Vec::new()));
         };
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        let Some(base) = read_header(&bytes) else {
             return Self::create(io).map(|log| (log, Vec::new()));
-        }
+        };
         let mut records = Vec::new();
-        let mut pos = WAL_MAGIC.len();
-        loop {
-            let rest = &bytes[pos..];
-            if rest.len() < 8 {
+        let mut pos = HEADER_LEN;
+        let mut next_seq = base;
+        while let Some(frame) = next_frame(&bytes, pos) {
+            if crc32(frame.payload) != frame.crc {
                 break;
             }
-            // rest.len() >= 8 was checked above, so index directly rather
-            // than going through a panicking conversion.
-            let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-            let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-            if rest.len() - 8 < len {
-                break; // torn tail
-            }
-            let payload = &rest[8..8 + len];
-            if crc32(payload) != crc {
-                break;
-            }
-            let Some(record) = decode_payload(payload, records.len() as u64) else {
+            let Some(record) = decode_payload(frame.payload, next_seq) else {
                 break;
             };
             records.push(record);
-            pos += 8 + len;
+            next_seq += 1;
+            pos = frame.end;
         }
         if pos < bytes.len() {
             io.truncate(WAL_FILE, pos as u64)?;
         }
-        let next_seq = records.len() as u64;
-        Ok((WriteAheadLog { io, next_seq }, records))
+        let log = WriteAheadLog {
+            io,
+            next_seq,
+            poisoned: false,
+        };
+        Ok((log, records))
     }
 
     /// Durably appends one change window; returns its sequence number.
@@ -129,27 +155,37 @@ impl WriteAheadLog {
     /// # Errors
     ///
     /// Propagates storage errors. On error the in-memory position does
-    /// *not* advance: the bytes that may have landed are a torn tail
-    /// the next [`Self::open`] truncates away.
+    /// *not* advance, the bytes that may have landed are a torn tail the
+    /// next [`Self::open`] truncates away, and the handle is poisoned:
+    /// every later append fails without touching storage.
     pub fn append(&mut self, changes: &[TopologyChange]) -> io::Result<u64> {
+        if self.poisoned {
+            return Err(io::Error::other(
+                "write-ahead log poisoned by a failed append: reopen it to resume",
+            ));
+        }
         let mut payload = Vec::with_capacity(16 + 24 * changes.len());
         put_u64(&mut payload, self.next_seq);
         put_u64(&mut payload, changes.len() as u64);
         for c in changes {
             put_change(&mut payload, c);
         }
-        let mut record = Vec::with_capacity(8 + payload.len());
+        let mut record = Vec::with_capacity(FRAME_LEN + payload.len());
         put_u32(&mut record, payload.len() as u32);
         put_u32(&mut record, crc32(&payload));
         record.extend_from_slice(&payload);
-        self.io.append(WAL_FILE, &record)?;
+        if let Err(e) = self.io.append(WAL_FILE, &record) {
+            self.poisoned = true;
+            return Err(e);
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         Ok(seq)
     }
 
-    /// Number of records durably appended so far — equivalently, the
-    /// next sequence number.
+    /// The next sequence number: the log's base plus the records
+    /// durably appended since — equivalently, the number of records
+    /// written since the log was created.
     #[must_use]
     pub fn records_persisted(&self) -> u64 {
         self.next_seq
@@ -160,6 +196,88 @@ impl WalSink for WriteAheadLog {
     fn persist(&mut self, changes: &[TopologyChange]) -> io::Result<u64> {
         self.append(changes)
     }
+}
+
+/// Drops the records below `wal_seq` from the log: one atomic rewrite
+/// of the file as a header with base `wal_seq`, followed by the records
+/// from `wal_seq` on, copied verbatim (the next [`WriteAheadLog::open`]
+/// checks them). [`Checkpoint::save`](super::Checkpoint::save) calls it
+/// once the image that reflects those records has landed.
+///
+/// Leaves the log untouched when it is missing or its header is not
+/// recognized, when `wal_seq` is at or below its base, or when `wal_seq`
+/// lies past its last whole record — a live handle's next append must
+/// still be the record the file expects next.
+///
+/// # Errors
+///
+/// Propagates storage errors; on error the old log survives whole.
+pub(crate) fn retire_before(io: &dyn StorageIo, wal_seq: u64) -> io::Result<()> {
+    let Some(bytes) = io.read(WAL_FILE)? else {
+        return Ok(());
+    };
+    let Some(base) = read_header(&bytes) else {
+        return Ok(());
+    };
+    if wal_seq <= base {
+        return Ok(());
+    }
+    let mut pos = HEADER_LEN;
+    for _ in base..wal_seq {
+        let Some(frame) = next_frame(&bytes, pos) else {
+            return Ok(());
+        };
+        pos = frame.end;
+    }
+    let mut kept = header(wal_seq);
+    kept.extend_from_slice(&bytes[pos..]);
+    drop(bytes);
+    io.write_atomic(WAL_FILE, &kept)
+}
+
+/// The log header for a file whose first record is `base`.
+fn header(base: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN);
+    out.extend_from_slice(WAL_MAGIC);
+    put_u64(&mut out, base);
+    let crc = crc32(&out);
+    put_u32(&mut out, crc);
+    out
+}
+
+/// The base sequence number of a recognized header, or `None` for a
+/// short, foreign, or checksum-failing one.
+fn read_header(bytes: &[u8]) -> Option<u64> {
+    let mut cur = Cursor::new(bytes.get(..HEADER_LEN)?);
+    if cur.take(WAL_MAGIC.len()).ok()? != WAL_MAGIC {
+        return None;
+    }
+    let base = cur.u64().ok()?;
+    let covered = cur.pos();
+    let crc = cur.u32().ok()?;
+    (crc32(cur.raw(0, covered)) == crc).then_some(base)
+}
+
+/// One whole record frame within the log bytes.
+struct Frame<'a> {
+    crc: u32,
+    payload: &'a [u8],
+    /// Offset just past the frame: where the next one starts.
+    end: usize,
+}
+
+/// The frame starting at `pos`, or `None` if the bytes end before it
+/// does (the end of the log, or a torn tail). Checks only the length.
+fn next_frame(bytes: &[u8], pos: usize) -> Option<Frame<'_>> {
+    let mut cur = Cursor::new(bytes.get(pos..)?);
+    let len = usize::try_from(cur.u32().ok()?).ok()?;
+    let crc = cur.u32().ok()?;
+    let payload = cur.take(len).ok()?;
+    Some(Frame {
+        crc,
+        payload,
+        end: pos + cur.pos(),
+    })
 }
 
 /// Decodes one record payload, rejecting sequence numbers that don't
@@ -249,10 +367,14 @@ mod tests {
         for batch in sample_batches() {
             log.append(&batch).unwrap();
         }
-        // Flip one payload bit of record 1 (magic 8 + record0 + header 8
-        // + 1 byte into record1's payload).
+        // Flip one payload bit of record 1 (log header + record0 + frame
+        // header + 1 byte into record1's payload).
         let record0_payload = 8 + 8 + 2 * 17;
-        store.corrupt(WAL_FILE, 8 + 8 + record0_payload + 8 + 1, 0x40);
+        store.corrupt(
+            WAL_FILE,
+            HEADER_LEN + FRAME_LEN + record0_payload + FRAME_LEN + 1,
+            0x40,
+        );
         let (reopened, records) = WriteAheadLog::open(Arc::new(store)).unwrap();
         assert_eq!(records.len(), 1, "records after the flip are dropped");
         assert_eq!(reopened.records_persisted(), 1);
@@ -269,7 +391,135 @@ mod tests {
         let (log, records) = WriteAheadLog::open(Arc::new(store.clone())).unwrap();
         assert_eq!(log.records_persisted(), 0);
         assert!(records.is_empty());
-        assert_eq!(store.file_len(WAL_FILE).unwrap(), WAL_MAGIC.len());
+        assert_eq!(store.file_len(WAL_FILE).unwrap(), HEADER_LEN);
+
+        // A version 1 log (no base, no header CRC) is foreign too.
+        let mut log = WriteAheadLog::create(Arc::new(store.clone())).unwrap();
+        log.append(&sample_batches()[0]).unwrap();
+        let mut bytes = store.read(WAL_FILE).unwrap().unwrap();
+        bytes[..WAL_MAGIC.len()].copy_from_slice(b"DMISWAL1");
+        store.write_atomic(WAL_FILE, &bytes).unwrap();
+        let (log, records) = WriteAheadLog::open(Arc::new(store.clone())).unwrap();
+        assert_eq!(log.records_persisted(), 0);
+        assert!(records.is_empty());
+        assert_eq!(store.read(WAL_FILE).unwrap().unwrap(), header(0));
+    }
+
+    /// A store whose `tear_at`-th append (0-based) lands only the first
+    /// half of its bytes and fails; every other call succeeds.
+    #[derive(Debug)]
+    struct TearOnce {
+        inner: MemIo,
+        appends: std::sync::atomic::AtomicUsize,
+        tear_at: usize,
+    }
+
+    impl StorageIo for TearOnce {
+        fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            self.inner.read(name)
+        }
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            let n = self
+                .appends
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if n == self.tear_at {
+                self.inner.append(name, &bytes[..bytes.len() / 2])?;
+                return Err(io::Error::other("torn append"));
+            }
+            self.inner.append(name, bytes)
+        }
+        fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+            self.inner.truncate(name, len)
+        }
+    }
+
+    #[test]
+    fn an_append_after_a_failed_append_is_refused_until_reopen() {
+        let store = MemIo::new();
+        let io = Arc::new(TearOnce {
+            inner: store.clone(),
+            appends: std::sync::atomic::AtomicUsize::new(0),
+            tear_at: 1,
+        });
+        let mut log = WriteAheadLog::create(io).unwrap();
+        let batches = sample_batches();
+        assert_eq!(log.append(&batches[0]).unwrap(), 0);
+        assert!(log.append(&batches[1]).is_err(), "the torn append fails");
+        // The storage has healed, but an acknowledged record written
+        // after the tear would be truncated away by the next open.
+        assert!(
+            log.append(&batches[2]).is_err(),
+            "a poisoned handle acknowledges nothing"
+        );
+        assert_eq!(log.records_persisted(), 1);
+
+        let (mut reopened, records) = WriteAheadLog::open(Arc::new(store.clone())).unwrap();
+        assert_eq!(records.len(), 1, "the torn record is truncated away");
+        assert_eq!(reopened.append(&batches[2]).unwrap(), 1);
+        let (_, records) = WriteAheadLog::open(Arc::new(store)).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].changes(), batches[2]);
+    }
+
+    #[test]
+    fn retiring_keeps_the_records_from_the_new_base_on() {
+        let store = MemIo::new();
+        let mut log = WriteAheadLog::create(Arc::new(store.clone())).unwrap();
+        for batch in sample_batches() {
+            log.append(&batch).unwrap();
+        }
+        retire_before(&store, 2).unwrap();
+        // The live handle appends on: the file expects seq 4 next.
+        assert_eq!(log.append(&sample_batches()[0]).unwrap(), 4);
+
+        let (reopened, records) = WriteAheadLog::open(Arc::new(store.clone())).unwrap();
+        assert_eq!(reopened.records_persisted(), 5);
+        let seqs: Vec<u64> = records.iter().map(WalRecord::seq).collect();
+        assert_eq!(seqs, [2, 3, 4]);
+        assert_eq!(records[0].changes(), sample_batches()[2]);
+        assert_eq!(records[2].changes(), sample_batches()[0]);
+
+        // Retiring every record leaves a bare header at the end.
+        retire_before(&store, 5).unwrap();
+        assert_eq!(store.read(WAL_FILE).unwrap().unwrap(), header(5));
+        let (reopened, records) = WriteAheadLog::open(Arc::new(store)).unwrap();
+        assert_eq!(reopened.records_persisted(), 5);
+        assert!(records.is_empty());
+    }
+
+    #[test]
+    fn retiring_leaves_the_log_untouched_when_it_cannot_honor_the_base() {
+        let store = MemIo::new();
+        retire_before(&store, 3).unwrap();
+        assert_eq!(
+            store.file_len(WAL_FILE),
+            None,
+            "a missing log stays missing"
+        );
+
+        store.write_atomic(WAL_FILE, b"NOTAWAL!garbage").unwrap();
+        retire_before(&store, 3).unwrap();
+        assert_eq!(store.read(WAL_FILE).unwrap().unwrap(), b"NOTAWAL!garbage");
+
+        let mut log = WriteAheadLog::create(Arc::new(store.clone())).unwrap();
+        for batch in sample_batches() {
+            log.append(&batch).unwrap();
+        }
+        retire_before(&store, 2).unwrap();
+        let rotated = store.read(WAL_FILE).unwrap().unwrap();
+        // At or below the base: nothing left to retire.
+        retire_before(&store, 2).unwrap();
+        retire_before(&store, 0).unwrap();
+        assert_eq!(store.read(WAL_FILE).unwrap().unwrap(), rotated);
+        // Past the last whole record, torn tail or not.
+        retire_before(&store, 5).unwrap();
+        assert_eq!(store.read(WAL_FILE).unwrap().unwrap(), rotated);
+        store.chop(WAL_FILE, rotated.len() - 3);
+        retire_before(&store, 4).unwrap();
+        assert_eq!(store.file_len(WAL_FILE), Some(rotated.len() - 3));
     }
 
     #[test]

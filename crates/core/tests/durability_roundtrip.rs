@@ -192,9 +192,47 @@ fn a_failing_sink_fails_the_flush_before_anything_is_applied() {
         .unwrap();
     session.flush().expect("healthy sink flushes fine");
     assert_eq!(reader.epoch(), 1);
-    assert!(
-        store.file_len(dmis_core::durability::WAL_FILE).unwrap() > 8,
-        "the flushed window reached the log"
+    let (_, records) = WriteAheadLog::open(Arc::new(store.fork())).unwrap();
+    assert_eq!(records.len(), 1, "the flushed window reached the log");
+}
+
+#[test]
+fn the_log_never_holds_more_than_one_checkpoint_interval() {
+    const EVERY: u64 = 8;
+    let mut rng = StdRng::seed_from_u64(31);
+    let (g, _) = generators::erdos_renyi(24, 0.2, &mut rng);
+    let mut engine = Engine::builder().graph(g).seed(13).build();
+    let reader = engine.reader();
+    let store = MemIo::new();
+    let io: Arc<dyn StorageIo> = Arc::new(store.clone());
+    let wal = WriteAheadLog::create(Arc::clone(&io)).unwrap();
+    Checkpoint::capture(&*engine, 0).save(io.as_ref()).unwrap();
+    let mut session = IngestSession::new(engine);
+    session.set_wal_sink(Box::new(wal));
+
+    for flushes in 1..=12 * EVERY {
+        for c in window(session.engine().graph(), 4, &mut rng) {
+            session.push(c).expect("manual policy never auto-flushes");
+        }
+        session.flush().expect("flush applies the window");
+        if flushes.is_multiple_of(EVERY) {
+            Checkpoint::capture(&**session.engine(), flushes)
+                .save(io.as_ref())
+                .unwrap();
+        }
+        let (log, records) = WriteAheadLog::open(Arc::new(store.fork())).unwrap();
+        assert!(
+            records.len() as u64 <= EVERY,
+            "flush {flushes}: the log holds {} records",
+            records.len()
+        );
+        assert_eq!(log.records_persisted(), flushes, "sequence numbers run on");
+    }
+    let recovered = recover(Arc::new(store.fork())).unwrap();
+    assert_eq!(recovered.engine.mis(), session.engine().mis());
+    assert_eq!(
+        recovered.engine.durability_meta().epoch,
+        Some(reader.epoch())
     );
 }
 

@@ -6,7 +6,9 @@
 //! (`dmis-core::durability`): a [`ServeRun`] writer streams churn with
 //! log-then-publish persistence while reader threads sample the
 //! snapshot channel; a [`FaultIo`] byte budget kills the writer
-//! mid-stream (torn final record and all); [`recover`] rebuilds the
+//! mid-stream — inside a WAL append (torn final record and all), a
+//! checkpoint image write, or the log rewrite that follows the image;
+//! [`recover`] rebuilds the
 //! engine from the last checkpoint plus the surviving WAL suffix; a
 //! resumed [`ServeRun`] replays the *unpersisted* remainder of the
 //! stream on the recovered engine. The invariants asserted:
@@ -22,9 +24,11 @@
 //!   same MIS, same RNG position, same final epoch — because the
 //!   replayed prefix plus the resumed suffix *is* the twin's history.
 
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dmis_core::durability::{recover, splitmix64, FaultIo, MemIo, StorageIo, WAL_FILE};
+use dmis_core::durability::{recover, splitmix64, FaultIo, MemIo, StorageIo};
 use dmis_core::{DynamicMis, FlushPolicy, IngestSession, MisReader};
 use dmis_graph::stream::{self, ChurnConfig};
 use dmis_graph::{generators, DynGraph, GraphError, TopologyChange};
@@ -94,6 +98,45 @@ fn drill_stream(seed: u64) -> (DynGraph, Vec<TopologyChange>) {
     (g, out)
 }
 
+/// A [`StorageIo`] over a [`MemIo`] that counts the bytes handed to
+/// its writes: the bytes a [`FaultIo`] budget pays for.
+#[derive(Debug, Default)]
+struct CountingIo {
+    inner: MemIo,
+    written: AtomicU64,
+}
+
+impl CountingIo {
+    fn written(&self) -> u64 {
+        self.written.load(Ordering::Relaxed)
+    }
+
+    fn count(&self, bytes: &[u8]) {
+        self.written
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    }
+}
+
+impl StorageIo for CountingIo {
+    fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+        self.inner.read(name)
+    }
+
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.count(bytes);
+        self.inner.write_atomic(name, bytes)
+    }
+
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.count(bytes);
+        self.inner.append(name, bytes)
+    }
+
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(name, len)
+    }
+}
+
 /// A durable watermark-1 serving run over `g` on `io`.
 fn durable_run(g: DynGraph, readers: usize, io: Arc<dyn StorageIo>) -> ServeRun {
     RunConfig::new(g)
@@ -116,23 +159,31 @@ fn durable_run(g: DynGraph, readers: usize, io: Arc<dyn StorageIo>) -> ServeRun 
 pub fn crash_restart_drill(seed: u64) -> DrillReport {
     let (g, stream) = drill_stream(seed);
 
-    // The uncrashed twin: same engine, same stream, plain storage. Its
-    // log length bounds the crash budget; its final state is the ground
-    // truth the recovered run must reproduce.
-    let twin_store = MemIo::new();
-    let mut twin = durable_run(g.clone(), 1, Arc::new(twin_store.clone()));
+    // The uncrashed twin: same engine, same stream, counted storage. The
+    // bytes it writes to bootstrap and in total bound the crash budget;
+    // its final state is the ground truth the recovered run must
+    // reproduce.
+    let counted = Arc::new(CountingIo::default());
+    let mut twin = durable_run(g.clone(), 1, Arc::clone(&counted) as Arc<dyn StorageIo>);
+    let bootstrap_bytes = counted.written();
     let twin_report = twin.run(&stream).expect("fault-free twin");
     assert_eq!(
         twin_report.flushes, STREAM_LEN,
         "watermark 1: flush per change"
     );
-    let wal_bytes = twin_store.file_len(WAL_FILE).expect("twin logged") as u64;
+    let total_bytes = counted.written();
+    assert!(
+        total_bytes - bootstrap_bytes >= 2,
+        "seed={seed}: the stream writes past the bootstrap"
+    );
 
     // The crashed writer: identical run, but storage dies after a
-    // seeded byte budget — always before the log is complete, so the
-    // writer must fail with the persistence error mid-stream.
+    // seeded byte budget strictly between the bootstrap's bytes and the
+    // twin's total — always after the bootstrap and before the last
+    // write, so the writer must fail with the persistence error
+    // mid-stream.
     let store = MemIo::new();
-    let crash_budget = 1 + splitmix64(seed) % (wal_bytes - 8);
+    let crash_budget = bootstrap_bytes + 1 + splitmix64(seed) % (total_bytes - bootstrap_bytes - 1);
     let mut run = durable_run(
         g,
         2,
@@ -140,7 +191,7 @@ pub fn crash_restart_drill(seed: u64) -> DrillReport {
     );
     let crash = run.run(&stream);
     assert_eq!(
-        crash.expect_err("the budget is smaller than the log"),
+        crash.expect_err("the budget is smaller than the twin's writes"),
         GraphError::PersistFailed,
         "seed={seed}: a crashed writer rejects the unlogged window"
     );

@@ -2,8 +2,8 @@
 //! points (the drill itself panics on any recovery-invariant failure).
 //!
 //! `DMIS_CRASH_SEED=<n>` pins one seed (the CI durability job loops it
-//! over 1..=5 so each crash point is a separate, attributable run);
-//! unset, the test sweeps the same range in-process.
+//! over 1..=16 so each crash point is a separate, attributable run);
+//! unset, the test sweeps seeds 1..=64 in-process.
 
 use dmis_sim::crash_restart_drill;
 
@@ -11,7 +11,7 @@ use dmis_sim::crash_restart_drill;
 fn crash_restart_drill_recovers_and_resumes() {
     let seeds: Vec<u64> = match std::env::var("DMIS_CRASH_SEED") {
         Ok(s) => vec![s.parse().expect("DMIS_CRASH_SEED must be an integer")],
-        Err(_) => (1..=5).collect(),
+        Err(_) => (1..=64).collect(),
     };
     for seed in seeds {
         let report = crash_restart_drill(seed);

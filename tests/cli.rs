@@ -1,8 +1,12 @@
 //! The `mis_serve` and `churn_demo` command lines: bad flags exit with
 //! status 2 and a message naming the flag, never a panic; a small valid
-//! run completes.
+//! run completes, and a durable one leaves a store that recovers to its
+//! final epoch.
 
 use std::process::{Command, Output};
+use std::sync::Arc;
+
+use dynamic_mis::core::durability::{recover, RealIo, WriteAheadLog};
 
 fn mis_serve(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mis_serve"))
@@ -56,6 +60,57 @@ fn the_threads_flag_is_gone() {
 fn a_small_run_serves_to_completion() {
     let out = mis_serve(&["--nodes", "64", "--changes", "64", "--readers", "1"]);
     assert_completes(&out, "epochs monotone");
+}
+
+/// The number printed right after `label` on stdout.
+fn printed_after(stdout: &str, label: &str) -> u64 {
+    let at = stdout
+        .find(label)
+        .unwrap_or_else(|| panic!("{label}: {stdout}"))
+        + label.len();
+    let digits: String = stdout[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|e| panic!("{label} {digits:?}: {e}"))
+}
+
+#[test]
+fn a_durable_run_recovers_from_its_checkpoint_dir() {
+    let dir = std::env::temp_dir().join(format!("dmis-cli-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().expect("utf-8 temp dir");
+    let out = mis_serve(&[
+        "--nodes",
+        "64",
+        "--changes",
+        "400",
+        "--readers",
+        "1",
+        "--checkpoint-dir",
+        path,
+        "--checkpoint-every",
+        "8",
+    ]);
+    assert_completes(&out, "epochs monotone");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let epoch = printed_after(&stdout, "final epoch ");
+    let mis_size = printed_after(&stdout, "final MIS size ");
+
+    let io = Arc::new(RealIo::new(&dir).unwrap());
+    let recovered = recover(io.clone()).unwrap();
+    assert_eq!(recovered.engine.durability_meta().epoch, Some(epoch));
+    assert_eq!(recovered.engine.mis().len() as u64, mis_size);
+    assert_eq!(recovered.wal.records_persisted(), epoch);
+    let (_, records) = WriteAheadLog::open(io).unwrap();
+    assert!(
+        records.len() < 8,
+        "the log holds {} records, more than one checkpoint interval",
+        records.len()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
