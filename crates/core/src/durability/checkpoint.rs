@@ -18,8 +18,8 @@
 //! function of the priorities ([`RankIndex::from_priorities`]
 //! (crate::RankIndex::from_priorities) inside engine construction), so
 //! persisting it would only add bytes and a second copy to corrupt.
-//! Likewise the membership is rebuilt by running greedy from the graph
-//! and priorities — the MIS frame exists purely as a **witness**:
+//! Likewise the membership is rebuilt as the greedy fixed point of the
+//! graph and priorities — the MIS frame exists purely as a **witness**:
 //! [`Checkpoint::restore`] recomputes the unique greedy fixed point and
 //! refuses ([`RecoverError::Witness`]) if it differs from what was
 //! captured, turning any logic or codec drift into a loud error instead
@@ -61,10 +61,10 @@ pub struct Checkpoint {
     meta: DurabilityMeta,
     wal_seq: u64,
     next_id: u64,
-    nodes: Vec<u64>,
-    edges: Vec<(u64, u64)>,
-    priorities: Vec<(u64, u64)>,
-    mis: Vec<u64>,
+    nodes: Vec<NodeId>,
+    edges: Vec<(NodeId, NodeId)>,
+    priorities: Vec<(NodeId, u64)>,
+    mis: Vec<NodeId>,
 }
 
 impl Checkpoint {
@@ -79,18 +79,14 @@ impl Checkpoint {
             meta: engine.durability_meta(),
             wal_seq,
             next_id: g.peek_next_id().index(),
-            nodes: g.nodes().map(NodeId::index).collect(),
-            edges: g
-                .edges()
-                .map(EdgeKey::endpoints)
-                .map(|(u, v)| (u.index(), v.index()))
-                .collect(),
+            nodes: g.nodes().collect(),
+            edges: g.edges().map(EdgeKey::endpoints).collect(),
             priorities: engine
                 .priorities()
                 .iter()
-                .map(|(id, p)| (id.index(), p.key()))
+                .map(|(id, p)| (id, p.key()))
                 .collect(),
-            mis: engine.mis_iter().map(NodeId::index).collect(),
+            mis: engine.mis_iter().collect(),
         }
     }
 
@@ -145,19 +141,19 @@ impl Checkpoint {
         put_u64(&mut graph, self.next_id);
         put_u64(&mut graph, self.nodes.len() as u64);
         for &v in &self.nodes {
-            put_u64(&mut graph, v);
+            put_u64(&mut graph, v.index());
         }
         put_u64(&mut graph, self.edges.len() as u64);
         for &(u, v) in &self.edges {
-            put_u64(&mut graph, u);
-            put_u64(&mut graph, v);
+            put_u64(&mut graph, u.index());
+            put_u64(&mut graph, v.index());
         }
         put_frame(&mut out, TAG_GRAPH, &graph);
 
         let mut prio = Vec::with_capacity(8 + 16 * self.priorities.len());
         put_u64(&mut prio, self.priorities.len() as u64);
         for &(id, key) in &self.priorities {
-            put_u64(&mut prio, id);
+            put_u64(&mut prio, id.index());
             put_u64(&mut prio, key);
         }
         put_frame(&mut out, TAG_PRIO, &prio);
@@ -165,7 +161,7 @@ impl Checkpoint {
         let mut mis = Vec::with_capacity(8 + 8 * self.mis.len());
         put_u64(&mut mis, self.mis.len() as u64);
         for &v in &self.mis {
-            put_u64(&mut mis, v);
+            put_u64(&mut mis, v.index());
         }
         put_frame(&mut out, TAG_MIS, &mis);
 
@@ -218,12 +214,12 @@ impl Checkpoint {
         let graph_bytes = take_frame(&mut cur, TAG_GRAPH)?;
         let mut g = Cursor::new(graph_bytes);
         let next_id = g.u64()?;
-        let nodes = take_u64_list(&mut g)?;
+        let nodes = take_id_list(&mut g)?;
         let edge_count = checked_count(&g, 16)?;
         let _ = g.u64()?; // consume the count we peeked
         let mut edges = Vec::with_capacity(edge_count);
         for _ in 0..edge_count {
-            edges.push((g.u64()?, g.u64()?));
+            edges.push((NodeId(g.u64()?), NodeId(g.u64()?)));
         }
         if !g.is_empty() {
             return Err(CodecError::Inconsistent("trailing bytes in GRAPH frame"));
@@ -235,7 +231,7 @@ impl Checkpoint {
         let _ = p.u64()?; // consume the count we peeked
         let mut priorities = Vec::with_capacity(prio_count);
         for _ in 0..prio_count {
-            priorities.push((p.u64()?, p.u64()?));
+            priorities.push((NodeId(p.u64()?), p.u64()?));
         }
         if !p.is_empty() {
             return Err(CodecError::Inconsistent("trailing bytes in PRIO frame"));
@@ -243,7 +239,7 @@ impl Checkpoint {
 
         let mis_bytes = take_frame(&mut cur, TAG_MIS)?;
         let mut w = Cursor::new(mis_bytes);
-        let mis = take_u64_list(&mut w)?;
+        let mis = take_id_list(&mut w)?;
         if !w.is_empty() {
             return Err(CodecError::Inconsistent("trailing bytes in MIS frame"));
         }
@@ -336,34 +332,32 @@ impl Checkpoint {
         }
     }
 
-    /// Rebuilds a live engine of the captured flavor: reconstructs the
-    /// graph and priority map, reruns greedy (the unique fixed point for
-    /// that pair), fast-forwards the RNG by the recorded draw count, and
-    /// re-attaches the publisher at the captured epoch. The recomputed
-    /// MIS is checked against the stored witness before the engine is
-    /// handed out: both are ascending id lists ([`Checkpoint::capture`]
-    /// writes [`DynamicMis::mis_iter`] order), compared element by
-    /// element.
+    /// Rebuilds a live engine of the captured flavor: builds the graph
+    /// from the decoded lists in bulk ([`DynGraph::from_adjacency`]),
+    /// rebuilds the priority map, seeds membership and counters in one
+    /// sweep in increasing π (the unique greedy fixed point for that
+    /// pair), fast-forwards the RNG by the recorded draw count, and
+    /// re-attaches the publisher at the captured epoch. The adjacency
+    /// build and the sweep are the cost, about what building the same
+    /// graph and engine from an edge list costs. The recomputed MIS is
+    /// checked against the stored witness before the engine is handed
+    /// out: both are ascending id lists ([`Checkpoint::capture`] writes
+    /// [`DynamicMis::mis_iter`] order), compared element by element.
     ///
     /// # Errors
     ///
-    /// [`RecoverError::Corrupt`] if the adjacency section is rejected by
-    /// graph reconstruction, [`RecoverError::Witness`] if the recomputed
-    /// MIS differs from the captured one — including a witness that
-    /// names the right members out of ascending order, which `capture`
-    /// never writes.
+    /// [`RecoverError::Corrupt`] if graph reconstruction rejects the
+    /// adjacency section, including a watermark whose slot arena cannot
+    /// be reserved; [`RecoverError::Witness`] if the recomputed MIS
+    /// differs from the captured one — including a witness that names
+    /// the right members out of ascending order, which `capture` never
+    /// writes.
     pub fn restore(&self) -> Result<Box<dyn DynamicMis + Send>, RecoverError> {
-        let nodes: Vec<NodeId> = self.nodes.iter().copied().map(NodeId).collect();
-        let edges: Vec<(NodeId, NodeId)> = self
-            .edges
-            .iter()
-            .map(|&(u, v)| (NodeId(u), NodeId(v)))
-            .collect();
-        let graph = DynGraph::from_adjacency(NodeId(self.next_id), &nodes, &edges)
+        let graph = DynGraph::from_adjacency(NodeId(self.next_id), &self.nodes, &self.edges)
             .map_err(|_| RecoverError::Corrupt(CodecError::Inconsistent("adjacency rejected")))?;
         let mut pm = PriorityMap::new();
         for &(id, key) in &self.priorities {
-            pm.insert(NodeId(id), Priority::new(key, NodeId(id)));
+            pm.insert(id, Priority::new(key, id));
         }
         let meta = self.meta;
         let mut engine: Box<dyn DynamicMis + Send> = match meta.flavor {
@@ -382,11 +376,7 @@ impl Checkpoint {
         for _ in 0..meta.draws {
             let _ = engine.draw_key();
         }
-        if !engine
-            .mis_iter()
-            .map(NodeId::index)
-            .eq(self.mis.iter().copied())
-        {
+        if !engine.mis_iter().eq(self.mis.iter().copied()) {
             return Err(RecoverError::Witness);
         }
         if let Some(epoch) = meta.epoch {
@@ -433,12 +423,12 @@ fn checked_count(cur: &Cursor<'_>, stride: usize) -> Result<usize, CodecError> {
     usize::try_from(count).map_err(|_| CodecError::Truncated)
 }
 
-fn take_u64_list(cur: &mut Cursor<'_>) -> Result<Vec<u64>, CodecError> {
+fn take_id_list(cur: &mut Cursor<'_>) -> Result<Vec<NodeId>, CodecError> {
     let count = checked_count(cur, 8)?;
     let _ = cur.u64()?; // consume the count we peeked
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        out.push(cur.u64()?);
+        out.push(NodeId(cur.u64()?));
     }
     Ok(out)
 }
@@ -539,17 +529,33 @@ mod tests {
     }
 
     #[test]
+    fn an_unallocatable_watermark_is_refused() {
+        // The watermark sizes the restored graph's slot arena. An image
+        // whose CRCs hold may still carry one no allocator can reserve;
+        // restore must refuse it as corrupt, not abort on the allocation.
+        for watermark in [1u64 << 62, u64::MAX] {
+            let mut ckp = Checkpoint::capture(&sample_engine(), 0);
+            ckp.next_id = watermark;
+            let decoded = Checkpoint::decode(&ckp.encode()).unwrap();
+            assert!(
+                matches!(decoded.restore(), Err(RecoverError::Corrupt(_))),
+                "watermark {watermark}"
+            );
+        }
+    }
+
+    #[test]
     fn hostile_lists_decode_to_inconsistent_never_a_panic() {
         let ckp = Checkpoint::capture(&sample_engine(), 0);
         assert!(ckp.nodes.len() >= 2 && ckp.mis.len() >= 2);
         let mut nodes_out_of_order = ckp.clone();
         nodes_out_of_order.nodes.swap(0, 1);
         let mut priority_not_a_node = ckp.clone();
-        priority_not_a_node.priorities[1].0 = ckp.next_id + 7;
+        priority_not_a_node.priorities[1].0 = NodeId(ckp.next_id + 7);
         let mut priority_duplicated = ckp.clone();
         priority_duplicated.priorities[1].0 = ckp.priorities[0].0;
         let mut witness_dead_node = ckp.clone();
-        witness_dead_node.mis.push(ckp.next_id);
+        witness_dead_node.mis.push(NodeId(ckp.next_id));
         let mut witness_out_of_order = ckp.clone();
         witness_out_of_order.mis.reverse();
         for (what, image) in [

@@ -128,7 +128,8 @@ impl MisEngine {
     ///
     /// # Panics
     ///
-    /// Panics if some node of the graph has no priority.
+    /// Panics if some node of the graph has no priority, or if a
+    /// priority names a node the graph does not hold.
     pub(crate) fn from_parts_impl(graph: DynGraph, priorities: PriorityMap, seed: u64) -> Self {
         Self::with_priorities(graph, priorities, StdRng::seed_from_u64(seed), seed, 0)
     }
@@ -140,14 +141,14 @@ impl MisEngine {
         seed: u64,
         draws: u64,
     ) -> Self {
-        let mis = crate::static_greedy::greedy_mis_dense(&graph, &priorities);
         let ranks = RankIndex::from_priorities(&priorities);
+        let (in_mis, lower_mis_count) = seed_greedy(&graph, &ranks);
         let front = RankFront::with_capacity(ranks.span());
-        let mut engine = MisEngine {
+        MisEngine {
             graph,
             priorities,
-            in_mis: mis,
-            lower_mis_count: NodeMap::new(),
+            in_mis,
+            lower_mis_count,
             rng,
             seed,
             draws,
@@ -155,12 +156,7 @@ impl MisEngine {
             ranks,
             front,
             publisher: PublishSlot::default(),
-        };
-        for v in engine.graph.nodes() {
-            let count = engine.count_lower_mis(v);
-            engine.lower_mis_count.insert(v, count);
         }
-        engine
     }
 
     fn count_lower_mis(&self, v: NodeId) -> usize {
@@ -829,6 +825,49 @@ impl MisEngine {
         }
         receipt
     }
+}
+
+/// An engine's initial state over `graph` under the order `ranks`
+/// realizes: the membership bitset and every node's lower-MIS counter,
+/// from one sweep in increasing rank. A node joins the MIS iff its
+/// counter is still 0 when its rank comes up, since every lower-ranked
+/// neighbor is decided by then; a joining node increments the counter
+/// of each higher-ranked neighbor. So the sweep reads only the members'
+/// adjacency, O(n + Σ_{v ∈ MIS} deg v), and its result is the greedy
+/// fixed point [`crate::static_greedy::greedy_mis_dense`] computes. Both
+/// engine flavors seed from it.
+///
+/// # Panics
+///
+/// Panics if `ranks` does not rank exactly the graph's nodes.
+pub(crate) fn seed_greedy(graph: &DynGraph, ranks: &RankIndex) -> (NodeSet, NodeMap<usize>) {
+    let watermark = graph.peek_next_id().index() as usize;
+    let mut lower = NodeMap::with_capacity(watermark);
+    for v in graph.nodes() {
+        assert!(ranks.get(v).is_some(), "node {v} has no priority");
+        lower.insert(v, 0);
+    }
+    assert_eq!(
+        ranks.len(),
+        graph.node_count(),
+        "priorities ranked for nodes the graph does not hold"
+    );
+    let mut in_mis = NodeSet::with_capacity(watermark);
+    for rank in 0..ranks.span() {
+        let v = ranks.node_at(rank);
+        if lower[v] != 0 {
+            continue;
+        }
+        in_mis.insert(v);
+        for chunk in graph.neighbor_chunks(v).expect("ranked nodes are live") {
+            for &w in chunk {
+                if ranks.rank_of(w) > rank {
+                    lower[w] += 1;
+                }
+            }
+        }
+    }
+    (in_mis, lower)
 }
 
 // The shared convenience layer (`apply` dispatch, `insert_node` key

@@ -273,7 +273,8 @@ impl ShardedMisEngine {
     ///
     /// # Panics
     ///
-    /// Panics if some node of the graph has no priority.
+    /// Panics if some node of the graph has no priority, or if a
+    /// priority names a node the graph does not hold.
     pub(crate) fn from_parts_impl(
         graph: DynGraph,
         priorities: PriorityMap,
@@ -298,8 +299,8 @@ impl ShardedMisEngine {
         seed: u64,
         draws: u64,
     ) -> Self {
-        let mis = crate::static_greedy::greedy_mis_dense(&graph, &priorities);
         let ranks = RankIndex::from_priorities(&priorities);
+        let (mis, lower) = crate::engine::seed_greedy(&graph, &ranks);
         let mut engine = ShardedMisEngine {
             graph,
             priorities,
@@ -311,18 +312,13 @@ impl ShardedMisEngine {
             draws,
             publisher: PublishSlot::default(),
         };
-        for v in engine.graph.nodes() {
+        for (v, &count) in lower.iter() {
+            let shard = &mut engine.shards[layout.shard_of(v)];
+            let slot = layout.local_slot(v);
             if mis.contains(v) {
-                engine.shards[layout.shard_of(v)]
-                    .in_mis
-                    .insert(layout.local_slot(v));
+                shard.in_mis.insert(slot);
             }
-        }
-        for v in engine.graph.nodes() {
-            let count = engine.count_lower_mis(v);
-            engine.shards[layout.shard_of(v)]
-                .lower_mis_count
-                .insert(layout.local_slot(v), count);
+            shard.lower_mis_count.insert(slot, count);
         }
         engine
     }

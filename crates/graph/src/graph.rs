@@ -98,6 +98,27 @@ enum AdjList {
 }
 
 impl AdjList {
+    /// The list holding an ascending, duplicate-free neighbor vector:
+    /// flat below [`CHUNK_PROMOTE`], otherwise split into
+    /// [`CHUNK_TARGET`]-entry chunks with room to grow to [`CHUNK_MAX`].
+    fn from_sorted(nbrs: Vec<NodeId>) -> Self {
+        if nbrs.len() < CHUNK_PROMOTE {
+            return AdjList::Flat(nbrs);
+        }
+        let chunks = nbrs
+            .chunks(CHUNK_TARGET)
+            .map(|c| {
+                let mut chunk = Vec::with_capacity(CHUNK_MAX);
+                chunk.extend_from_slice(c);
+                chunk
+            })
+            .collect();
+        AdjList::Chunked {
+            chunks,
+            len: nbrs.len(),
+        }
+    }
+
     /// Degree — O(1) in both shapes.
     fn len(&self) -> usize {
         match self {
@@ -134,16 +155,7 @@ impl AdjList {
                 };
                 v.insert(pos, w);
                 if v.len() >= CHUNK_PROMOTE {
-                    let len = v.len();
-                    let chunks = v
-                        .chunks(CHUNK_TARGET)
-                        .map(|c| {
-                            let mut chunk = Vec::with_capacity(CHUNK_MAX);
-                            chunk.extend_from_slice(c);
-                            chunk
-                        })
-                        .collect();
-                    *self = AdjList::Chunked { chunks, len };
+                    *self = AdjList::from_sorted(std::mem::take(v));
                 }
                 true
             }
@@ -364,39 +376,111 @@ impl DynGraph {
     /// Reconstructs a graph from its serialized parts: the identifier
     /// watermark ([`Self::peek_next_id`] of the original), the live node
     /// ids, and the edge list — the inverse of walking [`Self::nodes`]
-    /// and [`Self::edges`]. This is the durability checkpoint's restore
-    /// path: identifiers are never reused, so deleted nodes leave holes
-    /// and `nodes` may be sparse below `next_id`.
+    /// and [`Self::edges`]. The durability checkpoint's restore builds
+    /// its graph here: identifiers are never reused, so deleted nodes
+    /// leave holes and `nodes` may be sparse below `next_id`.
+    ///
+    /// Nodes and edges may come in any order, each edge in either
+    /// orientation; the result equals the graph that inserting the edges
+    /// one by one would build. The build is in bulk: one pass over the
+    /// edges counts degrees, every node gets a list of exactly its
+    /// degree, a second pass fills both endpoints' lists, and a list is
+    /// sorted only if its entries arrived out of order. That costs
+    /// O(n + m) for edges in ascending [`EdgeKey`] order (the order
+    /// [`Self::edges`] yields) and O(n + m log Δ) otherwise, with no
+    /// list ever reallocated.
     ///
     /// # Errors
     ///
     /// - [`GraphError::MissingNode`] if a node id is at or above the
     ///   watermark (it could never have been allocated), or if an edge
-    ///   endpoint is not a listed node;
+    ///   endpoint is not a listed node. It carries the watermark itself
+    ///   if the slot arena for the ids below it cannot be reserved: no
+    ///   graph in this process could have reached that watermark;
     /// - [`GraphError::DuplicateEdge`] if a node id repeats (reported as
     ///   a self-pair, matching [`Self::add_node_with_edges`]) or an edge
-    ///   repeats;
+    ///   repeats in either orientation;
     /// - [`GraphError::SelfLoop`] if an edge joins a node to itself.
+    ///
+    /// Defects of the node list are reported before defects of the edge
+    /// list; which of several defects in one list is reported is
+    /// unspecified.
     pub fn from_adjacency(
         next_id: NodeId,
         nodes: &[NodeId],
         edges: &[(NodeId, NodeId)],
     ) -> Result<Self, GraphError> {
-        let mut g = Self::with_node_capacity(next_id.index() as usize);
+        // Degree-scratch entry of a slot that no listed node holds.
+        const UNLISTED: usize = usize::MAX;
+        let unreservable = GraphError::MissingNode(next_id);
+        let watermark = usize::try_from(next_id.index()).map_err(|_| unreservable)?;
+        let mut adj = NodeMap::try_with_capacity(watermark).map_err(|_| unreservable)?;
+        // Every listed id is below the watermark, so it fits in usize.
+        let slot = |v: NodeId| v.index() as usize;
+        let mut span = 0;
         for &v in nodes {
             if v >= next_id {
                 return Err(GraphError::MissingNode(v));
             }
-            if g.adj.contains(v) {
+            span = span.max(slot(v) + 1);
+        }
+        let mut degree = Vec::new();
+        degree.try_reserve_exact(span).map_err(|_| unreservable)?;
+        degree.resize(span, UNLISTED);
+        for &v in nodes {
+            let d = &mut degree[slot(v)];
+            if *d != UNLISTED {
                 return Err(GraphError::DuplicateEdge(v, v));
             }
-            g.adj.insert(v, AdjList::Flat(Vec::new()));
-            g.enter_degree(0);
+            *d = 0;
         }
-        g.next_id = next_id.index();
         for &(u, v) in edges {
-            g.insert_edge(u, v)?;
+            if u == v {
+                return Err(GraphError::SelfLoop(u));
+            }
+            for w in [u, v] {
+                let d = usize::try_from(w.index())
+                    .ok()
+                    .and_then(|i| degree.get_mut(i));
+                match d {
+                    Some(d) if *d != UNLISTED => *d += 1,
+                    _ => return Err(GraphError::MissingNode(w)),
+                }
+            }
         }
+        for &v in nodes {
+            adj.insert(v, AdjList::Flat(Vec::with_capacity(degree[slot(v)])));
+        }
+        drop(degree);
+        for &(u, v) in edges {
+            for (w, x) in [(u, v), (v, u)] {
+                match adj.get_mut(w) {
+                    Some(AdjList::Flat(list)) => list.push(x),
+                    _ => unreachable!("every endpoint holds a flat list until the fill ends"),
+                }
+            }
+        }
+        let mut g = DynGraph {
+            next_id: next_id.index(),
+            edge_count: edges.len(),
+            ..Self::default()
+        };
+        for (v, list) in adj.iter_mut() {
+            let AdjList::Flat(nbrs) = list else {
+                unreachable!("every node holds a flat list until the fill ends")
+            };
+            if !nbrs.windows(2).all(|w| w[0] < w[1]) {
+                nbrs.sort_unstable();
+                if let Some(w) = nbrs.windows(2).find(|w| w[0] == w[1]) {
+                    return Err(GraphError::DuplicateEdge(w[0], v));
+                }
+            }
+            g.enter_degree(nbrs.len());
+            if nbrs.len() >= CHUNK_PROMOTE {
+                *list = AdjList::from_sorted(std::mem::take(nbrs));
+            }
+        }
+        g.adj = adj;
         Ok(g)
     }
 
@@ -1058,6 +1142,198 @@ mod tests {
             Err(GraphError::MissingNode(b)),
             "edge endpoint must be a listed node"
         );
+    }
+
+    /// The per-edge construction the bulk `from_adjacency` replaced: the
+    /// oracle its graphs and errors are checked against.
+    fn incremental_build(
+        next_id: NodeId,
+        nodes: &[NodeId],
+        edges: &[(NodeId, NodeId)],
+    ) -> Result<DynGraph, GraphError> {
+        let mut g = DynGraph::with_node_capacity(next_id.index() as usize);
+        for &v in nodes {
+            if v >= next_id {
+                return Err(GraphError::MissingNode(v));
+            }
+            if g.adj.contains(v) {
+                return Err(GraphError::DuplicateEdge(v, v));
+            }
+            g.adj.insert(v, AdjList::Flat(Vec::new()));
+            g.enter_degree(0);
+        }
+        g.next_id = next_id.index();
+        for &(u, v) in edges {
+            g.insert_edge(u, v)?;
+        }
+        Ok(g)
+    }
+
+    /// Hub degrees straddling the promotion threshold, plus one hub
+    /// spanning more than two full chunks.
+    const HUB_DEGREES: [usize; 4] = [
+        CHUNK_PROMOTE - 1,
+        CHUNK_PROMOTE,
+        CHUNK_PROMOTE + 1,
+        2 * CHUNK_MAX + 37,
+    ];
+
+    /// The arguments of [`DynGraph::from_adjacency`], owned.
+    type Parts = (NodeId, Vec<NodeId>, Vec<(NodeId, NodeId)>);
+
+    /// A seeded graph's parts: a watermark with id holes below it, the
+    /// live ids shuffled, and a shuffled edge list with each edge in a
+    /// random orientation. Four hubs, returned second, get exactly
+    /// [`HUB_DEGREES`]; the other nodes share random background edges.
+    fn random_parts(seed: u64) -> (Parts, Vec<NodeId>) {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let next_id = 1200u64;
+        let mut nodes: Vec<NodeId> = (0..next_id)
+            .filter(|i| i % 7 != 3 && *i != next_id - 1)
+            .map(NodeId)
+            .collect();
+        nodes.shuffle(&mut rng);
+        let (hubs, rest) = nodes.split_at(HUB_DEGREES.len());
+        let mut keys = std::collections::BTreeSet::new();
+        for (&hub, &degree) in hubs.iter().zip(&HUB_DEGREES) {
+            let mut leaves = rest.to_vec();
+            leaves.shuffle(&mut rng);
+            keys.extend(leaves[..degree].iter().map(|&w| EdgeKey::new(hub, w)));
+        }
+        for _ in 0..3 * rest.len() {
+            let u = rest[rng.random_range(0..rest.len())];
+            let v = rest[rng.random_range(0..rest.len())];
+            if u != v {
+                keys.insert(EdgeKey::new(u, v));
+            }
+        }
+        let mut edges: Vec<(NodeId, NodeId)> = keys
+            .into_iter()
+            .map(|k| {
+                let (u, v) = k.endpoints();
+                if rng.random_bool(0.5) {
+                    (u, v)
+                } else {
+                    (v, u)
+                }
+            })
+            .collect();
+        edges.shuffle(&mut rng);
+        let hubs = hubs.to_vec();
+        ((NodeId(next_id), nodes, edges), hubs)
+    }
+
+    #[test]
+    fn from_adjacency_equals_the_incremental_build() {
+        for seed in 0..6 {
+            let ((next_id, nodes, edges), hubs) = random_parts(seed);
+            let bulk = DynGraph::from_adjacency(next_id, &nodes, &edges).unwrap();
+            let oracle = incremental_build(next_id, &nodes, &edges).unwrap();
+            bulk.assert_consistent();
+            assert_eq!(bulk, oracle, "seed {seed}");
+            assert_eq!(bulk.max_degree(), oracle.max_degree(), "seed {seed}");
+            assert_eq!(bulk.edge_count(), oracle.edge_count(), "seed {seed}");
+            assert_eq!(bulk.peek_next_id(), next_id);
+            for (&hub, &degree) in hubs.iter().zip(&HUB_DEGREES) {
+                assert_eq!(bulk.degree(hub), Some(degree), "seed {seed}");
+                let chunks = bulk.neighbor_chunks(hub).unwrap().count();
+                assert_eq!(
+                    chunks > 1,
+                    degree >= CHUNK_PROMOTE,
+                    "hub of degree {degree}"
+                );
+            }
+            // Ascending edge order takes the path that sorts nothing.
+            let sorted: Vec<(NodeId, NodeId)> = bulk.edges().map(EdgeKey::endpoints).collect();
+            let again = DynGraph::from_adjacency(next_id, &nodes, &sorted).unwrap();
+            again.assert_consistent();
+            assert_eq!(again, oracle, "seed {seed}, ascending edges");
+            // The bulk-built chunks take later churn like grown ones.
+            let (mut bulk, mut oracle) = (bulk, oracle);
+            let hub = hubs[HUB_DEGREES.len() - 1];
+            let nbrs = oracle.neighbors_vec(hub).unwrap();
+            for &w in nbrs.iter().step_by(3) {
+                bulk.remove_edge(hub, w).unwrap();
+                oracle.remove_edge(hub, w).unwrap();
+            }
+            for &w in &nodes {
+                if w != hub && !oracle.has_edge(hub, w) && w.index() % 5 == 0 {
+                    bulk.insert_edge(w, hub).unwrap();
+                    oracle.insert_edge(w, hub).unwrap();
+                }
+            }
+            bulk.assert_consistent();
+            assert_eq!(bulk, oracle, "seed {seed}, after churn");
+            assert_eq!(bulk.max_degree(), oracle.max_degree());
+        }
+    }
+
+    #[test]
+    fn from_adjacency_errors_match_the_incremental_build() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        type Defect = fn(&mut Parts, &mut StdRng);
+        let defects: [(&str, Defect); 7] = [
+            ("self-loop", |(_, nodes, edges), rng| {
+                let v = nodes[rng.random_range(0..nodes.len())];
+                edges.insert(rng.random_range(0..=edges.len()), (v, v));
+            }),
+            ("endpoint in an id hole", |(_, nodes, edges), rng| {
+                let v = nodes[rng.random_range(0..nodes.len())];
+                edges.insert(rng.random_range(0..=edges.len()), (v, NodeId(3)));
+            }),
+            (
+                "endpoint at the watermark",
+                |(next_id, nodes, edges), rng| {
+                    let v = nodes[rng.random_range(0..nodes.len())];
+                    edges.insert(rng.random_range(0..=edges.len()), (*next_id, v));
+                },
+            ),
+            ("node id at the watermark", |(next_id, nodes, _), rng| {
+                nodes.insert(rng.random_range(0..=nodes.len()), *next_id);
+            }),
+            ("node id repeated", |(_, nodes, _), rng| {
+                let v = nodes[rng.random_range(0..nodes.len())];
+                nodes.insert(rng.random_range(0..=nodes.len()), v);
+            }),
+            ("edge repeated", |(_, _, edges), rng| {
+                let e = edges[rng.random_range(0..edges.len())];
+                edges.insert(rng.random_range(0..=edges.len()), e);
+            }),
+            ("edge repeated reversed", |(_, _, edges), rng| {
+                let (u, v) = edges[rng.random_range(0..edges.len())];
+                edges.insert(rng.random_range(0..=edges.len()), (v, u));
+            }),
+        ];
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let (parts, _) = random_parts(seed);
+            for (what, inject) in &defects {
+                let mut parts = parts.clone();
+                inject(&mut parts, &mut rng);
+                let (next_id, nodes, edges) = parts;
+                let bulk = DynGraph::from_adjacency(next_id, &nodes, &edges).unwrap_err();
+                let oracle = incremental_build(next_id, &nodes, &edges).unwrap_err();
+                assert_eq!(
+                    std::mem::discriminant(&bulk),
+                    std::mem::discriminant(&oracle),
+                    "{what}, seed {seed}: {bulk:?} vs {oracle:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_adjacency_refuses_an_unreservable_watermark() {
+        for watermark in [1u64 << 62, u64::MAX] {
+            assert_eq!(
+                DynGraph::from_adjacency(NodeId(watermark), &[NodeId(0)], &[]),
+                Err(GraphError::MissingNode(NodeId(watermark)))
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! ordered-map containers they replaced, so all replay-determinism
 //! guarantees are preserved.
 
+use std::collections::TryReserveError;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -89,6 +90,18 @@ impl<T> NodeMap<T> {
             len: 0,
             regrows: 0,
         }
+    }
+
+    /// [`Self::with_capacity`] for an `n` read from outside the program:
+    /// a reservation the allocator refuses is returned, not aborted on.
+    pub(crate) fn try_with_capacity(n: usize) -> Result<Self, TryReserveError> {
+        let mut slots = Vec::new();
+        slots.try_reserve_exact(n)?;
+        Ok(NodeMap {
+            slots,
+            len: 0,
+            regrows: 0,
+        })
     }
 
     /// Ensures identifiers below `n` can be inserted without the slot
