@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use dmis_core::{DynamicMis, Engine, PriorityMap};
 use dmis_graph::stream::{self, ChurnConfig};
-use dmis_graph::{generators, DynGraph, NodeId, ShardLayout};
+use dmis_graph::{generators, DynGraph, NodeId, ShardLayout, TopologyChange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -281,4 +281,106 @@ fn handoff_accounting_is_exact_on_a_path() {
     assert_eq!(receipt.cross_shard_handoffs(), 3);
     assert!(receipt.shard_runs() >= 2);
     engine.assert_internally_consistent();
+}
+
+/// Work totals of one replay: flips, settle pops, counter updates,
+/// cross-shard handoffs, shard runs, settle epochs.
+type Totals = [usize; 6];
+
+/// Replays `changes` through 16-change `apply_batch` windows and sums
+/// every receipt's work counters.
+fn window_totals(engine: &mut dyn DynamicMis, changes: &[TopologyChange]) -> Totals {
+    let mut totals = [0usize; 6];
+    for window in changes.chunks(16) {
+        let r = engine.apply_batch(window).expect("valid window");
+        for (t, x) in totals.iter_mut().zip([
+            r.adjustments(),
+            r.heap_pops(),
+            r.counter_updates(),
+            r.cross_shard_handoffs(),
+            r.shard_runs(),
+            r.settle_epochs(),
+        ]) {
+            *t += x;
+        }
+    }
+    totals
+}
+
+/// Receipt pin: a seeded barrier-churn stream (`node_churn_sharded`'s
+/// mix: every 8th change inserts a node with up to 8 edges or deletes
+/// one the stream inserted, the rest toggle pool pairs) replayed through
+/// 16-change windows on the unsharded engine and on `striped(4)`. The
+/// summed work counters are constants recorded from the engines; a
+/// change to the settle schedule — pop order, stale-seed accounting,
+/// handoff routing, epoch count — moves at least one of them. Windows
+/// that insert a node and delete it again are counted too, so the
+/// stream provably exercises stale batch seeds.
+#[test]
+fn barrier_churn_window_totals_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let (g, _) = generators::gnm(400, 1600, &mut rng);
+    let pool = stream::random_pair_pool(&g, 256, &mut rng);
+    let changes = stream::barrier_churn(&g, &pool, 8, 8, 4096, &mut rng);
+    let stale_windows = changes
+        .chunks(16)
+        .filter(|w| {
+            w.iter().any(|c| match c {
+                TopologyChange::InsertNode { id, .. } => w
+                    .iter()
+                    .any(|d| matches!(d, TopologyChange::DeleteNode(v) if v == id)),
+                _ => false,
+            })
+        })
+        .count();
+    assert!(stale_windows > 0, "no window deletes a node it inserted");
+    let mut plain = Engine::builder().graph(g.clone()).seed(5).build();
+    let mut sharded = Engine::builder()
+        .graph(g)
+        .seed(5)
+        .sharding(ShardLayout::striped(4))
+        .build();
+    let plain_totals = window_totals(&mut *plain, &changes);
+    let sharded_totals = window_totals(&mut *sharded, &changes);
+    assert_eq!(plain.mis(), sharded.mis());
+    assert_eq!(plain_totals, [687, 6493, 4124, 0, 0, 0], "unsharded totals");
+    assert_eq!(
+        sharded_totals,
+        [687, 6718, 4168, 3165, 1797, 559],
+        "striped(4) totals"
+    );
+}
+
+/// A batch that inserts a node and deletes it again leaves a stale seed:
+/// the sharded engine still pops it (and counts the pop), the unsharded
+/// engine drops it before its drain.
+#[test]
+fn stale_batch_seeds_pop_on_the_sharded_engine_only() {
+    let (g, ids) = generators::path(6);
+    let fresh = g.peek_next_id();
+    let batch = [
+        TopologyChange::InsertNode {
+            id: fresh,
+            edges: vec![ids[0], ids[3]],
+        },
+        TopologyChange::DeleteNode(fresh),
+    ];
+    let pm = PriorityMap::from_order(&ids);
+    let mut plain = Engine::builder()
+        .graph(g.clone())
+        .priorities(pm.clone())
+        .seed(3)
+        .build();
+    let mut sharded = Engine::builder()
+        .graph(g)
+        .priorities(pm)
+        .seed(3)
+        .sharding(ShardLayout::striped(2))
+        .build();
+    let p = plain.apply_batch(&batch).expect("valid batch");
+    let s = sharded.apply_batch(&batch).expect("valid batch");
+    assert_eq!(plain.mis(), sharded.mis());
+    assert_eq!(p.adjusted_nodes(), s.adjusted_nodes());
+    assert_eq!(s.heap_pops(), p.heap_pops() + 1, "the stale seed pops once");
+    sharded.assert_internally_consistent();
 }
