@@ -335,6 +335,26 @@ fn measure_engine_toggle_ns(
     )
 }
 
+/// Median ns per change of any [`DynamicMis`] engine replaying `changes`
+/// in order through single `apply` calls: `iters * samples` changes from
+/// `*next` on, which then points past them.
+fn measure_engine_stream_ns(
+    engine: &mut dyn DynamicMis,
+    changes: &[TopologyChange],
+    next: &mut usize,
+    iters: usize,
+    samples: usize,
+) -> f64 {
+    measure_toggle_ns(
+        || {
+            black_box(engine.apply(&changes[*next]).expect("valid change"));
+            *next += 1;
+        },
+        iters,
+        samples,
+    )
+}
+
 /// The bench's flapping workload: a **closed** toggle stream
 /// ([`dmis_graph::stream::flapping_stream`]) over a bounded pool of
 /// `g`'s own edges, so replaying it per bench iteration / snapshot
@@ -550,7 +570,13 @@ fn write_snapshot(test_mode: bool) {
     // Scale-tier section: sustained edge-toggle churn on million-node-class
     // instances of the two families whose memory layout stresses diverge —
     // uniform-degree ER (G(n, m=4n)) and Chung–Lu with √n-degree hubs (the
-    // chunked-adjacency regime). Each row prices one (n, family) cell:
+    // chunked-adjacency regime) — plus node churn on G(n, 4n): single
+    // changes in `node_churn_sharded`'s mix, where every 8th change
+    // inserts a node with up to 8 edges (a uniform key, so it lands
+    // mid-order) or deletes one the stream inserted, and the rest toggle
+    // pairs of a fixed pool. The engine's capacity covers the inserted
+    // ids, and the row's peak also holds the stream generator's shadow
+    // copy of the graph. Each row prices one (n, family) cell:
     // ns/change at steady state, peak-RSS bytes/node for the whole
     // graph+engine working set (VmHWM delta around the row, reset between
     // rows), the engine's storage-regrow count across the measured
@@ -570,37 +596,58 @@ fn write_snapshot(test_mode: bool) {
             &[4096, 100_000, 1_000_000]
         };
         for &n in sizes {
-            for family in ["er", "chung_lu"] {
+            for family in ["er", "chung_lu", "node_churn"] {
                 reset_peak_rss();
                 let rss_before = peak_rss_bytes();
                 let mut rng = StdRng::seed_from_u64(n as u64);
                 let (g, _) = match family {
-                    "er" => generators::gnm(n, 4 * n, &mut rng),
-                    _ => generators::chung_lu(n, 8.0, 2.5, &mut rng),
+                    "chung_lu" => generators::chung_lu(n, 8.0, 2.5, &mut rng),
+                    _ => generators::gnm(n, 4 * n, &mut rng),
                 };
                 let edge_count = g.edge_count();
                 let max_degree = g.max_degree();
-                // Pre-sample the toggled edges from one O(m) edge scan —
-                // per-call `random_edge` would put an O(m) sampler inside
-                // the row setup 256 times over.
-                let all: Vec<(NodeId, NodeId)> = g.edges().map(|k| k.endpoints()).collect();
                 let mut rng = StdRng::seed_from_u64(7);
-                let edges: Vec<(NodeId, NodeId)> = (0..256)
-                    .map(|_| all[rng.random_range(0..all.len())])
-                    .collect();
-                drop(all);
+                // Toggle rows pre-sample their edges from one O(m) edge
+                // scan — per-call `random_edge` would put an O(m) sampler
+                // inside the row setup 256 times over. The node-churn row
+                // instead replays one stream long enough for both
+                // measurements, in order.
+                let (edges, changes) = if family == "node_churn" {
+                    let pool = dmis_graph::stream::random_pair_pool(&g, 4096, &mut rng);
+                    let len = 2 * iters * samples;
+                    let changes = dmis_graph::stream::barrier_churn(&g, &pool, 8, 8, len, &mut rng);
+                    (Vec::new(), changes)
+                } else {
+                    let all: Vec<(NodeId, NodeId)> = g.edges().map(|k| k.endpoints()).collect();
+                    let edges: Vec<(NodeId, NodeId)> = (0..256)
+                        .map(|_| all[rng.random_range(0..all.len())])
+                        .collect();
+                    (edges, Vec::new())
+                };
+                let inserted = changes
+                    .iter()
+                    .filter(|c| matches!(c, TopologyChange::InsertNode { .. }))
+                    .count();
                 let mut engine = Engine::builder()
                     .graph(g)
                     .seed(42)
-                    .capacity(n)
+                    .capacity(n + inserted)
                     .build_unsharded();
+                let mut next = 0usize;
+                let mut measure = |engine: &mut dmis_core::MisEngine| {
+                    if changes.is_empty() {
+                        measure_engine_toggle_ns(engine, &edges, iters, samples)
+                    } else {
+                        measure_engine_stream_ns(engine, &changes, &mut next, iters, samples)
+                    }
+                };
                 let regrows_before = engine.storage_regrows();
-                let ns = measure_engine_toggle_ns(&mut engine, &edges, iters, samples);
+                let ns = measure(&mut engine);
                 let regrows = engine.storage_regrows() - regrows_before;
                 let peak = peak_rss_bytes().saturating_sub(rss_before);
                 let bytes_per_node = peak as f64 / n as f64;
                 let reader = engine.reader();
-                let published_ns = measure_engine_toggle_ns(&mut engine, &edges, iters, samples);
+                let published_ns = measure(&mut engine);
                 assert!(reader.epoch() > 0, "published engine actually published");
                 engine.assert_internally_consistent_sampled(1024, n as u64);
                 scale_entries.push(format!(

@@ -26,12 +26,14 @@
 #     to catch is per-epoch coordination work that grows with n or K
 #     leaking into the tiny-cascade fast path.
 #   - in the fresh "scale" section (sustained churn on pre-sized
-#     engines; ER and Chung–Lu), for the largest size present per
-#     family (n=10^5 required, the full-mode 10^6 rows checked when
-#     present): ns_per_change exceeds BENCH_GATE_SCALE_MAX_RATIO
+#     engines; ER and Chung–Lu edge toggles, and node churn on ER where
+#     every 8th change inserts or deletes a node), for every size past
+#     n=4096 per family (n=10^5 required, the full-mode 10^6 rows
+#     checked when present): ns_per_change exceeds BENCH_GATE_SCALE_MAX_RATIO
 #     (default 8.0) times the same family's n=4096 figure — per-change
 #     cost must stay flat in n up to cache effects, so a blown ratio
-#     means an O(n) scan crept back into the update path; or
+#     means an O(n) scan crept back into the update path (for node
+#     churn: a node insertion that moves other nodes' positions); or
 #     published_ns_per_change (the same churn with a MisReader held,
 #     so every toggle also publishes a snapshot) exceeds the same ratio
 #     times the family's n=4096 published figure — publish cost must
@@ -194,10 +196,11 @@ scfield() {
 
 # Scale gate: per-change cost flat in n (up to the cache-effect
 # allowance) with and without a reader attached, bounded bytes/node, and
-# zero steady-state reallocations. The 10^5 rows are mandatory; 10^6
-# rows are checked when present (the committed full-mode snapshot
-# carries them, smoke runs stop at 10^5).
-for fam in er chung_lu; do
+# zero steady-state reallocations, for edge toggles (er, chung_lu) and
+# node churn (node_churn). The 10^5 rows are mandatory; 10^6 rows are
+# checked when present (the committed full-mode snapshot carries them,
+# smoke runs stop at 10^5).
+for fam in er chung_lu node_churn; do
   base="$(scfield "$fresh" 4096 "$fam" ns_per_change)"
   pub_base="$(scfield "$fresh" 4096 "$fam" published_ns_per_change)"
   if [ -z "$base" ] || [ -z "$pub_base" ]; then
