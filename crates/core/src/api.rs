@@ -57,15 +57,16 @@ use crate::{BatchReceipt, MisEngine, MisState, PriorityMap, ShardedMisEngine, Up
 
 /// The realization of the π-ordered dirty queue a settle loop drains.
 ///
-/// Every engine drains one word-parallel rank front
-/// ([`dmis_graph::RankFront`] over [`crate::RankIndex`] ranks), so this
-/// has a single variant. It survives only so that external
+/// Every engine drains one [`crate::SettleFront`], a priority queue
+/// keyed by the priorities themselves, so this has a single variant,
+/// whose name predates that front. It survives only so that external
 /// [`DynamicMis`] implementations written against the two-strategy API
 /// keep compiling; see [`DynamicMis::settle_strategy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SettleStrategy {
-    /// The word-parallel rank-bitset front: no per-update allocation,
-    /// whole-word scans, `u32` rank compares on the neighbor filter.
+    /// The one settle drain: a [`crate::SettleFront`] keyed by π, with
+    /// no steady-state allocation and priority compares on the neighbor
+    /// filter.
     #[default]
     RankFront,
 }
@@ -251,7 +252,7 @@ pub trait DynamicMis: std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Panics if any counter, rank, or state diverged.
+    /// Panics if any counter, priority, or state diverged.
     fn assert_internally_consistent(&self);
 
     /// [`Self::check_invariant`] restricted to a deterministic sample of

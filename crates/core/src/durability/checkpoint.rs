@@ -14,11 +14,11 @@
 //! MIS   (tag 4): count + member ids — the corruption witness
 //! ```
 //!
-//! The rank spine is deliberately *not* serialized: it is a pure
-//! function of the priorities ([`RankIndex::from_priorities`]
-//! (crate::RankIndex::from_priorities) inside engine construction), so
-//! persisting it would only add bytes and a second copy to corrupt.
-//! Likewise the membership is rebuilt as the greedy fixed point of the
+//! Only the priorities are serialized, not any order derived from them:
+//! engine construction sorts them into π once
+//! ([`PriorityMap::nodes_by_priority`](crate::PriorityMap::nodes_by_priority)),
+//! so persisting the order would only add bytes and a second copy to
+//! corrupt. Likewise the membership is rebuilt as the greedy fixed point of the
 //! graph and priorities — the MIS frame exists purely as a **witness**:
 //! [`Checkpoint::restore`] recomputes the unique greedy fixed point and
 //! refuses ([`RecoverError::Witness`]) if it differs from what was

@@ -9,15 +9,13 @@
 //! sharded engine ([`crate::ShardedMisEngine`]) must reproduce its output
 //! bit for bit while partitioning this module's state across shards.
 
-use dmis_graph::{
-    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, RankFront, TopologyChange,
-};
+use dmis_graph::{ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, TopologyChange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::invariant::{self, InvariantViolation};
 use crate::snapshot::{MisPublisher, MisReader, PublishSlot};
-use crate::{BatchReceipt, MisState, PriorityMap, RankIndex, UpdateReceipt};
+use crate::{BatchReceipt, MisState, PriorityMap, SettleFront, UpdateReceipt};
 
 /// Incremental maintainer of the random-greedy MIS — the paper's template
 /// (Algorithm 1) realized as an efficient sequential data structure.
@@ -30,16 +28,17 @@ use crate::{BatchReceipt, MisState, PriorityMap, RankIndex, UpdateReceipt};
 ///
 /// A topology change perturbs the counters of at most the changed node(s)
 /// and their neighbors; the engine restores the invariant by settling dirty
-/// nodes in increasing π order (a word-parallel bitset front over the dense
-/// [`RankIndex`] ranks), so each node's final state is decided exactly
-/// once. The set of nodes whose output flips is the paper's adjustment set:
-/// by Theorem 1 its expected size is at most 1 for any single change, under
+/// nodes in increasing π order (a [`SettleFront`] keyed by the priorities
+/// themselves), so each node's final state is decided exactly once. The
+/// set of nodes whose output flips is the paper's adjustment set: by
+/// Theorem 1 its expected size is at most 1 for any single change, under
 /// the oblivious-adversary assumption.
 ///
 /// The per-update sequential cost is `O(1 + Σ_{v flipped} deg(v))` plus
-/// one pass over the front's summary words (one per 4096 ranks) — the O(Δ)
-/// factor per adjusted node the paper's Section 6 predicts for sequential
-/// implementations.
+/// O(log) front work per dirty node, which does not grow with n — the O(Δ) factor
+/// per adjusted node the paper's Section 6 predicts for sequential
+/// implementations. A node insertion costs O(degree): no other node's
+/// position in π moves.
 ///
 /// # Example
 ///
@@ -78,12 +77,10 @@ pub struct MisEngine {
     /// front; deduplicates pushes so each node is popped at most once per
     /// update.
     enqueued: NodeSet,
-    /// Dense ranks realizing π — maintained at node insert/delete, read
-    /// on every settle pop and neighbor filter.
-    ranks: RankIndex,
-    /// Persistent word-parallel dirty queue: empty between updates, like
-    /// `enqueued`, so no settle ever allocates.
-    front: RankFront,
+    /// Persistent π-keyed dirty queue: empty between updates, like
+    /// `enqueued`, and it keeps its capacity, so steady-state settles
+    /// never allocate.
+    front: SettleFront,
     /// Snapshot publication slot: empty (and free on the settle path)
     /// until [`Self::reader`] attaches a read path; then every settle
     /// publishes the quiesced membership. Cloning an engine detaches —
@@ -104,8 +101,7 @@ impl MisEngine {
             seed,
             draws: 0,
             enqueued: NodeSet::new(),
-            ranks: RankIndex::new(),
-            front: RankFront::new(),
+            front: SettleFront::new(),
             publisher: PublishSlot::default(),
         }
     }
@@ -141,9 +137,7 @@ impl MisEngine {
         seed: u64,
         draws: u64,
     ) -> Self {
-        let ranks = RankIndex::from_priorities(&priorities);
-        let (in_mis, lower_mis_count) = seed_greedy(&graph, &ranks);
-        let front = RankFront::with_capacity(ranks.span());
+        let (in_mis, lower_mis_count) = seed_greedy(&graph, &priorities);
         MisEngine {
             graph,
             priorities,
@@ -153,8 +147,7 @@ impl MisEngine {
             seed,
             draws,
             enqueued: NodeSet::new(),
-            ranks,
-            front,
+            front: SettleFront::new(),
             publisher: PublishSlot::default(),
         }
     }
@@ -188,12 +181,6 @@ impl MisEngine {
         &self.priorities
     }
 
-    /// Returns the dense rank realization of π (see [`RankIndex`]).
-    #[must_use]
-    pub fn ranks(&self) -> &RankIndex {
-        &self.ranks
-    }
-
     /// Iterates over the current MIS in identifier order without
     /// allocating a set.
     pub fn mis_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -222,10 +209,8 @@ impl MisEngine {
     /// until first call, the settle path pays nothing for this feature.
     pub fn reader(&mut self) -> MisReader {
         if !self.publisher.is_attached() {
-            self.publisher.set(MisPublisher::attach(
-                self.in_mis.clone(),
-                self.ranks.compactions(),
-            ));
+            self.publisher
+                .set(MisPublisher::attach(self.in_mis.clone()));
         }
         self.publisher.get().expect("just attached").reader()
     }
@@ -237,6 +222,15 @@ impl MisEngine {
         self.rng.random()
     }
 
+    /// Marks `v` dirty: it enters the settle front at once, keyed by its
+    /// priority, and only once however many changes or flipping
+    /// neighbors mark it before it pops.
+    fn mark(&mut self, v: NodeId) {
+        if self.enqueued.insert(v) {
+            self.front.push(self.priorities.of(v));
+        }
+    }
+
     /// Inserts the edge `{u, v}` and restores the MIS invariant.
     ///
     /// # Errors
@@ -246,14 +240,13 @@ impl MisEngine {
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReceipt, GraphError> {
         self.graph.insert_edge(u, v)?;
         let (lo, hi) = self.order_pair(u, v);
-        let mut seeds = Vec::new();
         let mut counter_updates = 0;
         if self.in_mis.contains(lo) {
             *self.lower_mis_count.get_mut(hi).expect("live node") += 1;
             counter_updates += 1;
-            seeds.push(hi);
+            self.mark(hi);
         }
-        Ok(self.propagate(ChangeKind::EdgeInsert, seeds, counter_updates))
+        Ok(self.propagate(ChangeKind::EdgeInsert, counter_updates))
     }
 
     /// Removes the edge `{u, v}` and restores the MIS invariant.
@@ -265,14 +258,13 @@ impl MisEngine {
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReceipt, GraphError> {
         self.graph.remove_edge(u, v)?;
         let (lo, hi) = self.order_pair(u, v);
-        let mut seeds = Vec::new();
         let mut counter_updates = 0;
         if self.in_mis.contains(lo) {
             *self.lower_mis_count.get_mut(hi).expect("live node") -= 1;
             counter_updates += 1;
-            seeds.push(hi);
+            self.mark(hi);
         }
-        Ok(self.propagate(ChangeKind::EdgeDelete, seeds, counter_updates))
+        Ok(self.propagate(ChangeKind::EdgeDelete, counter_updates))
     }
 
     /// Inserts a new node with a *prescribed* random key instead of drawing
@@ -294,13 +286,13 @@ impl MisEngine {
     {
         let v = self.graph.add_node_with_edges(neighbors)?;
         self.priorities.insert(v, crate::Priority::new(key, v));
-        self.ranks.insert(v, &self.priorities);
         // The newcomer starts with the paper's temporary state M̄ (§4.1), so
         // no neighbor counter is affected by its arrival; its membership
         // bit is simply left unset.
         let count = self.count_lower_mis(v);
         self.lower_mis_count.insert(v, count);
-        let receipt = self.propagate(ChangeKind::NodeInsert, vec![v], 0);
+        self.mark(v);
+        let receipt = self.propagate(ChangeKind::NodeInsert, 0);
         Ok((v, receipt))
     }
 
@@ -322,7 +314,6 @@ impl MisEngine {
         let prio_v = self.priorities.of(v);
         let nbrs = self.graph.remove_node(v)?;
         self.priorities.remove(v);
-        self.ranks.remove(v);
         self.in_mis.remove(v);
         self.lower_mis_count.remove(v);
         if was_in {
@@ -330,18 +321,17 @@ impl MisEngine {
             // nodes), so the publish log learns of them here.
             self.publisher.record(v, false);
         }
-        let mut seeds = Vec::new();
         let mut counter_updates = 0;
         if was_in {
             for w in nbrs {
                 if self.priorities.of(w) > prio_v {
                     *self.lower_mis_count.get_mut(w).expect("live node") -= 1;
                     counter_updates += 1;
-                    seeds.push(w);
+                    self.mark(w);
                 }
             }
         }
-        Ok(self.propagate(ChangeKind::NodeDelete, seeds, counter_updates))
+        Ok(self.propagate(ChangeKind::NodeDelete, counter_updates))
     }
 
     /// Applies a **batch** of topology changes atomically: all graph
@@ -386,12 +376,11 @@ impl MisEngine {
     /// so the engine stays consistent; the failing and subsequent changes
     /// are not applied.
     pub fn apply_batch(&mut self, changes: &[TopologyChange]) -> Result<BatchReceipt, GraphError> {
-        let mut seeds = Vec::new();
         let mut counter_updates = 0usize;
         let mut applied = 0usize;
         let mut failure: Option<GraphError> = None;
         for change in changes {
-            let result = self.mutate_only(change, &mut seeds, &mut counter_updates);
+            let result = self.mutate_only(change, &mut counter_updates);
             match result {
                 Ok(()) => applied += 1,
                 Err(e) => {
@@ -404,7 +393,6 @@ impl MisEngine {
             changes
                 .first()
                 .map_or(ChangeKind::EdgeInsert, TopologyChange::kind),
-            seeds,
             counter_updates,
         );
         match failure {
@@ -414,11 +402,11 @@ impl MisEngine {
     }
 
     /// Applies one change's graph mutation and counter fix-ups against the
-    /// *frozen* output states, deferring propagation.
+    /// *frozen* output states, marking dirty nodes but deferring
+    /// propagation.
     fn mutate_only(
         &mut self,
         change: &TopologyChange,
-        seeds: &mut Vec<NodeId>,
         counter_updates: &mut usize,
     ) -> Result<(), GraphError> {
         match change {
@@ -429,7 +417,7 @@ impl MisEngine {
                     *self.lower_mis_count.get_mut(hi).expect("live node") += 1;
                     *counter_updates += 1;
                 }
-                seeds.push(hi);
+                self.mark(hi);
             }
             TopologyChange::DeleteEdge(u, v) => {
                 self.graph.remove_edge(*u, *v)?;
@@ -438,7 +426,7 @@ impl MisEngine {
                     *self.lower_mis_count.get_mut(hi).expect("live node") -= 1;
                     *counter_updates += 1;
                 }
-                seeds.push(hi);
+                self.mark(hi);
             }
             TopologyChange::InsertNode { id, edges } => {
                 if self.graph.peek_next_id() != *id {
@@ -447,12 +435,9 @@ impl MisEngine {
                 let v = self.graph.add_node_with_edges(edges.iter().copied())?;
                 self.priorities.assign(v, &mut self.rng);
                 self.draws += 1;
-                // Re-ranking is legal here: the dirty set is still a list
-                // of node ids; ranks enter the front only in propagate().
-                self.ranks.insert(v, &self.priorities);
                 let count = self.count_lower_mis(v);
                 self.lower_mis_count.insert(v, count);
-                seeds.push(v);
+                self.mark(v);
             }
             TopologyChange::DeleteNode(v) => {
                 if !self.graph.has_node(*v) {
@@ -462,20 +447,21 @@ impl MisEngine {
                 let prio_v = self.priorities.of(*v);
                 let nbrs = self.graph.remove_node(*v)?;
                 self.priorities.remove(*v);
-                self.ranks.remove(*v);
                 self.in_mis.remove(*v);
                 self.lower_mis_count.remove(*v);
                 if was_in {
                     // As in `remove_node`: departures are not flips.
                     self.publisher.record(*v, false);
                 }
+                // If `v` itself was marked by an earlier change, its front
+                // entry is now stale; the drain drops it uncounted.
                 for w in nbrs {
                     if self.priorities.of(w) > prio_v {
                         if was_in {
                             *self.lower_mis_count.get_mut(w).expect("live node") -= 1;
                             *counter_updates += 1;
                         }
-                        seeds.push(w);
+                        self.mark(w);
                     }
                 }
             }
@@ -516,7 +502,6 @@ impl MisEngine {
     pub fn verify_and_repair(&mut self) -> crate::durability::RepairReport {
         let nodes: Vec<NodeId> = self.graph.nodes().collect();
         let scanned = nodes.len();
-        let mut seeds = Vec::new();
         let mut counters_fixed = 0usize;
         let mut memberships_violated = 0usize;
         for v in nodes {
@@ -532,17 +517,17 @@ impl MisEngine {
                 violated = true;
             }
             if violated {
-                seeds.push(v);
+                self.mark(v);
             }
         }
-        if seeds.is_empty() {
+        if self.front.is_empty() {
             return crate::durability::RepairReport::clean(scanned);
         }
         // The settle drain *is* the local rule: it pops the violated set
         // in increasing π, finalizing each node against its (now
         // truthful) counter. `EdgeInsert` is only the receipt's label —
         // repair is not a topology change.
-        let receipt = self.propagate(ChangeKind::EdgeInsert, seeds, counters_fixed);
+        let receipt = self.propagate(ChangeKind::EdgeInsert, counters_fixed);
         crate::durability::RepairReport::new(
             scanned,
             counters_fixed,
@@ -592,11 +577,8 @@ impl MisEngine {
     /// a freshly built engine, before [`Self::reader`].
     #[doc(hidden)]
     pub fn restore_epoch(&mut self, epoch: u64) {
-        self.publisher.set(MisPublisher::attach_at(
-            self.in_mis.clone(),
-            self.ranks.compactions(),
-            epoch,
-        ));
+        self.publisher
+            .set(MisPublisher::attach_at(self.in_mis.clone(), epoch));
     }
 
     /// Verifies every internal bookkeeping structure against a from-scratch
@@ -604,14 +586,13 @@ impl MisEngine {
     ///
     /// # Panics
     ///
-    /// Panics if any counter, rank, or state diverged.
+    /// Panics if any counter, priority, or state diverged.
     pub fn assert_internally_consistent(&self) {
         self.graph.assert_consistent();
         assert_eq!(self.lower_mis_count.len(), self.graph.node_count());
         assert_eq!(self.priorities.len(), self.graph.node_count());
-        self.ranks.assert_consistent(&self.priorities);
         assert!(self.enqueued.is_empty(), "enqueue scratch leaked bits");
-        assert!(self.front.is_empty(), "settle front leaked ranks");
+        assert!(self.front.is_empty(), "settle front leaked entries");
         assert_eq!(
             self.in_mis.len(),
             self.in_mis.popcount(),
@@ -638,19 +619,18 @@ impl MisEngine {
     }
 
     /// Pre-sizes every per-node structure (adjacency slots, priorities,
-    /// membership and scratch bitsets, counters, ranks, settle front)
-    /// for `n` nodes, so a bootstrap of up to `n` insertions performs no
-    /// incremental regrows — the difference between one upfront
-    /// allocation per table and log(n) reallocation-plus-copy cycles
-    /// during a 10^6-node load.
+    /// membership and scratch bitsets, counters) for `n` nodes, so a
+    /// bootstrap of up to `n` insertions performs no incremental
+    /// regrows — the difference between one upfront allocation per table
+    /// and log(n) reallocation-plus-copy cycles during a 10^6-node load.
+    /// The settle front is not a per-node table: it grows with the
+    /// largest dirty set seen and keeps that capacity.
     pub fn reserve_nodes(&mut self, n: usize) {
         self.graph.reserve_nodes(n);
         self.priorities.reserve_nodes(n);
         self.in_mis.reserve_nodes(n);
         self.lower_mis_count.reserve_slots(n);
         self.enqueued.reserve_nodes(n);
-        self.ranks.reserve(n);
-        self.front.reserve(n);
     }
 
     /// Total times any per-node structure grew past its capacity
@@ -664,8 +644,6 @@ impl MisEngine {
             + self.in_mis.regrows()
             + self.lower_mis_count.regrows()
             + self.enqueued.regrows()
-            + self.ranks.regrows()
-            + self.front.regrows()
     }
 
     /// [`Self::check_invariant`] restricted to ~`sample` deterministically
@@ -709,7 +687,7 @@ impl MisEngine {
             "cached mis_len diverged from the membership words"
         );
         assert!(self.enqueued.is_empty(), "enqueue scratch leaked bits");
-        assert!(self.front.is_empty(), "settle front leaked ranks");
+        assert!(self.front.is_empty(), "settle front leaked entries");
         for v in invariant::sampled_nodes(&self.graph, sample, seed) {
             assert_eq!(
                 self.lower_mis_count[v],
@@ -736,52 +714,33 @@ impl MisEngine {
     /// at its first pop because all lower-order dirty nodes settle first,
     /// so each node flips at most once per update.
     ///
-    /// Dirty ranks live in the persistent [`RankFront`], pops are
-    /// whole-word bit scans, and the neighbor filter compares dense `u32`
-    /// ranks instead of 16-byte priorities. Seeds arrive as node ids and
-    /// are converted to ranks *here* — after every mutation of the update
-    /// — so batch-triggered re-ranks can never invalidate a parked rank.
+    /// Dirty nodes wait in the persistent [`SettleFront`], keyed by their
+    /// priorities, and the neighbor filter compares priorities read from
+    /// the dense key table. Seeds were pushed as they were marked: no
+    /// node's key moves when another node arrives or leaves, so nothing
+    /// parked in the front can go out of date — except a batch seed whose
+    /// node a later change deleted, which pops with no counter and is
+    /// dropped without counting a pop.
     ///
     /// The `enqueued` bitset deduplicates the dirty set: a node seeded by
     /// several changes of a batch — or pushed by several flipping
     /// neighbors — enters the front once. Deduplication is sound because
-    /// pops are non-decreasing in π (a flip at rank `r` only ever pushes
-    /// strictly higher ranks), so a popped node can never need re-settling
-    /// within the same propagation.
-    fn propagate(
-        &mut self,
-        kind: ChangeKind,
-        seeds: Vec<NodeId>,
-        mut counter_updates: usize,
-    ) -> UpdateReceipt {
-        // All of this update's mutations have landed: rank any node the
-        // update inserted out of π order (one coalesced re-rank per
-        // update, not one per insertion). This also keeps the pending
-        // list bounded by a single update's inserts, so
-        // `RankIndex::remove`'s pending scan stays O(batch).
-        self.ranks.flush(&self.priorities);
-        // Every insert pairs with a bit set and every pop clears it, so
-        // both scratch structures are empty between updates without an
-        // O(n/64) clear — per-update cost stays bounded by the work done,
-        // not by the highest identifier ever allocated.
-        debug_assert!(self.enqueued.is_empty(), "settle scratch leaked bits");
-        debug_assert!(self.front.is_empty(), "settle front leaked ranks");
-        for v in seeds {
-            // A batch may have deleted a node seeded by an earlier change;
-            // the bitset merges duplicate seeds into one dirty entry.
-            if self.graph.has_node(v) && self.enqueued.insert(v) {
-                self.front.insert(self.ranks.rank_of(v));
-            }
-        }
+    /// pops are non-decreasing in π (a flip at priority `p` only ever
+    /// pushes strictly higher priorities), so a popped node can never
+    /// need re-settling within the same propagation.
+    fn propagate(&mut self, kind: ChangeKind, mut counter_updates: usize) -> UpdateReceipt {
         let mut flips = Vec::new();
         let mut pops = 0usize;
-        while let Some(rank) = self.front.pop_min() {
-            pops += 1;
-            let v = self.ranks.node_at(rank);
+        while let Some(p) = self.front.pop() {
+            let v = p.id();
             // Safe to free the bit: a popped node can never be re-pushed
-            // (all later pushes carry strictly higher ranks).
+            // (all later pushes carry strictly higher priorities).
             self.enqueued.remove(v);
-            let desired = self.lower_mis_count[v] == 0;
+            let Some(&count) = self.lower_mis_count.get(v) else {
+                continue;
+            };
+            pops += 1;
+            let desired = count == 0;
             let current = self.in_mis.contains(v);
             if desired == current {
                 continue;
@@ -789,14 +748,14 @@ impl MisEngine {
             self.set_in_mis(v, desired);
             flips.push((v, MisState::from_membership(desired)));
             let graph = &self.graph;
-            let ranks = &self.ranks;
+            let priorities = &self.priorities;
             let lower = &mut self.lower_mis_count;
             let enqueued = &mut self.enqueued;
             let front = &mut self.front;
             for chunk in graph.neighbor_chunks(v).expect("live node") {
                 for &w in chunk {
-                    let rw = ranks.rank_of(w);
-                    if rw > rank {
+                    let pw = priorities.of(w);
+                    if pw > p {
                         let c = lower.get_mut(w).expect("live node");
                         if desired {
                             *c += 1;
@@ -805,63 +764,56 @@ impl MisEngine {
                         }
                         counter_updates += 1;
                         if enqueued.insert(w) {
-                            front.insert(rw);
+                            front.push(pw);
                         }
                     }
                 }
             }
         }
         let receipt = UpdateReceipt::new(kind, flips, pops, counter_updates);
-        // The drain has quiesced — no rank is parked anywhere — so this
-        // is the one safe point to drop tombstone mass. Keeps the rank
-        // span (and the front's word array) within 2× the live count
-        // under deletion-heavy churn.
-        self.ranks.maybe_compact();
-        // Publication comes strictly after compaction: the snapshot's
-        // compaction stamp is the witness the consistency tier checks.
         if let Some(p) = self.publisher.get_mut() {
-            debug_assert!(self.ranks.is_flushed(), "publishing before rank quiescence");
-            p.publish(receipt.flips(), self.ranks.compactions());
+            p.publish(receipt.flips());
         }
         receipt
     }
 }
 
-/// An engine's initial state over `graph` under the order `ranks`
+/// An engine's initial state over `graph` under the order `priorities`
 /// realizes: the membership bitset and every node's lower-MIS counter,
-/// from one sweep in increasing rank. A node joins the MIS iff its
-/// counter is still 0 when its rank comes up, since every lower-ranked
-/// neighbor is decided by then; a joining node increments the counter
-/// of each higher-ranked neighbor. So the sweep reads only the members'
-/// adjacency, O(n + Σ_{v ∈ MIS} deg v), and its result is the greedy
-/// fixed point [`crate::static_greedy::greedy_mis_dense`] computes. Both
-/// engine flavors seed from it.
+/// from one sweep in increasing π. A node joins the MIS iff its counter
+/// is still 0 when its turn comes, since every lower-π neighbor is
+/// decided by then; a joining node increments the counter of each
+/// higher-π neighbor. So the sweep reads only the members' adjacency,
+/// O(n log n + Σ_{v ∈ MIS} deg v) with the one sort into π order, and
+/// its result is the greedy fixed point
+/// [`crate::static_greedy::greedy_mis_dense`] computes. Both engine
+/// flavors seed from it.
 ///
 /// # Panics
 ///
-/// Panics if `ranks` does not rank exactly the graph's nodes.
-pub(crate) fn seed_greedy(graph: &DynGraph, ranks: &RankIndex) -> (NodeSet, NodeMap<usize>) {
+/// Panics if `priorities` does not cover exactly the graph's nodes.
+pub(crate) fn seed_greedy(graph: &DynGraph, priorities: &PriorityMap) -> (NodeSet, NodeMap<usize>) {
     let watermark = graph.peek_next_id().index() as usize;
     let mut lower = NodeMap::with_capacity(watermark);
     for v in graph.nodes() {
-        assert!(ranks.get(v).is_some(), "node {v} has no priority");
+        assert!(priorities.get(v).is_some(), "node {v} has no priority");
         lower.insert(v, 0);
     }
     assert_eq!(
-        ranks.len(),
+        priorities.len(),
         graph.node_count(),
-        "priorities ranked for nodes the graph does not hold"
+        "priorities assigned to nodes the graph does not hold"
     );
     let mut in_mis = NodeSet::with_capacity(watermark);
-    for rank in 0..ranks.span() {
-        let v = ranks.node_at(rank);
+    for v in priorities.nodes_by_priority() {
         if lower[v] != 0 {
             continue;
         }
         in_mis.insert(v);
-        for chunk in graph.neighbor_chunks(v).expect("ranked nodes are live") {
+        let pv = priorities.of(v);
+        for chunk in graph.neighbor_chunks(v).expect("live node") {
             for &w in chunk {
-                if ranks.rank_of(w) > rank {
+                if priorities.of(w) > pv {
                     lower[w] += 1;
                 }
             }

@@ -12,9 +12,9 @@
 //!
 //! - [`Priority`] / [`PriorityMap`]: the random order π, realized as a
 //!   uniformly random 64-bit key per node with identifier tie-break, and
-//!   [`RankIndex`]: its dense `u32` rank compression, which lets every
-//!   settle loop run on a word-parallel bitset front
-//!   ([`dmis_graph::RankFront`]) instead of a per-update heap;
+//!   [`SettleFront`]: the priority queue keyed by π itself that every
+//!   settle loop drains, so inserting a node moves no other node's
+//!   position;
 //! - [`MisEngine`]: an efficient incremental maintainer of the random-greedy
 //!   MIS (the "sequential dynamic" realization of the paper's template,
 //!   Algorithm 1), reporting per-update [`UpdateReceipt`]s with the
@@ -71,6 +71,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod front;
 mod priority;
 mod receipt;
 mod state;
@@ -79,7 +80,6 @@ pub mod api;
 pub mod durability;
 pub mod invariant;
 pub mod policy;
-pub mod rank;
 pub mod sharding;
 pub mod snapshot;
 pub mod static_greedy;
@@ -91,9 +91,9 @@ pub use api::{
     SettleStrategy,
 };
 pub use engine::MisEngine;
+pub use front::SettleFront;
 pub use policy::{AdaptiveConfig, Clock, FlushPolicy, ManualClock, MonotonicClock, QueueDelay};
 pub use priority::{Priority, PriorityMap};
-pub use rank::RankIndex;
 pub use receipt::{BatchReceipt, UpdateReceipt};
 pub use sharding::ShardedMisEngine;
 pub use snapshot::{MisReader, MisSnapshot, SnapshotIter};

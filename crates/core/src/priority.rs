@@ -72,11 +72,25 @@ impl fmt::Debug for Priority {
 /// once, at insertion, and never redrawn; `PriorityMap` enforces this by
 /// refusing to overwrite an existing assignment.
 ///
-/// Backed by a dense [`NodeMap`], so the `of`/`before` lookups on the
-/// engine's settle loop are direct slot accesses.
+/// Backed by a dense [`NodeMap`] of keys alone — a slot's index is the
+/// priority's id — so the `of`/`before` lookups on the settle loop's
+/// neighbor filter are direct slot accesses into 16-byte slots.
+///
+/// # Example
+///
+/// ```
+/// use dmis_core::{Priority, PriorityMap};
+/// use dmis_graph::NodeId;
+///
+/// let mut pm = PriorityMap::from_order(&[NodeId(4), NodeId(0)]);
+/// pm.insert(NodeId(2), Priority::new(0, NodeId(2)));
+/// assert_eq!(pm.of(NodeId(0)), Priority::new(1, NodeId(0)));
+/// // Keys order π; equal keys break by identifier.
+/// assert_eq!(pm.nodes_by_priority(), [NodeId(2), NodeId(4), NodeId(0)]);
+/// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PriorityMap {
-    map: NodeMap<Priority>,
+    keys: NodeMap<u64>,
 }
 
 impl PriorityMap {
@@ -89,14 +103,14 @@ impl PriorityMap {
     /// Pre-sizes the backing table for `n` nodes, so a bootstrap of up
     /// to `n` assignments performs no incremental regrows.
     pub fn reserve_nodes(&mut self, n: usize) {
-        self.map.reserve_slots(n);
+        self.keys.reserve_slots(n);
     }
 
     /// Times the backing table grew past its capacity (reallocated)
     /// since construction. 0 after an adequate [`Self::reserve_nodes`].
     #[must_use]
     pub fn regrows(&self) -> u64 {
-        self.map.regrows()
+        self.keys.regrows()
     }
 
     /// Draws and records a fresh random priority for `id`.
@@ -120,19 +134,19 @@ impl PriorityMap {
     /// for a different node.
     pub fn insert(&mut self, id: NodeId, p: Priority) {
         assert_eq!(p.id(), id, "priority belongs to a different node");
-        let prev = self.map.insert(id, p);
+        let prev = self.keys.insert(id, p.key());
         assert!(prev.is_none(), "priority of {id} must not be redrawn");
     }
 
     /// Removes the priority of a deleted node, returning it if present.
     pub fn remove(&mut self, id: NodeId) -> Option<Priority> {
-        self.map.remove(id)
+        self.keys.remove(id).map(|key| Priority::new(key, id))
     }
 
     /// Returns the priority of `id`, if assigned.
     #[must_use]
     pub fn get(&self, id: NodeId) -> Option<Priority> {
-        self.map.get(id).copied()
+        self.keys.get(id).map(|&key| Priority::new(key, id))
     }
 
     /// Returns `true` if `a` is ordered before `b` in π.
@@ -159,27 +173,34 @@ impl PriorityMap {
     /// Number of assigned priorities.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.keys.len()
     }
 
     /// Returns `true` if no priority is assigned.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.keys.is_empty()
     }
 
     /// Iterates over `(node, priority)` pairs in node order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Priority)> + '_ {
-        self.map.iter().map(|(id, &p)| (id, p))
+        self.keys
+            .iter()
+            .map(|(id, &key)| (id, Priority::new(key, id)))
     }
 
     /// Returns the live nodes sorted by increasing priority — the order in
-    /// which sequential greedy inspects them.
+    /// which sequential greedy inspects them. Sorts 16-byte `(key, id)`
+    /// pairs, which order exactly as the priorities do.
     #[must_use]
     pub fn nodes_by_priority(&self) -> Vec<NodeId> {
-        let mut v: Vec<(Priority, NodeId)> = self.map.iter().map(|(id, &p)| (p, id)).collect();
+        let mut v: Vec<(u64, u64)> = self
+            .keys
+            .iter()
+            .map(|(id, &key)| (key, id.index()))
+            .collect();
         v.sort_unstable();
-        v.into_iter().map(|(_, id)| id).collect()
+        v.into_iter().map(|(_, id)| NodeId(id)).collect()
     }
 
     /// Builds a map that realizes the given explicit order: `order[0]` gets
@@ -234,6 +255,31 @@ mod tests {
     }
 
     #[test]
+    fn random_churn_keeps_nodes_by_priority_in_pi_order() {
+        // Insertions draw uniform keys (so most land mid-order) and
+        // removals leave vacant slots; the pair sort must still realize
+        // π over exactly the live nodes.
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut pm = PriorityMap::new();
+        let mut live: Vec<NodeId> = Vec::new();
+        for step in 0..600u64 {
+            if live.is_empty() || rng.random_bool(0.6) {
+                let v = NodeId(step);
+                pm.assign(v, &mut rng);
+                live.push(v);
+            } else {
+                let v = live.swap_remove(rng.random_range(0..live.len() as u64) as usize);
+                assert!(pm.remove(v).is_some());
+            }
+            if step % 50 == 0 {
+                let mut want = live.clone();
+                want.sort_unstable_by_key(|&v| pm.of(v));
+                assert_eq!(pm.nodes_by_priority(), want, "step {step}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "must not be redrawn")]
     fn redraw_panics() {
         let mut rng = StdRng::seed_from_u64(2);
@@ -263,6 +309,22 @@ mod tests {
         assert!(pm.before(NodeId(5), NodeId(2)));
         assert!(pm.before(NodeId(2), NodeId(9)));
         assert_eq!(pm.nodes_by_priority(), order.to_vec());
+    }
+
+    #[test]
+    fn nodes_by_priority_realizes_pi_with_id_tie_breaks() {
+        let mut pm = PriorityMap::new();
+        for (key, id) in [(7u64, 9u64), (3, 4), (7, 2), (u64::MAX, 0), (3, 1)] {
+            pm.insert(NodeId(id), Priority::new(key, NodeId(id)));
+        }
+        assert_eq!(
+            pm.nodes_by_priority(),
+            [1u64, 4, 2, 9, 0].map(NodeId).to_vec(),
+            "key-major, identifier-minor"
+        );
+        let mut by_of: Vec<NodeId> = pm.iter().map(|(id, _)| id).collect();
+        by_of.sort_unstable_by_key(|&v| pm.of(v));
+        assert_eq!(pm.nodes_by_priority(), by_of);
     }
 
     #[test]

@@ -100,8 +100,8 @@ impl UpdateReceipt {
     }
 
     /// Number of settle pops: dirty nodes drained from the settle front
-    /// (≥ adjustments). The name predates the rank front, which replaced
-    /// a binary heap.
+    /// (≥ adjustments). The name predates the π-keyed settle front, which
+    /// replaced a binary heap.
     #[must_use]
     pub fn heap_pops(&self) -> usize {
         self.heap_pops

@@ -59,38 +59,32 @@
 //! of random sequences.
 
 use dmis_graph::{
-    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, RankFront, ShardLayout,
-    TopologyChange,
+    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, ShardLayout, TopologyChange,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::invariant::{self, InvariantViolation};
 use crate::snapshot::{MisPublisher, MisReader, PublishSlot};
-use crate::{BatchReceipt, MisState, Priority, PriorityMap, RankIndex, UpdateReceipt};
+use crate::{BatchReceipt, MisState, Priority, PriorityMap, SettleFront, UpdateReceipt};
 
 /// One shard's slice of the per-node state, keyed by shard-local slots.
 ///
-/// The dirty set is the word-parallel `front` of global ranks, seeded
-/// directly by single-change routes and via `seeds`/`stale` at settle
-/// start for batches; it drains in global-π order.
+/// The dirty set is the shard's π-keyed `front`: routes push a node the
+/// moment they mark it, batch seeds included, and it drains in global-π
+/// order.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     /// Membership bits of the nodes this shard owns.
     in_mis: NodeSet,
     /// Lower-π MIS neighbor counters of the nodes this shard owns.
     lower_mis_count: NodeMap<usize>,
-    /// The dirty set: pending **global ranks**. Persistent — empty
-    /// between updates, never reallocated per update.
-    front: RankFront,
-    /// Staging area: nodes routed dirty while an update's mutations are
-    /// still landing. Converted to ranks at settle start, *after* all
-    /// mutations, so batch re-ranks cannot invalidate a parked rank.
-    seeds: Vec<NodeId>,
-    /// Seeds whose node a later batch change deleted before the settle
-    /// began. They carry no state, but each costs one settle pop, so a
-    /// batch's `heap_pops` counts every node it marked dirty.
-    stale: Vec<NodeId>,
+    /// The dirty set, keyed by priority. Persistent — empty between
+    /// epochs, never reallocated in steady state. A batch
+    /// seed whose node a later change deleted stays in it: it carries no
+    /// state, but it pops and costs one settle pop, so a batch's
+    /// `heap_pops` counts every node it marked dirty.
+    front: SettleFront,
     /// Dedup bitset for the dirty set (local slots), empty between
     /// updates.
     enqueued: NodeSet,
@@ -105,14 +99,6 @@ struct Shard {
     log: Vec<(NodeId, bool)>,
 }
 
-impl Shard {
-    /// Pending dirty entries, stale seeds included — the epoch
-    /// scheduler's unit of work.
-    fn pending(&self) -> usize {
-        self.front.len() + self.stale.len()
-    }
-}
-
 /// Work/traffic counters accumulated over one recovery.
 #[derive(Debug, Default, Clone, Copy)]
 struct SettleStats {
@@ -124,33 +110,31 @@ struct SettleStats {
 }
 
 /// Drains shard `s`'s dirty set to completion against the frozen view —
-/// the shared read-only graph and π ranks — as the unsharded settle loop
-/// confined to one shard. Pops are whole-word scans over pending global
-/// ranks and the neighbor filter compares dense `u32` ranks. Same-shard
-/// neighbors of a flip are updated in place; remote neighbors' deltas are
-/// buffered in the shard's outbox for the epoch barrier.
+/// the shared read-only graph and π — as the unsharded settle loop
+/// confined to one shard. The neighbor filter compares priorities read
+/// from the shared key table. Same-shard neighbors of a flip are updated
+/// in place; remote neighbors' deltas are buffered in the shard's outbox
+/// for the epoch barrier. The drain ends with the front empty, so the
+/// barrier's pushes seed the shard's next drain.
 fn run_shard_epoch(
     graph: &DynGraph,
-    ranks: &RankIndex,
+    priorities: &PriorityMap,
     layout: ShardLayout,
     s: usize,
     shard: &mut Shard,
     stats: &mut SettleStats,
 ) {
     stats.shard_runs += 1;
-    // Stale seeds first: a stale pop touches no state, so popping them
-    // up front is the same as meeting them mid-drain.
-    for v in shard.stale.drain(..) {
+    while let Some(p) = shard.front.pop() {
         stats.pops += 1;
-        shard.enqueued.remove(layout.local_slot(v));
-    }
-    while let Some(rank) = shard.front.pop_min() {
-        stats.pops += 1;
-        let v = ranks.node_at(rank);
-        debug_assert!(graph.has_node(v), "front ranks are always live");
+        let v = p.id();
         let local = layout.local_slot(v);
         shard.enqueued.remove(local);
-        let desired = shard.lower_mis_count[local] == 0;
+        // A stale seed: its node left after it was marked.
+        let Some(&count) = shard.lower_mis_count.get(local) else {
+            continue;
+        };
+        let desired = count == 0;
         let current = shard.in_mis.contains(local);
         if desired == current {
             continue;
@@ -166,15 +150,15 @@ fn run_shard_epoch(
         let delta: isize = if desired { 1 } else { -1 };
         for chunk in graph.neighbor_chunks(v).expect("live node") {
             for &w in chunk {
-                let rw = ranks.rank_of(w);
-                if rw > rank {
+                let pw = priorities.of(w);
+                if pw > p {
                     if layout.shard_of(w) == s {
                         let lw = layout.local_slot(w);
                         let c = shard.lower_mis_count.get_mut(lw).expect("live node");
                         *c = c.checked_add_signed(delta).expect("counter in range");
                         stats.counter_updates += 1;
                         if shard.enqueued.insert(lw) {
-                            shard.front.insert(rw);
+                            shard.front.push(pw);
                         }
                     } else {
                         shard.outbox.push((w, delta));
@@ -217,9 +201,6 @@ fn run_shard_epoch(
 pub struct ShardedMisEngine {
     graph: DynGraph,
     priorities: PriorityMap,
-    /// Dense rank realization of π, shared read-only across shards like
-    /// the priorities themselves.
-    ranks: RankIndex,
     layout: ShardLayout,
     shards: Vec<Shard>,
     rng: StdRng,
@@ -243,7 +224,6 @@ impl ShardedMisEngine {
         ShardedMisEngine {
             graph: DynGraph::new(),
             priorities: PriorityMap::new(),
-            ranks: RankIndex::new(),
             layout,
             shards: vec![Shard::default(); layout.shards()],
             rng: StdRng::seed_from_u64(seed),
@@ -299,12 +279,10 @@ impl ShardedMisEngine {
         seed: u64,
         draws: u64,
     ) -> Self {
-        let ranks = RankIndex::from_priorities(&priorities);
-        let (mis, lower) = crate::engine::seed_greedy(&graph, &ranks);
+        let (mis, lower) = crate::engine::seed_greedy(&graph, &priorities);
         let mut engine = ShardedMisEngine {
             graph,
             priorities,
-            ranks,
             layout,
             shards: vec![Shard::default(); layout.shards()],
             rng,
@@ -333,12 +311,6 @@ impl ShardedMisEngine {
     #[must_use]
     pub fn priorities(&self) -> &PriorityMap {
         &self.priorities
-    }
-
-    /// Returns the dense rank realization of π (see [`RankIndex`]).
-    #[must_use]
-    pub fn ranks(&self) -> &RankIndex {
-        &self.ranks
     }
 
     /// Returns the shard layout.
@@ -380,10 +352,8 @@ impl ShardedMisEngine {
     /// net flips in O(flips).
     pub fn reader(&mut self) -> MisReader {
         if !self.publisher.is_attached() {
-            self.publisher.set(MisPublisher::attach(
-                self.mis_iter().collect(),
-                self.ranks.compactions(),
-            ));
+            self.publisher
+                .set(MisPublisher::attach(self.mis_iter().collect()));
         }
         self.publisher.get().expect("just attached").reader()
     }
@@ -425,24 +395,10 @@ impl ShardedMisEngine {
     /// (`delta == 0`) are conservative dirty marks the batch path seeds
     /// for parity with [`crate::MisEngine::apply_batch`]; they carry no
     /// state and are not counted, keeping handoff metrics identical
-    /// between the single-change and batch APIs.
-    ///
-    /// `direct` says no further mutation can precede the settle — true
-    /// for the single-change entry points, whose routes are their last
-    /// mutating act. A direct route parks the *rank* in the shard's
-    /// front immediately (the rank cannot be invalidated: only a
-    /// later node insertion of the same update could force a re-rank,
-    /// and only a later deletion could kill the node). Batch routes pass
-    /// `direct = false` and stage the node id instead, converted at
-    /// settle start once all mutations have landed.
-    fn route(
-        &mut self,
-        v: NodeId,
-        delta: isize,
-        origin: usize,
-        stats: &mut SettleStats,
-        direct: bool,
-    ) {
+    /// between the single-change and batch APIs. The mark enters the
+    /// shard's front at once: a priority never moves, so no later change
+    /// of the update can invalidate it.
+    fn route(&mut self, v: NodeId, delta: isize, origin: usize, stats: &mut SettleStats) {
         let target = self.layout.shard_of(v);
         let local = self.layout.local_slot(v);
         let shard = &mut self.shards[target];
@@ -455,11 +411,7 @@ impl ShardedMisEngine {
             stats.counter_updates += 1;
         }
         if shard.enqueued.insert(local) {
-            if direct {
-                shard.front.insert(self.ranks.rank_of(v));
-            } else {
-                shard.seeds.push(v);
-            }
+            shard.front.push(self.priorities.of(v));
         }
     }
 
@@ -474,7 +426,7 @@ impl ShardedMisEngine {
         let (lo, hi) = self.order_pair(u, v);
         let mut stats = SettleStats::default();
         if self.output(lo) {
-            self.route(hi, 1, self.layout.shard_of(lo), &mut stats, true);
+            self.route(hi, 1, self.layout.shard_of(lo), &mut stats);
         }
         Ok(self.settle(ChangeKind::EdgeInsert, stats))
     }
@@ -490,7 +442,7 @@ impl ShardedMisEngine {
         let (lo, hi) = self.order_pair(u, v);
         let mut stats = SettleStats::default();
         if self.output(lo) {
-            self.route(hi, -1, self.layout.shard_of(lo), &mut stats, true);
+            self.route(hi, -1, self.layout.shard_of(lo), &mut stats);
         }
         Ok(self.settle(ChangeKind::EdgeDelete, stats))
     }
@@ -513,7 +465,6 @@ impl ShardedMisEngine {
     {
         let v = self.graph.add_node_with_edges(neighbors)?;
         self.priorities.insert(v, Priority::new(key, v));
-        self.ranks.insert(v, &self.priorities);
         let origin = self.layout.shard_of(v);
         let count = self.count_lower_mis(v);
         self.shards[origin]
@@ -522,7 +473,7 @@ impl ShardedMisEngine {
         // The newcomer starts in the temporary state M̄ (§4.1): membership
         // bit unset, no neighbor counter perturbed by its arrival.
         let mut stats = SettleStats::default();
-        self.route(v, 0, origin, &mut stats, false);
+        self.route(v, 0, origin, &mut stats);
         let receipt = self.settle(ChangeKind::NodeInsert, stats);
         Ok((v, receipt))
     }
@@ -542,7 +493,6 @@ impl ShardedMisEngine {
         let origin = self.layout.shard_of(v);
         let nbrs = self.graph.remove_node(v)?;
         self.priorities.remove(v);
-        self.ranks.remove(v);
         let local = self.layout.local_slot(v);
         self.shards[origin].in_mis.remove(local);
         self.shards[origin].lower_mis_count.remove(local);
@@ -556,7 +506,7 @@ impl ShardedMisEngine {
         if was_in {
             for w in nbrs {
                 if self.priorities.of(w) > prio_v {
-                    self.route(w, -1, origin, &mut stats, true);
+                    self.route(w, -1, origin, &mut stats);
                 }
             }
         }
@@ -610,13 +560,13 @@ impl ShardedMisEngine {
                 self.graph.insert_edge(*u, *v)?;
                 let (lo, hi) = self.order_pair(*u, *v);
                 let delta = isize::from(self.output(lo));
-                self.route(hi, delta, self.layout.shard_of(lo), stats, false);
+                self.route(hi, delta, self.layout.shard_of(lo), stats);
             }
             TopologyChange::DeleteEdge(u, v) => {
                 self.graph.remove_edge(*u, *v)?;
                 let (lo, hi) = self.order_pair(*u, *v);
                 let delta = -isize::from(self.output(lo));
-                self.route(hi, delta, self.layout.shard_of(lo), stats, false);
+                self.route(hi, delta, self.layout.shard_of(lo), stats);
             }
             TopologyChange::InsertNode { id, edges } => {
                 if self.graph.peek_next_id() != *id {
@@ -625,15 +575,12 @@ impl ShardedMisEngine {
                 let v = self.graph.add_node_with_edges(edges.iter().copied())?;
                 self.priorities.assign(v, &mut self.rng);
                 self.draws += 1;
-                // Re-ranking is legal mid-batch: dirty marks are still
-                // node ids; ranks enter the fronts only at settle start.
-                self.ranks.insert(v, &self.priorities);
                 let origin = self.layout.shard_of(v);
                 let count = self.count_lower_mis(v);
                 self.shards[origin]
                     .lower_mis_count
                     .insert(self.layout.local_slot(v), count);
-                self.route(v, 0, origin, stats, false);
+                self.route(v, 0, origin, stats);
             }
             TopologyChange::DeleteNode(v) => {
                 if !self.graph.has_node(*v) {
@@ -644,7 +591,6 @@ impl ShardedMisEngine {
                 let origin = self.layout.shard_of(*v);
                 let nbrs = self.graph.remove_node(*v)?;
                 self.priorities.remove(*v);
-                self.ranks.remove(*v);
                 let local = self.layout.local_slot(*v);
                 self.shards[origin].in_mis.remove(local);
                 self.shards[origin].lower_mis_count.remove(local);
@@ -654,7 +600,7 @@ impl ShardedMisEngine {
                 }
                 for w in nbrs {
                     if self.priorities.of(w) > prio_v {
-                        self.route(w, -isize::from(was_in), origin, stats, false);
+                        self.route(w, -isize::from(was_in), origin, stats);
                     }
                 }
             }
@@ -670,27 +616,22 @@ impl ShardedMisEngine {
     /// [module docs](self)); the barrier then merges all buffered
     /// handoffs in shard-index order, seeding the next epoch.
     fn settle(&mut self, kind: ChangeKind, mut stats: SettleStats) -> UpdateReceipt {
-        // All of this update's mutations have landed: one coalesced
-        // re-rank covers every node the update inserted out of π order.
-        // It also keeps the pending list bounded by a single update's
-        // inserts (so `RankIndex::remove` stays O(batch)) and every live
-        // node ranked between updates, which is what lets
-        // [`Self::route`] park ranks directly for single-change updates.
-        self.ranks.flush(&self.priorities);
-        self.convert_seeds();
-        while self.shards.iter().any(|sh| sh.pending() > 0) {
+        while self.shards.iter().any(|sh| !sh.front.is_empty()) {
             stats.epochs += 1;
             for (s, shard) in self.shards.iter_mut().enumerate() {
-                if shard.pending() > 0 {
-                    run_shard_epoch(&self.graph, &self.ranks, self.layout, s, shard, &mut stats);
+                if !shard.front.is_empty() {
+                    run_shard_epoch(
+                        &self.graph,
+                        &self.priorities,
+                        self.layout,
+                        s,
+                        shard,
+                        &mut stats,
+                    );
                 }
             }
             self.merge_outboxes(&mut stats);
         }
-        // Global quiescence: every shard front has drained, so no rank
-        // is parked anywhere and compaction is legal. Keeps the rank
-        // span within 2× the live count under deletion-heavy churn.
-        self.ranks.maybe_compact();
         // Net flips: nodes whose final state differs from their state at
         // first touch. Collection order across shards is irrelevant —
         // the report is sorted by π (the unsharded settle order).
@@ -706,49 +647,15 @@ impl ShardedMisEngine {
             }
         }
         flips.sort_by_key(|&(v, _)| self.priorities.of(v));
-        // Publication comes strictly after compaction (the snapshot's
-        // compaction stamp is the witness): the net flips carry this
-        // flush boundary.
+        // Global quiescence: the net flips carry this flush boundary.
         if let Some(p) = self.publisher.get_mut() {
-            debug_assert!(self.ranks.is_flushed(), "publishing before rank quiescence");
-            p.publish(&flips, self.ranks.compactions());
+            p.publish(&flips);
         }
         UpdateReceipt::new(kind, flips, stats.pops, stats.counter_updates).with_shard_stats(
             stats.handoffs,
             stats.shard_runs,
             stats.epochs,
         )
-    }
-
-    /// Converts every shard's staged dirty marks (node ids, buffered by
-    /// [`Self::route`] while the update's mutations were landing) into
-    /// pending front ranks. Runs once, at settle start, when the node set
-    /// — and hence the rank assignment — is final for this update. Seeds
-    /// whose node a later change deleted become `stale` entries, which
-    /// the drain pops (and counts) without touching any state.
-    fn convert_seeds(&mut self) {
-        debug_assert!(self.ranks.is_flushed(), "settle() flushes first");
-        let ShardedMisEngine {
-            graph,
-            ranks,
-            shards,
-            ..
-        } = self;
-        for shard in shards.iter_mut() {
-            if shard.seeds.is_empty() {
-                continue;
-            }
-            // Take the buffer so its capacity survives the drain.
-            let mut seeds = std::mem::take(&mut shard.seeds);
-            for v in seeds.drain(..) {
-                if graph.has_node(v) {
-                    shard.front.insert(ranks.rank_of(v));
-                } else {
-                    shard.stale.push(v);
-                }
-            }
-            shard.seeds = seeds;
-        }
     }
 
     /// The epoch barrier: applies every shard's buffered handoffs —
@@ -770,10 +677,10 @@ impl ShardedMisEngine {
                 let c = shard.lower_mis_count.get_mut(lw).expect("live node");
                 *c = c.checked_add_signed(delta).expect("counter in range");
                 stats.counter_updates += 1;
-                // Handoff targets are always live, and no re-rank can
-                // happen mid-settle: insert the rank directly.
+                // The target drained its front this epoch, so the push
+                // may sit below anything it popped.
                 if shard.enqueued.insert(lw) {
-                    shard.front.insert(self.ranks.rank_of(w));
+                    shard.front.push(self.priorities.of(w));
                 }
             }
             // Hand the (cleared) buffer back so its capacity is reused.
@@ -825,7 +732,7 @@ impl ShardedMisEngine {
         for v in violated {
             // Delta-free dirty marks: the counters are already truthful,
             // the drain only needs to re-finalize the violated nodes.
-            self.route(v, 0, self.layout.shard_of(v), &mut stats, false);
+            self.route(v, 0, self.layout.shard_of(v), &mut stats);
         }
         let receipt = self.settle(ChangeKind::EdgeInsert, stats);
         crate::durability::RepairReport::new(
@@ -881,11 +788,8 @@ impl ShardedMisEngine {
     /// built engine, before [`Self::reader`].
     #[doc(hidden)]
     pub fn restore_epoch(&mut self, epoch: u64) {
-        self.publisher.set(MisPublisher::attach_at(
-            self.mis_iter().collect(),
-            self.ranks.compactions(),
-            epoch,
-        ));
+        self.publisher
+            .set(MisPublisher::attach_at(self.mis_iter().collect(), epoch));
     }
 
     /// Verifies the MIS invariant over the whole graph.
@@ -909,13 +813,10 @@ impl ShardedMisEngine {
     pub fn assert_internally_consistent(&self) {
         self.graph.assert_consistent();
         assert_eq!(self.priorities.len(), self.graph.node_count());
-        self.ranks.assert_consistent(&self.priorities);
         let total_counters: usize = self.shards.iter().map(|s| s.lower_mis_count.len()).sum();
         assert_eq!(total_counters, self.graph.node_count());
         for shard in &self.shards {
-            assert!(shard.front.is_empty(), "settle front leaked ranks");
-            assert!(shard.seeds.is_empty(), "staged seeds leaked entries");
-            assert!(shard.stale.is_empty(), "stale seeds leaked entries");
+            assert!(shard.front.is_empty(), "settle front leaked entries");
             assert!(shard.enqueued.is_empty(), "enqueue scratch leaked bits");
             assert!(shard.outbox.is_empty(), "outbox leaked past the barrier");
             assert!(shard.touched.is_empty(), "flip log leaked touch bits");
@@ -946,22 +847,20 @@ impl ShardedMisEngine {
     }
 
     /// Pre-sizes every per-node structure for `n` nodes: global tables
-    /// (adjacency, priorities, ranks) get `n` slots, each shard's local
-    /// tables get its [`ShardLayout::local_span`] share, and each
-    /// shard's front gets the full rank span (fronts hold **global**
-    /// ranks). A bootstrap of up to `n` insertions then performs no
-    /// incremental regrows.
+    /// (adjacency, priorities) get `n` slots and each shard's local
+    /// tables get its [`ShardLayout::local_span`] share. A bootstrap of
+    /// up to `n` insertions then performs no incremental regrows. The
+    /// shard fronts are not per-node tables: they grow with the largest
+    /// dirty set seen and keep that capacity.
     pub fn reserve_nodes(&mut self, n: usize) {
         self.graph.reserve_nodes(n);
         self.priorities.reserve_nodes(n);
-        self.ranks.reserve(n);
         let local = self.layout.local_span(n);
         for shard in &mut self.shards {
             shard.in_mis.reserve_nodes(local);
             shard.lower_mis_count.reserve_slots(local);
             shard.enqueued.reserve_nodes(local);
             shard.touched.reserve_nodes(local);
-            shard.front.reserve(n);
         }
     }
 
@@ -979,10 +878,9 @@ impl ShardedMisEngine {
                     + s.lower_mis_count.regrows()
                     + s.enqueued.regrows()
                     + s.touched.regrows()
-                    + s.front.regrows()
             })
             .sum();
-        self.graph.regrows() + self.priorities.regrows() + self.ranks.regrows() + shards
+        self.graph.regrows() + self.priorities.regrows() + shards
     }
 
     /// [`Self::check_invariant`] restricted to ~`sample` deterministically
@@ -1026,7 +924,7 @@ impl ShardedMisEngine {
                 shard.in_mis.popcount(),
                 "cached shard mis_len diverged from its membership words"
             );
-            assert!(shard.front.is_empty(), "settle front leaked ranks");
+            assert!(shard.front.is_empty(), "settle front leaked entries");
             assert!(shard.enqueued.is_empty(), "enqueue scratch leaked bits");
             assert!(shard.outbox.is_empty(), "outbox leaked past the barrier");
         }

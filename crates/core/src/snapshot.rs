@@ -53,15 +53,6 @@
 //! plus the bit-match guarantee: every observed snapshot equals the
 //! writer's quiesced membership at *some* flush boundary.
 //!
-//! # Ordering against rank compaction
-//!
-//! Engines publish strictly **after** [`crate::rank::RankIndex`]'s
-//! settle-end `maybe_compact`, so a snapshot can never be built while a
-//! tombstoned `NodeId::MAX` slot is being dropped from the rank table.
-//! Each snapshot records the rank-table compaction count current at its
-//! publication ([`MisSnapshot::rank_compactions`]); the ordering test
-//! asserts it always equals the engine's live counter at quiescence.
-//!
 //! [`DynamicMis::reader`]: crate::DynamicMis::reader
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,10 +74,6 @@ pub struct MisSnapshot {
     members: NodeSet,
     /// Publication counter: 0 at attach, +1 per settle.
     epoch: u64,
-    /// The writer's rank-table compaction count at publication — the
-    /// witness that publication ran strictly after settle-end
-    /// compaction (see the module docs).
-    rank_compactions: u64,
 }
 
 impl MisSnapshot {
@@ -126,13 +113,6 @@ impl MisSnapshot {
     #[must_use]
     pub fn words(&self) -> &[u64] {
         self.members.words()
-    }
-
-    /// The writer's rank-table compaction count
-    /// ([`crate::rank::RankIndex::compactions`]) at publication.
-    #[must_use]
-    pub fn rank_compactions(&self) -> u64 {
-        self.rank_compactions
     }
 
     /// Replays absolute membership assignments, in order.
@@ -204,20 +184,16 @@ pub(crate) struct MisPublisher {
 impl MisPublisher {
     /// Creates the channel and publishes the attach-time state as
     /// epoch 0.
-    pub(crate) fn attach(members: NodeSet, rank_compactions: u64) -> Self {
-        Self::attach_at(members, rank_compactions, 0)
+    pub(crate) fn attach(members: NodeSet) -> Self {
+        Self::attach_at(members, 0)
     }
 
     /// Creates the channel at a prescribed epoch instead of 0: the
     /// recovery path re-attaches a restored engine's read channel at
     /// the epoch its checkpoint + replayed WAL suffix reconstructed, so
     /// readers resuming after a crash never observe a regressed epoch.
-    pub(crate) fn attach_at(members: NodeSet, rank_compactions: u64, epoch: u64) -> Self {
-        let snap = Arc::new(MisSnapshot {
-            members,
-            epoch,
-            rank_compactions,
-        });
+    pub(crate) fn attach_at(members: NodeSet, epoch: u64) -> Self {
+        let snap = Arc::new(MisSnapshot { members, epoch });
         MisPublisher {
             cell: Arc::new(SnapshotCell {
                 epoch: AtomicU64::new(epoch),
@@ -245,7 +221,7 @@ impl MisPublisher {
     /// installed membership with every logged assignment and then
     /// `flips` applied. The snapshot is built before the swap lock is
     /// taken, so readers only ever wait for a pointer swap.
-    pub(crate) fn publish(&mut self, flips: &[(NodeId, MisState)], rank_compactions: u64) {
+    pub(crate) fn publish(&mut self, flips: &[(NodeId, MisState)]) {
         self.pending
             .extend(flips.iter().map(|&(v, state)| (v, state.is_in())));
         // An unpinned spare is one epoch behind: replaying `behind`
@@ -260,7 +236,6 @@ impl MisPublisher {
         let snap = Arc::get_mut(&mut next).expect("no reader can reach an unpublished buffer");
         snap.assign(&self.pending);
         snap.epoch = self.epoch() + 1;
-        snap.rank_compactions = rank_compactions;
         self.spare = Some(self.cell.swap(next));
         std::mem::swap(&mut self.behind, &mut self.pending);
         self.pending.clear();
@@ -448,7 +423,7 @@ mod tests {
 
     #[test]
     fn attach_publishes_epoch_zero() {
-        let publisher = MisPublisher::attach(set_of(&[1, 5, 64]), 0);
+        let publisher = MisPublisher::attach(set_of(&[1, 5, 64]));
         let reader = publisher.reader();
         assert_eq!(reader.epoch(), 0);
         let snap = reader.snapshot();
@@ -461,17 +436,16 @@ mod tests {
 
     #[test]
     fn publish_bumps_the_epoch_and_swaps_the_members() {
-        let mut publisher = MisPublisher::attach(set_of(&[0]), 0);
+        let mut publisher = MisPublisher::attach(set_of(&[0]));
         let reader = publisher.reader();
         let held = reader.snapshot();
         let mut flips = ins(&[2, 3]);
         flips.push((NodeId(0), MisState::Out));
-        publisher.publish(&flips, 1);
+        publisher.publish(&flips);
         assert_eq!(reader.epoch(), 1);
         let now = reader.snapshot();
         assert_eq!(now.epoch(), 1);
         assert_eq!(ids(&now), vec![2, 3]);
-        assert_eq!(now.rank_compactions(), 1);
         // The previously-acquired snapshot is frozen, not retracted.
         assert_eq!(held.epoch(), 0);
         assert_eq!(ids(&held), vec![0]);
@@ -479,17 +453,17 @@ mod tests {
 
     #[test]
     fn recorded_assignments_land_before_the_flips() {
-        let mut publisher = MisPublisher::attach(set_of(&[4, 8]), 0);
+        let mut publisher = MisPublisher::attach(set_of(&[4, 8]));
         let reader = publisher.reader();
         // A departed member, then an injected fault the settle later
         // re-asserts: absolute assignments, applied in log order.
         publisher.record(NodeId(4), false);
         publisher.record(NodeId(6), true);
-        publisher.publish(&[(NodeId(6), MisState::Out)], 0);
+        publisher.publish(&[(NodeId(6), MisState::Out)]);
         assert_eq!(ids(&reader.snapshot()), vec![8]);
         // Re-asserting a bit the snapshot already holds changes nothing.
         publisher.record(NodeId(8), true);
-        publisher.publish(&[], 0);
+        publisher.publish(&[]);
         let snap = reader.snapshot();
         assert_eq!(ids(&snap), vec![8]);
         assert_eq!(snap.mis_len(), 1);
@@ -497,8 +471,8 @@ mod tests {
 
     #[test]
     fn snapshot_iter_matches_identifier_order() {
-        let mut publisher = MisPublisher::attach(NodeSet::new(), 0);
-        publisher.publish(&ins(&[190, 0, 63, 64, 7]), 0);
+        let mut publisher = MisPublisher::attach(NodeSet::new());
+        publisher.publish(&ins(&[190, 0, 63, 64, 7]));
         let reader = publisher.reader();
         let ids: Vec<u64> = reader.mis_iter().map(NodeId::index).collect();
         assert_eq!(ids, vec![0, 7, 63, 64, 190]);
@@ -509,10 +483,10 @@ mod tests {
 
     #[test]
     fn clones_share_the_channel() {
-        let mut publisher = MisPublisher::attach(NodeSet::new(), 0);
+        let mut publisher = MisPublisher::attach(NodeSet::new());
         let a = publisher.reader();
         let b = a.clone();
-        publisher.publish(&ins(&[9]), 0);
+        publisher.publish(&ins(&[9]));
         assert_eq!(a.epoch(), 1);
         assert_eq!(b.epoch(), 1);
         assert!(b.snapshot().contains(NodeId(9)));
@@ -520,34 +494,33 @@ mod tests {
 
     #[test]
     fn attach_at_resumes_from_a_prescribed_epoch() {
-        let mut publisher = MisPublisher::attach_at(set_of(&[3]), 2, 41);
+        let mut publisher = MisPublisher::attach_at(set_of(&[3]), 41);
         assert_eq!(publisher.epoch(), 41);
         let reader = publisher.reader();
         assert_eq!(reader.epoch(), 41);
         assert_eq!(reader.snapshot().epoch(), 41);
-        assert_eq!(reader.snapshot().rank_compactions(), 2);
-        publisher.publish(&ins(&[5]), 2);
+        publisher.publish(&ins(&[5]));
         assert_eq!(reader.epoch(), 42);
         assert_eq!(publisher.epoch(), 42);
-        publisher.publish(&ins(&[9]), 3);
+        publisher.publish(&ins(&[9]));
         let snap = reader.snapshot();
-        assert_eq!((snap.epoch(), snap.rank_compactions()), (43, 3));
+        assert_eq!(snap.epoch(), 43);
         assert_eq!(ids(&snap), vec![3, 5, 9]);
     }
 
     #[test]
     fn unpinned_buffers_are_recycled_every_other_epoch() {
-        let mut publisher = MisPublisher::attach(set_of(&[1]), 0);
+        let mut publisher = MisPublisher::attach(set_of(&[1]));
         let reader = publisher.reader();
-        publisher.publish(&ins(&[2]), 0);
+        publisher.publish(&ins(&[2]));
         // Remember each epoch's buffer address without holding it: a
         // held `Arc` (or `Weak`) would pin the buffer.
         let e1 = Arc::as_ptr(&reader.snapshot());
-        publisher.publish(&ins(&[3]), 0);
+        publisher.publish(&ins(&[3]));
         let e2 = Arc::as_ptr(&reader.snapshot());
         assert_ne!(e1, e2, "consecutive epochs use distinct buffers");
         for e in 3..9u64 {
-            publisher.publish(&ins(&[e + 1]), 0);
+            publisher.publish(&ins(&[e + 1]));
             let snap = reader.snapshot();
             let expect = if e % 2 == 1 { e1 } else { e2 };
             assert!(
@@ -562,7 +535,7 @@ mod tests {
 
     #[test]
     fn held_snapshots_keep_their_epoch_and_bits() {
-        let mut publisher = MisPublisher::attach(set_of(&[0, 10]), 0);
+        let mut publisher = MisPublisher::attach(set_of(&[0, 10]));
         let reader = publisher.reader();
         let held = reader.snapshot();
         let before: Vec<u64> = ids(&held);
@@ -578,7 +551,7 @@ mod tests {
             for &(v, s) in &flips {
                 model_assign(&mut model, v, s.is_in());
             }
-            publisher.publish(&flips, e);
+            publisher.publish(&flips);
             assert_eq!(held.epoch(), 0, "a held snapshot keeps its epoch");
             assert_eq!(ids(&held), before, "a held snapshot keeps its bits");
             assert_eq!(held.mis_len(), 2);
@@ -586,19 +559,18 @@ mod tests {
             assert_eq!(now.epoch(), e);
             assert_eq!(now.members(), &model, "epoch {e}");
         }
-        assert_eq!(held.rank_compactions(), 0);
     }
 
     #[test]
     fn ids_beyond_the_buffer_grow_it() {
-        let mut publisher = MisPublisher::attach(set_of(&[1]), 0);
+        let mut publisher = MisPublisher::attach(set_of(&[1]));
         let reader = publisher.reader();
         assert_eq!(reader.snapshot().words().len(), 1);
-        publisher.publish(&ins(&[10_000]), 0);
+        publisher.publish(&ins(&[10_000]));
         // Both ring buffers meet the far id: the copy at epoch 1, the
         // recycled attach buffer (replaying epoch 1) at epoch 2.
-        publisher.publish(&ins(&[640]), 0);
-        publisher.publish(&[(NodeId(1), MisState::Out)], 0);
+        publisher.publish(&ins(&[640]));
+        publisher.publish(&[(NodeId(1), MisState::Out)]);
         let snap = reader.snapshot();
         assert_eq!(ids(&snap), vec![640, 10_000]);
         assert_eq!(snap.words().len(), 10_000 / 64 + 1);
@@ -626,7 +598,7 @@ mod tests {
             x % m
         };
         let mut model = NodeSet::new();
-        let mut publisher = MisPublisher::attach(model.clone(), 0);
+        let mut publisher = MisPublisher::attach(model.clone());
         let reader = publisher.reader();
         let mut held: Vec<(Arc<MisSnapshot>, NodeSet)> = Vec::new();
         for e in 1..=400u64 {
@@ -642,7 +614,7 @@ mod tests {
             for &(v, s) in &flips {
                 model_assign(&mut model, v, s.is_in());
             }
-            publisher.publish(&flips, e);
+            publisher.publish(&flips);
             let now = reader.snapshot();
             assert_eq!((now.epoch(), now.members()), (e, &model), "epoch {e}");
             assert_eq!(now.mis_len(), model.popcount());
@@ -663,7 +635,7 @@ mod tests {
     #[test]
     fn publish_slot_clone_detaches() {
         let mut slot = PublishSlot::default();
-        slot.set(MisPublisher::attach(NodeSet::new(), 0));
+        slot.set(MisPublisher::attach(NodeSet::new()));
         assert!(slot.is_attached());
         assert!(!slot.clone().is_attached());
     }
@@ -672,10 +644,10 @@ mod tests {
     fn a_detached_slot_records_nothing() {
         let mut slot = PublishSlot::default();
         slot.record(NodeId(3), true);
-        slot.set(MisPublisher::attach(NodeSet::new(), 0));
+        slot.set(MisPublisher::attach(NodeSet::new()));
         let reader = slot.get().expect("attached").reader();
         slot.record(NodeId(5), true);
-        slot.get_mut().expect("attached").publish(&[], 0);
+        slot.get_mut().expect("attached").publish(&[]);
         assert_eq!(ids(&reader.snapshot()), vec![5]);
     }
 }

@@ -1,9 +1,9 @@
 //! Settle-order oracle for the unsharded engine.
 //!
-//! Every engine settles dirty nodes from a word-parallel rank front
-//! ([`dmis_graph::RankFront`] over [`dmis_core::RankIndex`] ranks). Min
-//! rank = min π, so the front must pop exactly the sequence a
-//! `BinaryHeap<Reverse<(Priority, NodeId)>>` would. This suite keeps that
+//! Every engine settles dirty nodes from a [`dmis_core::SettleFront`], a
+//! priority queue keyed by the priorities themselves, so the front
+//! must pop exactly the sequence a `BinaryHeap<Reverse<(Priority,
+//! NodeId)>>` would. This suite keeps that
 //! heap as a test-local oracle: [`HeapOracle`] is a twin of the unsharded
 //! engine — its own graph, priorities, membership and seeded priority
 //! stream — that applies each change with the engine's seeding rules and
@@ -14,8 +14,9 @@
 //! must agree.
 //!
 //! The replays cover single changes of all four kinds, batches whose node
-//! inserts re-rank the index mid-batch, and batches that seed a node and
-//! then delete it.
+//! inserts draw keys below the live maximum (they enter the front
+//! mid-order, where a dense rank table would have had to re-rank), and
+//! batches that seed a node and then delete it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -245,15 +246,15 @@ fn single_changes_of_every_kind_match_the_heap_oracle() {
 }
 
 /// Batches with node inserts — whose random keys mostly land below the
-/// highest live priority, so the rank index re-ranks at settle start —
-/// mixed with edge and node churn, merged into one settle.
+/// highest live priority, so they enter the order mid-way — mixed with
+/// edge and node churn, merged into one settle.
 #[test]
 fn batches_that_rerank_mid_batch_match_the_heap_oracle() {
     let churny = ChurnConfig {
         node_insert: 0.3,
         ..ChurnConfig::default()
     };
-    let mut reranked = 0usize;
+    let mut mid_order = 0usize;
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(313) + 7);
         let (g, _) = generators::erdos_renyi(14 + (seed as usize % 6), 0.25, &mut rng);
@@ -274,9 +275,9 @@ fn batches_that_rerank_mid_batch_match_the_heap_oracle() {
             assert_eq!(got.applied(), batch.len(), "{context}");
             assert_eq!(whole!(&got), want, "batch receipt diverged ({context})");
             oracle.assert_agrees_with(&engine, &context);
-            // An inserted node ranked below the pre-batch maximum was
-            // parked as pending and forced a re-rank.
-            reranked += batch
+            // An inserted node whose key lands below the pre-batch
+            // maximum entered the order mid-way.
+            mid_order += batch
                 .iter()
                 .filter_map(|c| match c {
                     TopologyChange::InsertNode { id, .. } => engine.priorities().get(*id),
@@ -287,7 +288,10 @@ fn batches_that_rerank_mid_batch_match_the_heap_oracle() {
         }
         engine.assert_internally_consistent();
     }
-    assert!(reranked > 20, "batches exercised re-ranks: {reranked}");
+    assert!(
+        mid_order > 20,
+        "batches inserted below the live maximum: {mid_order}"
+    );
 }
 
 /// A batch that marks nodes dirty and then deletes them: the seed of a

@@ -14,12 +14,8 @@
 //!   reader threads sample `(epoch, mis_len, membership)` as fast as
 //!   they can; every sample is then verified bit-for-bit against the
 //!   oracle entry for its epoch;
-//! - the publication-ordering witness: publication runs strictly after
-//!   `RankIndex::maybe_compact`, so a snapshot's stamped
-//!   [`MisSnapshot::rank_compactions`] always equals the engine's live
-//!   counter at quiescence and no snapshot ever carries a tombstoned
-//!   (recycled) slot — checked under deletion-heavy node churn where
-//!   compaction actually fires.
+//! - departures under deletion-heavy node churn: no published snapshot
+//!   ever carries a node that has left the graph.
 //!
 //! Scale knobs for CI's `concurrency` job: `DMIS_STRESS_ITERS`
 //! multiplies stream lengths and sampling quotas; `DMIS_YIELD_SEED`
@@ -27,7 +23,6 @@
 //! different interleavings per seed on runners without a race detector.
 //!
 //! [`MisSnapshot`]: dmis_core::MisSnapshot
-//! [`MisSnapshot::rank_compactions`]: dmis_core::MisSnapshot::rank_compactions
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -273,11 +268,10 @@ fn every_observed_snapshot_is_a_flush_boundary_state() {
     }
 }
 
-/// Publication-ordering witness, unsharded: the snapshot's compaction
-/// stamp always equals the live `RankIndex` counter at quiescence
-/// (publication ran strictly after `maybe_compact`), deletion churn
-/// makes the counter actually move, and no published member is ever a
-/// departed (tombstoned or recycled) node.
+/// Departures under deletion-heavy churn, unsharded: removing most of
+/// the nodes, then inserting fresh ones, never publishes a member that
+/// has left the graph. (The name predates the π-keyed front; the rank
+/// table whose compaction it once witnessed is gone.)
 #[test]
 fn snapshots_publish_after_rank_compaction_unsharded() {
     let (g, ids) = generators::erdos_renyi(64, 0.1, &mut StdRng::seed_from_u64(4));
@@ -286,42 +280,26 @@ fn snapshots_publish_after_rank_compaction_unsharded() {
         .seed(17)
         .build_unsharded();
     let reader = engine.reader();
-    assert_eq!(
-        reader.snapshot().rank_compactions(),
-        engine.ranks().compactions()
-    );
-    // Deletion-heavy phase: removing most nodes drives tombstones past
-    // the live count, which is exactly when `maybe_compact` fires.
     for &v in &ids[..56] {
         engine.remove_node(v).expect("live node");
         let snap = reader.snapshot();
-        assert_eq!(
-            snap.rank_compactions(),
-            engine.ranks().compactions(),
-            "stamp equals the live counter at quiescence"
-        );
         let live: BTreeSet<NodeId> = engine.graph().nodes().collect();
         for m in snap.iter() {
             assert!(live.contains(&m), "published member {m:?} is live");
         }
     }
-    assert!(
-        engine.ranks().compactions() >= 1,
-        "deletion churn must have compacted the rank table"
-    );
-    // Recycle phase: fresh inserts reuse compacted slots; stamps must
-    // keep agreeing.
     for _ in 0..16 {
         engine.insert_node(&[]).expect("valid");
-        assert_eq!(
-            reader.snapshot().rank_compactions(),
-            engine.ranks().compactions()
-        );
+        let snap = reader.snapshot();
+        let live: BTreeSet<NodeId> = engine.graph().nodes().collect();
+        for m in snap.iter() {
+            assert!(live.contains(&m), "published member {m:?} is live");
+        }
     }
     engine.assert_internally_consistent();
 }
 
-/// The same ordering witness on the sharded engine.
+/// The same departure check on the sharded engine.
 #[test]
 fn snapshots_publish_after_rank_compaction_sharded() {
     let (g, ids) = generators::erdos_renyi(64, 0.1, &mut StdRng::seed_from_u64(6));
@@ -334,13 +312,11 @@ fn snapshots_publish_after_rank_compaction_sharded() {
     for &v in &ids[..56] {
         engine.remove_node(v).expect("live node");
         let snap = reader.snapshot();
-        assert_eq!(snap.rank_compactions(), engine.ranks().compactions());
         let live: BTreeSet<NodeId> = engine.graph().nodes().collect();
         for m in snap.iter() {
             assert!(live.contains(&m), "published member {m:?} is live");
         }
     }
-    assert!(engine.ranks().compactions() >= 1);
     engine.assert_internally_consistent();
 }
 

@@ -1,7 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
-use dmis_core::{Priority, PriorityMap, RankIndex};
-use dmis_graph::{DynGraph, GraphError, NodeId, NodeMap, RankFront, TopologyChange};
+use dmis_core::{Priority, PriorityMap, SettleFront};
+use dmis_graph::{DynGraph, GraphError, NodeId, NodeMap, TopologyChange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,10 +54,8 @@ pub struct ColoringEngine {
     priorities: PriorityMap,
     /// Dense per-node color table.
     color: NodeMap<usize>,
-    /// Dense ranks realizing π, consumed by the rank-front settle drain.
-    ranks: RankIndex,
-    /// Persistent word-parallel dirty queue (empty between updates).
-    front: RankFront,
+    /// Persistent π-keyed dirty queue (empty between updates).
+    front: SettleFront,
     rng: StdRng,
 }
 
@@ -87,14 +85,11 @@ impl ColoringEngine {
 
     fn from_parts_inner(graph: DynGraph, priorities: PriorityMap, rng: StdRng) -> Self {
         let coloring = dmis_core::static_greedy::greedy_coloring(&graph, &priorities);
-        let ranks = RankIndex::from_priorities(&priorities);
-        let front = RankFront::with_capacity(ranks.span());
         ColoringEngine {
             graph,
             priorities,
             color: coloring.into_iter().collect(),
-            ranks,
-            front,
+            front: SettleFront::new(),
             rng,
         }
     }
@@ -142,25 +137,25 @@ impl ColoringEngine {
 
     /// Settles dirty nodes in increasing π order: a recolored node's
     /// final color is decided at its first pop, because every lower-π
-    /// recolor precedes it. Dirty ranks live in the persistent
-    /// [`RankFront`] (set semantics — duplicate pushes merge), pops are
-    /// whole-word bit scans, and the neighbor filter compares dense `u32`
-    /// ranks.
+    /// recolor precedes it. Dirty nodes wait in the persistent
+    /// [`SettleFront`], keyed by priority, and the neighbor filter
+    /// compares priorities. The front keeps duplicate pushes, which pop
+    /// consecutively, so a pop equal to the previous one is skipped: each
+    /// dirty node settles once.
     fn propagate(&mut self, seeds: Vec<NodeId>) -> ColoringReceipt {
-        // One coalesced re-rank covers any node this update inserted out
-        // of π order — same cadence as the MIS engines, and for the same
-        // reason: it bounds the pending list so `RankIndex::remove` stays
-        // O(update).
-        self.ranks.flush(&self.priorities);
-        debug_assert!(self.front.is_empty(), "settle front leaked ranks");
+        debug_assert!(self.front.is_empty(), "settle front leaked entries");
         for v in seeds {
             // All seeds are live here: the coloring engine has no batch
             // API, so no seed can refer to a node a later change deleted.
-            self.front.insert(self.ranks.rank_of(v));
+            self.front.push(self.priorities.of(v));
         }
         let mut recolored = Vec::new();
-        while let Some(rank) = self.front.pop_min() {
-            let v = self.ranks.node_at(rank);
+        let mut last = None;
+        while let Some(p) = self.front.pop() {
+            if last.replace(p) == Some(p) {
+                continue;
+            }
+            let v = p.id();
             let desired = self.mex_of_lower(v);
             if self.color.get(v) == Some(&desired) {
                 continue;
@@ -168,20 +163,17 @@ impl ColoringEngine {
             self.color.insert(v, desired);
             recolored.push((v, desired));
             let graph = &self.graph;
-            let ranks = &self.ranks;
+            let priorities = &self.priorities;
             let front = &mut self.front;
             for chunk in graph.neighbor_chunks(v).expect("live node") {
                 for &w in chunk {
-                    let rw = ranks.rank_of(w);
-                    if rw > rank {
-                        front.insert(rw);
+                    let pw = priorities.of(w);
+                    if pw > p {
+                        front.push(pw);
                     }
                 }
             }
         }
-        // Post-drain, no rank is parked in the front: safe to compact
-        // tombstone mass so the rank span tracks the live node count.
-        self.ranks.maybe_compact();
         ColoringReceipt { recolored }
     }
 
@@ -219,7 +211,6 @@ impl ColoringEngine {
         let v = self.graph.add_node_with_edges(neighbors)?;
         let key = self.rng.random();
         self.priorities.insert(v, Priority::new(key, v));
-        self.ranks.insert(v, &self.priorities);
         // Sentinel forces the propagation to assign a real color.
         self.color.insert(v, usize::MAX);
         let receipt = self.propagate(vec![v]);
@@ -235,7 +226,6 @@ impl ColoringEngine {
         let prio_v = self.priorities.get(v).ok_or(GraphError::MissingNode(v))?;
         let nbrs = self.graph.remove_node(v)?;
         self.priorities.remove(v);
-        self.ranks.remove(v);
         self.color.remove(v);
         let seeds: Vec<NodeId> = nbrs
             .into_iter()
@@ -270,8 +260,7 @@ impl ColoringEngine {
     ///
     /// Panics on divergence.
     pub fn assert_consistent(&self) {
-        self.ranks.assert_consistent(&self.priorities);
-        assert!(self.front.is_empty(), "settle front leaked ranks");
+        assert!(self.front.is_empty(), "settle front leaked entries");
         let fresh: NodeMap<usize> =
             dmis_core::static_greedy::greedy_coloring(&self.graph, &self.priorities)
                 .into_iter()

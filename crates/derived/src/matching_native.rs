@@ -1,7 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
-use dmis_core::{Priority, PriorityMap, RankIndex};
-use dmis_graph::{DynGraph, EdgeKey, GraphError, NodeId, NodeMap, NodeSet, RankFront};
+use dmis_core::{Priority, PriorityMap, SettleFront};
+use dmis_graph::{DynGraph, EdgeKey, GraphError, NodeId, NodeMap, NodeSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,10 +84,8 @@ pub struct NativeMatching {
     /// `Priority::new(key, line_id)`, i.e. random key major, dense line
     /// id as the tie-break. This is the canonical settle order.
     line_prio: PriorityMap,
-    /// Dense ranks over `line_prio`, consumed by the rank-front drain.
-    ranks: RankIndex,
-    /// Persistent word-parallel dirty queue over line-id ranks.
-    front: RankFront,
+    /// Persistent dirty queue of line ids, keyed by `line_prio`.
+    front: SettleFront,
     rng: StdRng,
 }
 
@@ -97,8 +95,8 @@ impl NativeMatching {
     ///
     /// O(m log m): every edge is admitted with its key drawn in
     /// `graph.edges()` order — the same draws and line ids that m
-    /// [`Self::insert_edge`] calls would make — then the ranks are built
-    /// by one flush and the greedy matching is taken in rank order.
+    /// [`Self::insert_edge`] calls would make — then the greedy matching
+    /// is taken in the edges' priority order.
     #[must_use]
     pub fn new(graph: DynGraph, seed: u64) -> Self {
         let mut nm = Self::empty(seed);
@@ -116,10 +114,7 @@ impl NativeMatching {
             let key = nm.rng.random();
             nm.alloc_line(e, key);
         }
-        nm.ranks.flush(&nm.line_prio);
-        nm.front.reserve(nm.ranks.span());
-        for rank in 0..nm.ranks.span() {
-            let id = nm.ranks.node_at(rank);
+        for id in nm.line_prio.nodes_by_priority() {
             let e = nm.slots[id].0;
             let (u, v) = e.endpoints();
             if nm.cover.get(u).is_none() && nm.cover.get(v).is_none() {
@@ -140,8 +135,7 @@ impl NativeMatching {
             matched: NodeSet::new(),
             cover: NodeMap::new(),
             line_prio: PriorityMap::new(),
-            ranks: RankIndex::new(),
-            front: RankFront::new(),
+            front: SettleFront::new(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -161,7 +155,6 @@ impl NativeMatching {
         // removed at release, so the no-redraw invariant holds per
         // id-lifetime exactly as for graph nodes.
         self.line_prio.insert(id, Priority::new(key, id));
-        self.ranks.insert(id, &self.line_prio);
         id
     }
 
@@ -172,7 +165,6 @@ impl NativeMatching {
         let was_matched = self.matched.remove(id);
         self.slots.remove(id);
         self.line_prio.remove(id);
-        self.ranks.remove(id);
         self.free.push(id);
         (id, was_matched)
     }
@@ -260,27 +252,27 @@ impl NativeMatching {
     /// Settles dirty edges in increasing priority order — the edge-level
     /// image of the MIS engine's propagation: an edge's final status is
     /// decided at its first pop, because every lower-priority flip
-    /// precedes it. Dirty line-id ranks live in the persistent
-    /// [`RankFront`] (set semantics — duplicate pushes merge), pops are
-    /// whole-word bit scans, and the incident filter compares dense `u32`
-    /// ranks.
+    /// precedes it. Dirty line ids wait in the persistent
+    /// [`SettleFront`], keyed by `line_prio`, and the incident filter
+    /// compares priorities. The front keeps duplicate pushes, which pop
+    /// consecutively, so a pop equal to the previous one is skipped: each
+    /// dirty edge settles once.
     fn propagate(&mut self, seeds: Vec<EdgeKey>) -> MatchingReceipt {
-        // One coalesced re-rank covers the (typically one) edge this
-        // update admitted out of key order — the same cadence as the MIS
-        // engines, and for the same reason: it bounds the pending list
-        // so `RankIndex::remove` stays O(update).
-        self.ranks.flush(&self.line_prio);
-        debug_assert!(self.front.is_empty(), "settle front leaked ranks");
+        debug_assert!(self.front.is_empty(), "settle front leaked entries");
         for e in seeds {
             // A deletion may seed edges it also removed; only live edges
-            // hold a rank.
+            // hold a priority.
             if let Some(&id) = self.line_id.get(&e) {
-                self.front.insert(self.ranks.rank_of(id));
+                self.front.push(self.line_prio.of(id));
             }
         }
         let mut flips = Vec::new();
-        while let Some(rank) = self.front.pop_min() {
-            let id = self.ranks.node_at(rank);
+        let mut last = None;
+        while let Some(p) = self.front.pop() {
+            if last.replace(p) == Some(p) {
+                continue;
+            }
+            let id = p.id();
             let e = self.slots[id].0;
             let desired = self.desired(e);
             if desired == self.matched.contains(id) {
@@ -289,15 +281,12 @@ impl NativeMatching {
             self.apply_flip(id, e, desired);
             flips.push((e, desired));
             for other in self.incident(e) {
-                let orank = self.ranks.rank_of(self.line_id[&other]);
-                if orank > rank {
-                    self.front.insert(orank);
+                let po = self.line_prio.of(self.line_id[&other]);
+                if po > p {
+                    self.front.push(po);
                 }
             }
         }
-        // Post-drain, no line-id rank is parked in the front: safe to
-        // compact tombstone mass so the span tracks the live edge count.
-        self.ranks.maybe_compact();
         MatchingReceipt { flips }
     }
 
@@ -397,8 +386,7 @@ impl NativeMatching {
         assert_eq!(self.line_id.len(), self.slots.len(), "arena tables skewed");
         assert_eq!(self.line_id.len(), self.graph.edge_count());
         assert_eq!(self.line_prio.len(), self.slots.len(), "edge π skewed");
-        self.ranks.assert_consistent(&self.line_prio);
-        assert!(self.front.is_empty(), "settle front leaked ranks");
+        assert!(self.front.is_empty(), "settle front leaked entries");
         for (&e, &id) in &self.line_id {
             assert_eq!(self.slots.get(id).map(|s| s.0), Some(e), "slot mismatch");
         }

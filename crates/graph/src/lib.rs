@@ -66,5 +66,5 @@ pub use error::GraphError;
 pub use graph::{DynGraph, EdgeKey};
 pub use id::NodeId;
 pub use shard::ShardLayout;
-pub use storage::{NodeMap, NodeSet, RankFront};
+pub use storage::{NodeMap, NodeSet};
 pub use traversal::{bfs_order, connected_components, is_connected, shortest_path_len};

@@ -510,184 +510,6 @@ impl Extend<NodeId> for NodeSet {
     }
 }
 
-/// A two-level bitset min-queue over a dense *rank* space — the
-/// word-parallel replacement for a `BinaryHeap` whose keys are a fixed
-/// permutation of a dense id space.
-///
-/// The pending set lives in leaf words (bit `r % 64` of `words[r / 64]`);
-/// a summary level keeps one bit per non-zero leaf word (bit `w % 64` of
-/// `summary[w / 64]`), so [`Self::pop_min`] finds the minimum pending
-/// rank with two `trailing_zeros` instructions once the scan cursor sits
-/// on a non-empty summary word. [`Self::insert`] touches exactly one word
-/// per level and can only *lower* the cursor, and every pop either stays
-/// on the cursor's summary word or advances it — so a full
-/// insert-all/pop-all cycle costs O(inserts + summary words spanned), not
-/// O(pending · log pending) like the heap it replaces, and performs **no
-/// allocation** once the backing words have grown to the rank span
-/// (capacity persists across [`Self::pop_min`] draining the queue).
-///
-/// Ranks must order-match the priority the caller settles by; producing
-/// them from a priority map is the engine crate's job (its `RankIndex`).
-/// Unlike a heap, inserting a rank already pending is a no-op (the queue
-/// is a *set*), which is exactly the settle loop's dedup semantics.
-///
-/// # Example
-///
-/// ```
-/// use dmis_graph::RankFront;
-///
-/// let mut front = RankFront::new();
-/// front.insert(130);
-/// front.insert(7);
-/// assert!(!front.insert(7), "already pending");
-/// assert_eq!(front.pop_min(), Some(7));
-/// front.insert(2); // lower than anything popped so far: cursor rewinds
-/// assert_eq!(front.pop_min(), Some(2));
-/// assert_eq!(front.pop_min(), Some(130));
-/// assert_eq!(front.pop_min(), None);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RankFront {
-    /// Leaf level: bit `r % 64` of `words[r / 64]` ⟺ rank `r` pending.
-    words: Vec<u64>,
-    /// Summary level: bit `w % 64` of `summary[w / 64]` ⟺ `words[w] ≠ 0`.
-    summary: Vec<u64>,
-    /// Lowest summary-word index that may hold a set bit. Monotone during
-    /// a drain; rewound by inserts below it.
-    cursor: usize,
-    /// Number of pending ranks.
-    len: usize,
-    /// Times an insert-driven word growth had to reallocate either level
-    /// (see [`NodeMap::regrows`]).
-    regrows: u64,
-}
-
-impl RankFront {
-    /// Creates an empty front.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty front with room for ranks below `span` without
-    /// reallocation.
-    #[must_use]
-    pub fn with_capacity(span: usize) -> Self {
-        RankFront {
-            words: Vec::with_capacity(span.div_ceil(64)),
-            summary: Vec::with_capacity(span.div_ceil(64 * 64)),
-            cursor: 0,
-            len: 0,
-            regrows: 0,
-        }
-    }
-
-    /// Ensures ranks below `span` can be inserted without either level
-    /// reallocating (and hence without counting a regrow).
-    pub fn reserve(&mut self, span: usize) {
-        let words = span.div_ceil(64);
-        if words > self.words.capacity() {
-            self.words.reserve(words - self.words.len());
-        }
-        let swords = span.div_ceil(64 * 64);
-        if swords > self.summary.capacity() {
-            self.summary.reserve(swords - self.summary.len());
-        }
-    }
-
-    /// Times an insert had to *reallocate* a level's word vector to reach
-    /// its rank. Growth within a prior reservation is not a regrow.
-    #[must_use]
-    pub fn regrows(&self) -> u64 {
-        self.regrows
-    }
-
-    /// Number of pending ranks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if no rank is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns `true` if `rank` is pending.
-    #[must_use]
-    pub fn contains(&self, rank: usize) -> bool {
-        self.words
-            .get(rank / 64)
-            .is_some_and(|w| w >> (rank % 64) & 1 == 1)
-    }
-
-    /// Marks `rank` pending; returns `true` if it was not already.
-    pub fn insert(&mut self, rank: usize) -> bool {
-        let (word, bit) = (rank / 64, 1u64 << (rank % 64));
-        if word >= self.words.len() {
-            self.regrows += u64::from(word + 1 > self.words.capacity());
-            self.words.resize(word + 1, 0);
-        }
-        if self.words[word] & bit != 0 {
-            return false;
-        }
-        self.words[word] |= bit;
-        let (sword, sbit) = (word / 64, 1u64 << (word % 64));
-        if sword >= self.summary.len() {
-            self.regrows += u64::from(sword + 1 > self.summary.capacity());
-            self.summary.resize(sword + 1, 0);
-        }
-        self.summary[sword] |= sbit;
-        self.cursor = self.cursor.min(sword);
-        self.len += 1;
-        true
-    }
-
-    /// Removes and returns the minimum pending rank, if any.
-    pub fn pop_min(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.summary[self.cursor] == 0 {
-            self.cursor += 1;
-        }
-        let sbit = self.summary[self.cursor].trailing_zeros() as usize;
-        let word = self.cursor * 64 + sbit;
-        let bit = self.words[word].trailing_zeros() as usize;
-        self.words[word] &= self.words[word] - 1;
-        if self.words[word] == 0 {
-            self.summary[self.cursor] &= !(1u64 << sbit);
-        }
-        self.len -= 1;
-        Some(word * 64 + bit)
-    }
-
-    /// Removes `rank` if pending; returns `true` if it was.
-    pub fn remove(&mut self, rank: usize) -> bool {
-        let (word, bit) = (rank / 64, 1u64 << (rank % 64));
-        match self.words.get_mut(word) {
-            Some(w) if *w & bit != 0 => {
-                *w &= !bit;
-                if *w == 0 {
-                    self.summary[word / 64] &= !(1u64 << (word % 64));
-                }
-                self.len -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Removes all pending ranks, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-        self.summary.iter_mut().for_each(|w| *w = 0);
-        self.cursor = 0;
-        self.len = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,88 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn front_pops_in_ascending_rank_order() {
-        let mut front = RankFront::new();
-        for r in [4096usize, 0, 63, 64, 65, 4095, 70000] {
-            assert!(front.insert(r));
-        }
-        assert!(!front.insert(63), "insert is idempotent");
-        assert_eq!(front.len(), 7);
-        assert!(front.contains(4095) && !front.contains(1));
-        let mut popped = Vec::new();
-        while let Some(r) = front.pop_min() {
-            popped.push(r);
-        }
-        assert_eq!(popped, vec![0, 63, 64, 65, 4095, 4096, 70000]);
-        assert!(front.is_empty());
-        assert_eq!(front.pop_min(), None);
-    }
-
-    #[test]
-    fn front_cursor_rewinds_on_lower_insert() {
-        let mut front = RankFront::new();
-        front.insert(10_000);
-        assert_eq!(front.pop_min(), Some(10_000));
-        // The cursor sits deep in the summary; a low insert must rewind it.
-        front.insert(3);
-        front.insert(20_000);
-        assert_eq!(front.pop_min(), Some(3));
-        assert_eq!(front.pop_min(), Some(20_000));
-        assert_eq!(front.pop_min(), None);
-    }
-
-    #[test]
-    fn front_matches_heap_on_random_interleavings() {
-        // Settle-loop shape: pushes during a drain are strictly above the
-        // last pop, plus arbitrary re-seeding between drains.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut front = RankFront::with_capacity(1 << 14);
-        let mut heap = std::collections::BinaryHeap::new();
-        let mut pending = std::collections::BTreeSet::new();
-        for _ in 0..200 {
-            for _ in 0..(next() % 8) {
-                let r = (next() % (1 << 14)) as usize;
-                let fresh = pending.insert(r);
-                assert_eq!(front.insert(r), fresh, "insert at {r}");
-                if fresh {
-                    heap.push(std::cmp::Reverse(r));
-                }
-            }
-            for _ in 0..(next() % 10) {
-                let want = heap.pop().map(|std::cmp::Reverse(r)| {
-                    assert!(pending.remove(&r), "models agree on membership");
-                    r
-                });
-                assert_eq!(front.pop_min(), want);
-            }
-            assert_eq!(front.len(), pending.len());
-        }
-    }
-
-    #[test]
-    fn front_remove_and_clear() {
-        let mut front = RankFront::new();
-        front.insert(5);
-        front.insert(900);
-        assert!(front.remove(5));
-        assert!(!front.remove(5));
-        assert!(!front.remove(4000), "past the word vector");
-        assert_eq!(front.pop_min(), Some(900));
-        front.insert(1);
-        front.clear();
-        assert!(front.is_empty());
-        assert_eq!(front.pop_min(), None);
-        front.insert(64);
-        assert_eq!(front.pop_min(), Some(64));
-    }
-
-    #[test]
     fn popcount_matches_cached_len_through_word_kernels() {
         let mut s: NodeSet = [0u64, 63, 64, 130, 500]
             .iter()
@@ -947,29 +687,22 @@ mod tests {
     fn pre_sized_containers_never_regrow() {
         let mut m: NodeMap<u32> = NodeMap::with_capacity(200);
         let mut s = NodeSet::with_capacity(200);
-        let mut f = RankFront::with_capacity(200);
         for i in 0..200 {
             m.insert(NodeId(i), 0);
             s.insert(NodeId(i));
-            f.insert(i as usize);
         }
         assert_eq!(m.regrows(), 0, "map was pre-sized");
         assert_eq!(s.regrows(), 0, "set was pre-sized");
-        assert_eq!(f.regrows(), 0, "front was pre-sized");
         // Past the reservation: growth now counts.
         m.insert(NodeId(100_000), 0);
         s.insert(NodeId(100_000));
-        f.insert(100_000);
         assert_eq!(m.regrows(), 1);
         assert_eq!(s.regrows(), 1);
-        assert!(f.regrows() >= 1, "leaf (and possibly summary) regrew");
         // reserve_* then grow again within the new reservation: no count.
         m.reserve_slots(200_000);
         s.reserve_nodes(200_000);
-        f.reserve(200_000);
         m.insert(NodeId(199_999), 0);
         s.insert(NodeId(199_999));
-        f.insert(199_999);
         assert_eq!(m.regrows(), 1);
         assert_eq!(s.regrows(), 1);
     }

@@ -40,7 +40,7 @@ pub struct Rule {
 pub const NO_ORDERED_MAP: Rule = Rule {
     name: "no-ordered-map-hot-path",
     contract: "BTreeMap/BTreeSet/HashMap/HashSet are banned in crates/graph/src, the core hot \
-               modules (engine.rs, sharding.rs, rank.rs, snapshot.rs), and the derived \
+               modules (engine.rs, sharding.rs, front.rs, snapshot.rs), and the derived \
                matching engine; hot paths stay on dense NodeMap/NodeSet storage.",
     why: "PR 1/6 moved every per-node table to arena-backed dense storage: ordered maps \
           reintroduce O(log n) pointer-chasing on paths gated at O(touched), and HashMap's \
@@ -199,7 +199,7 @@ pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
 const CORE_HOT_MODULES: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/core/src/sharding.rs",
-    "crates/core/src/rank.rs",
+    "crates/core/src/front.rs",
     "crates/core/src/snapshot.rs",
 ];
 
@@ -319,6 +319,16 @@ mod tests {
         assert!(!applies(print, "crates/lint/src/main.rs"));
         assert!(!applies(print, "examples/quickstart.rs"));
         assert!(!applies(print, "crates/bench/benches/engine_updates.rs"));
+    }
+
+    #[test]
+    fn listed_modules_exist() {
+        // A deleted or renamed module would otherwise drop silently out
+        // of its rule's scope.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for path in CORE_HOT_MODULES.iter().chain(DECODE_MODULES) {
+            assert!(root.join(path).is_file(), "{path} is listed but missing");
+        }
     }
 
     #[test]

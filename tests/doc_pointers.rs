@@ -62,9 +62,9 @@ fn cited_scale_tier_items_exist() {
             "sliding_window_stream",
         ),
         (
-            "crates/core/src/rank.rs",
-            "pub fn maybe_compact",
-            "maybe_compact",
+            "crates/core/src/front.rs",
+            "pub struct SettleFront",
+            "SettleFront",
         ),
         (
             "crates/core/src/invariant.rs",
@@ -99,21 +99,11 @@ fn cited_scale_tier_items_exist() {
 /// mention them.
 #[test]
 fn cited_snapshot_tier_items_exist() {
-    const ITEMS: [(&str, &str, &str); 6] = [
+    const ITEMS: [(&str, &str, &str); 4] = [
         (
             "crates/core/src/snapshot.rs",
             "pub struct MisReader",
             "MisReader",
-        ),
-        (
-            "crates/core/src/snapshot.rs",
-            "pub fn rank_compactions",
-            "rank_compactions",
-        ),
-        (
-            "crates/core/src/rank.rs",
-            "pub fn compactions",
-            "RankIndex::compactions",
         ),
         (
             "crates/core/src/api.rs",
