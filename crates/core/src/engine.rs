@@ -35,10 +35,10 @@ use crate::{BatchReceipt, MisState, PriorityMap, SettleFront, UpdateReceipt};
 /// the oblivious-adversary assumption.
 ///
 /// The per-update sequential cost is `O(1 + Σ_{v flipped} deg(v))` plus
-/// O(log) front work per dirty node, which does not grow with n — the O(Δ) factor
-/// per adjusted node the paper's Section 6 predicts for sequential
-/// implementations. A node insertion costs O(degree): no other node's
-/// position in π moves.
+/// O(log k) front work per dirty node for k pending ones, which does not
+/// grow with n — the O(Δ) factor per adjusted node the paper's Section 6
+/// predicts for sequential implementations. A node insertion costs
+/// O(degree): no other node's position in π moves.
 ///
 /// # Example
 ///
