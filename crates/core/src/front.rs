@@ -68,8 +68,6 @@ pub struct SettleFront {
     /// Whether a drain is under way: set by its first pop, cleared when
     /// a pop finds the front empty.
     draining: bool,
-    /// Times a push grew a container past its capacity (reallocation).
-    regrows: u64,
 }
 
 impl SettleFront {
@@ -91,23 +89,13 @@ impl SettleFront {
         self.run.is_empty() && self.heap.is_empty()
     }
 
-    /// Times a push had to reallocate. Both containers keep their
-    /// capacity across drains, so a repeated workload stops counting
-    /// after its first pass.
-    #[must_use]
-    pub fn regrows(&self) -> u64 {
-        self.regrows
-    }
-
     /// Marks `p` pending: as a seed of the next drain, or, during a
     /// drain, through the heap.
     pub fn push(&mut self, p: Priority) {
         let x = (u128::from(p.key()) << 64) | u128::from(p.id().index());
         if self.draining {
-            self.regrows += u64::from(self.heap.len() == self.heap.capacity());
             self.heap.push(Reverse(x));
         } else {
-            self.regrows += u64::from(self.run.len() == self.run.capacity());
             self.run.push(x);
         }
     }
@@ -236,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_persists_so_regrows_stop_after_warm_up() {
+    fn capacity_persists_so_a_warm_front_never_reallocates() {
         let run = |front: &mut SettleFront| {
             for round in 0..50u64 {
                 for i in 0..40u64 {
@@ -255,9 +243,11 @@ mod tests {
         };
         let mut front = SettleFront::new();
         run(&mut front);
-        let warm = front.regrows();
-        assert!(warm > 0, "the first pass allocates");
+        let warm = (front.run.capacity(), front.heap.capacity());
+        assert!(warm.0 >= 40 && warm.1 > 0, "the first pass allocates");
+        let buffer = front.run.as_ptr();
         run(&mut front);
-        assert_eq!(front.regrows(), warm, "a warm front never reallocates");
+        assert_eq!((front.run.capacity(), front.heap.capacity()), warm);
+        assert_eq!(front.run.as_ptr(), buffer, "a warm front never reallocates");
     }
 }
