@@ -57,14 +57,14 @@ use crate::{BatchReceipt, MisEngine, MisState, PriorityMap, ShardedMisEngine, Up
 
 /// The realization of the π-ordered dirty queue a settle loop drains.
 ///
-/// Every engine drains one [`crate::SettleFront`], a priority queue
+/// Every engine drains one [`dmis_graph::SettleFront`], a priority queue
 /// keyed by the priorities themselves, so this has a single variant,
 /// whose name predates that front. It survives only so that external
 /// [`DynamicMis`] implementations written against the two-strategy API
 /// keep compiling; see [`DynamicMis::settle_strategy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SettleStrategy {
-    /// The one settle drain: a [`crate::SettleFront`] keyed by π, with
+    /// The one settle drain: a [`dmis_graph::SettleFront`] keyed by π, with
     /// no steady-state allocation and priority compares on the neighbor
     /// filter.
     #[default]

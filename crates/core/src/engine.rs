@@ -9,13 +9,15 @@
 //! sharded engine ([`crate::ShardedMisEngine`]) must reproduce its output
 //! bit for bit while partitioning this module's state across shards.
 
-use dmis_graph::{ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, TopologyChange};
+use dmis_graph::{
+    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, SettleFront, TopologyChange,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::invariant::{self, InvariantViolation};
 use crate::snapshot::{MisPublisher, MisReader, PublishSlot};
-use crate::{BatchReceipt, MisState, PriorityMap, SettleFront, UpdateReceipt};
+use crate::{BatchReceipt, MisState, Priority, PriorityMap, UpdateReceipt};
 
 /// Incremental maintainer of the random-greedy MIS — the paper's template
 /// (Algorithm 1) realized as an efficient sequential data structure.
@@ -227,7 +229,7 @@ impl MisEngine {
     /// neighbors mark it before it pops.
     fn mark(&mut self, v: NodeId) {
         if self.enqueued.insert(v) {
-            self.front.push(self.priorities.of(v));
+            self.front.push(self.priorities.of(v).key(), v);
         }
     }
 
@@ -731,8 +733,8 @@ impl MisEngine {
     fn propagate(&mut self, kind: ChangeKind, mut counter_updates: usize) -> UpdateReceipt {
         let mut flips = Vec::new();
         let mut pops = 0usize;
-        while let Some(p) = self.front.pop() {
-            let v = p.id();
+        while let Some((key, v)) = self.front.pop() {
+            let p = Priority::new(key, v);
             // Safe to free the bit: a popped node can never be re-pushed
             // (all later pushes carry strictly higher priorities).
             self.enqueued.remove(v);
@@ -764,7 +766,7 @@ impl MisEngine {
                         }
                         counter_updates += 1;
                         if enqueued.insert(w) {
-                            front.push(pw);
+                            front.push(pw.key(), w);
                         }
                     }
                 }

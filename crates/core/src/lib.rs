@@ -11,10 +11,9 @@
 //! crate provides:
 //!
 //! - [`Priority`] / [`PriorityMap`]: the random order π, realized as a
-//!   uniformly random 64-bit key per node with identifier tie-break, and
-//!   [`SettleFront`]: the priority queue keyed by π itself that every
-//!   settle loop drains, so inserting a node moves no other node's
-//!   position;
+//!   uniformly random 64-bit key per node with identifier tie-break;
+//!   every settle loop drains a [`dmis_graph::SettleFront`] keyed by π
+//!   itself, so inserting a node moves no other node's position;
 //! - [`MisEngine`]: an efficient incremental maintainer of the random-greedy
 //!   MIS (the "sequential dynamic" realization of the paper's template,
 //!   Algorithm 1), reporting per-update [`UpdateReceipt`]s with the
@@ -71,7 +70,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod front;
 mod priority;
 mod receipt;
 mod state;
@@ -91,7 +89,6 @@ pub use api::{
     SettleStrategy,
 };
 pub use engine::MisEngine;
-pub use front::SettleFront;
 pub use policy::{AdaptiveConfig, Clock, FlushPolicy, ManualClock, MonotonicClock, QueueDelay};
 pub use priority::{Priority, PriorityMap};
 pub use receipt::{BatchReceipt, UpdateReceipt};

@@ -59,14 +59,15 @@
 //! of random sequences.
 
 use dmis_graph::{
-    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, ShardLayout, TopologyChange,
+    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, SettleFront, ShardLayout,
+    TopologyChange,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::invariant::{self, InvariantViolation};
 use crate::snapshot::{MisPublisher, MisReader, PublishSlot};
-use crate::{BatchReceipt, MisState, Priority, PriorityMap, SettleFront, UpdateReceipt};
+use crate::{BatchReceipt, MisState, Priority, PriorityMap, UpdateReceipt};
 
 /// One shard's slice of the per-node state, keyed by shard-local slots.
 ///
@@ -125,9 +126,9 @@ fn run_shard_epoch(
     stats: &mut SettleStats,
 ) {
     stats.shard_runs += 1;
-    while let Some(p) = shard.front.pop() {
+    while let Some((key, v)) = shard.front.pop() {
         stats.pops += 1;
-        let v = p.id();
+        let p = Priority::new(key, v);
         let local = layout.local_slot(v);
         shard.enqueued.remove(local);
         // A stale seed: its node left after it was marked.
@@ -158,7 +159,7 @@ fn run_shard_epoch(
                         *c = c.checked_add_signed(delta).expect("counter in range");
                         stats.counter_updates += 1;
                         if shard.enqueued.insert(lw) {
-                            shard.front.push(pw);
+                            shard.front.push(pw.key(), w);
                         }
                     } else {
                         shard.outbox.push((w, delta));
@@ -411,7 +412,7 @@ impl ShardedMisEngine {
             stats.counter_updates += 1;
         }
         if shard.enqueued.insert(local) {
-            shard.front.push(self.priorities.of(v));
+            shard.front.push(self.priorities.of(v).key(), v);
         }
     }
 
@@ -680,7 +681,7 @@ impl ShardedMisEngine {
                 // The target drained its front this epoch, so the push
                 // may sit below anything it popped.
                 if shard.enqueued.insert(lw) {
-                    shard.front.push(self.priorities.of(w));
+                    shard.front.push(self.priorities.of(w).key(), w);
                 }
             }
             // Hand the (cleared) buffer back so its capacity is reused.

@@ -1,6 +1,6 @@
 //! Settle-order oracle for the unsharded engine.
 //!
-//! Every engine settles dirty nodes from a [`dmis_core::SettleFront`], a
+//! Every engine settles dirty nodes from a [`dmis_graph::SettleFront`], a
 //! priority queue keyed by the priorities themselves, so the front
 //! must pop exactly the sequence a `BinaryHeap<Reverse<(Priority,
 //! NodeId)>>` would. This suite keeps that

@@ -1,7 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
-use dmis_core::{Priority, PriorityMap, SettleFront};
-use dmis_graph::{DynGraph, GraphError, NodeId, NodeMap, TopologyChange};
+use dmis_core::{Priority, PriorityMap};
+use dmis_graph::{DynGraph, GraphError, NodeId, NodeMap, SettleFront, TopologyChange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -147,15 +147,15 @@ impl ColoringEngine {
         for v in seeds {
             // All seeds are live here: the coloring engine has no batch
             // API, so no seed can refer to a node a later change deleted.
-            self.front.push(self.priorities.of(v));
+            self.front.push(self.priorities.of(v).key(), v);
         }
         let mut recolored = Vec::new();
         let mut last = None;
-        while let Some(p) = self.front.pop() {
+        while let Some((key, v)) = self.front.pop() {
+            let p = Priority::new(key, v);
             if last.replace(p) == Some(p) {
                 continue;
             }
-            let v = p.id();
             let desired = self.mex_of_lower(v);
             if self.color.get(v) == Some(&desired) {
                 continue;
@@ -169,7 +169,7 @@ impl ColoringEngine {
                 for &w in chunk {
                     let pw = priorities.of(w);
                     if pw > p {
-                        front.push(pw);
+                        front.push(pw.key(), w);
                     }
                 }
             }

@@ -1,7 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
-use dmis_core::{Priority, PriorityMap, SettleFront};
-use dmis_graph::{DynGraph, EdgeKey, GraphError, NodeId, NodeMap, NodeSet};
+use dmis_core::{Priority, PriorityMap};
+use dmis_graph::{DynGraph, EdgeKey, GraphError, NodeId, NodeMap, NodeSet, SettleFront};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -263,16 +263,16 @@ impl NativeMatching {
             // A deletion may seed edges it also removed; only live edges
             // hold a priority.
             if let Some(&id) = self.line_id.get(&e) {
-                self.front.push(self.line_prio.of(id));
+                self.front.push(self.line_prio.of(id).key(), id);
             }
         }
         let mut flips = Vec::new();
         let mut last = None;
-        while let Some(p) = self.front.pop() {
+        while let Some((key, id)) = self.front.pop() {
+            let p = Priority::new(key, id);
             if last.replace(p) == Some(p) {
                 continue;
             }
-            let id = p.id();
             let e = self.slots[id].0;
             let desired = self.desired(e);
             if desired == self.matched.contains(id) {
@@ -283,7 +283,7 @@ impl NativeMatching {
             for other in self.incident(e) {
                 let po = self.line_prio.of(self.line_id[&other]);
                 if po > p {
-                    self.front.push(po);
+                    self.front.push(po.key(), po.id());
                 }
             }
         }

@@ -13,7 +13,8 @@
 //!   perform;
 //! - [`NodeMap`] / [`NodeSet`]: the dense node-indexed storage layer —
 //!   flat slot containers keyed directly by [`NodeId`] that back every
-//!   per-node table in the workspace (see `DESIGN.md`);
+//!   per-node table in the workspace (see `DESIGN.md`), and
+//!   [`SettleFront`]: the `(key, id)` min-queue every settle loop drains;
 //! - [`ShardLayout`]: range partitioning of the dense identifier space,
 //!   the storage view behind the sharded engine in `dmis-core` — maps
 //!   every node to an owning shard and a shard-local dense slot;
@@ -66,5 +67,5 @@ pub use error::GraphError;
 pub use graph::{DynGraph, EdgeKey};
 pub use id::NodeId;
 pub use shard::ShardLayout;
-pub use storage::{NodeMap, NodeSet};
+pub use storage::{NodeMap, NodeSet, SettleFront};
 pub use traversal::{bfs_order, connected_components, is_connected, shortest_path_len};

@@ -19,8 +19,13 @@
 //! Iteration order over both containers is ascending `NodeId`, matching the
 //! ordered-map containers they replaced, so all replay-determinism
 //! guarantees are preserved.
+//!
+//! [`SettleFront`] is the queue the engines' settle loops drain: dirty
+//! items keyed by a `(key, id)` pair, which the engines fill with the
+//! priority π itself.
 
-use std::collections::TryReserveError;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, TryReserveError};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -510,6 +515,121 @@ impl Extend<NodeId> for NodeSet {
     }
 }
 
+/// The settle front: a min-queue of `(key, id)` pairs in lexicographic
+/// order.
+///
+/// Every settle drain in the workspace — `dmis-core`'s `MisEngine` and
+/// each `ShardedMisEngine` shard, and `dmis-derived`'s coloring and
+/// matching engines — pops its dirty set in increasing π, and pushes the
+/// priority `(key, id)` itself. No node ever needs a position in a global
+/// table, so inserting a node moves nothing else, and a seed can enter
+/// the front the moment it is marked dirty. An entry is the pair packed
+/// into one `u128` (key in the high half, so integer order is pair
+/// order).
+///
+/// The front is a binary heap with one fast path for the shape of a
+/// settle. A drain starts from a batch of seeds pushed between drains, in
+/// arbitrary order, and then only pushes entries above the one just
+/// popped (a flip at priority `p` dirties neighbors above `p`), few of
+/// them, since by Theorem 1 a change flips O(1) nodes in expectation. So
+/// the front keeps the seeds in a plain run, sorts it once when the
+/// drain's first pop comes, and sends only the in-drain pushes through
+/// the heap; a pop takes the smaller of the run's end and the heap's top.
+/// On 64 random seeds this costs about half of what a heap costs per
+/// entry (see `DESIGN.md`). A drain ends when [`Self::pop`] returns
+/// `None`; pushes after that seed the next drain, so a shard's front
+/// takes the epoch barrier's handoffs as the next epoch's seeds. Both
+/// containers keep their capacity, so steady-state settles allocate
+/// nothing.
+///
+/// Duplicates are kept (the MIS engines deduplicate with their
+/// `enqueued` bitsets; the coloring and matching drains skip a pop equal
+/// to the previous one), and equal entries pop consecutively.
+///
+/// # Example
+///
+/// ```
+/// use dmis_graph::{NodeId, SettleFront};
+///
+/// let mut front = SettleFront::new();
+/// front.push(9, NodeId(1));
+/// front.push(4, NodeId(7));
+/// front.push(4, NodeId(2));
+/// assert_eq!(front.pop(), Some((4, NodeId(2))), "ties break by id");
+/// front.push(6, NodeId(3)); // mid-drain: above the last pop
+/// assert_eq!(front.pop(), Some((4, NodeId(7))));
+/// assert_eq!(front.pop(), Some((6, NodeId(3))));
+/// assert_eq!(front.pop(), Some((9, NodeId(1))));
+/// assert_eq!(front.pop(), None);
+/// // Drained: the next pushes seed a new drain, in any order.
+/// front.push(1, NodeId(5));
+/// assert_eq!(front.pop(), Some((1, NodeId(5))));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct SettleFront {
+    /// Entries pushed between drains; sorted descending (minimum last)
+    /// by the first pop of a drain.
+    run: Vec<u128>,
+    /// Entries pushed during a drain.
+    heap: BinaryHeap<Reverse<u128>>,
+    /// Whether a drain is under way: set by its first pop, cleared when
+    /// a pop finds the front empty.
+    draining: bool,
+}
+
+impl SettleFront {
+    /// Creates an empty front.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of pending entries, duplicates included.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.run.len() + self.heap.len()
+    }
+
+    /// Returns `true` if nothing is pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.run.is_empty() && self.heap.is_empty()
+    }
+
+    /// Marks `(key, id)` pending: as a seed of the next drain, or, during
+    /// a drain, through the heap.
+    #[inline]
+    pub fn push(&mut self, key: u64, id: NodeId) {
+        let x = (u128::from(key) << 64) | u128::from(id.index());
+        if self.draining {
+            self.heap.push(Reverse(x));
+        } else {
+            self.run.push(x);
+        }
+    }
+
+    /// Removes and returns the minimum pending `(key, id)`. Returns `None`
+    /// once the front is drained, which ends the drain.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(u64, NodeId)> {
+        if !self.draining {
+            self.run.sort_unstable_by(|a, b| b.cmp(a));
+            self.draining = true;
+        }
+        let x = match (self.run.last(), self.heap.peek()) {
+            (None, None) => {
+                self.draining = false;
+                return None;
+            }
+            (Some(&r), Some(&Reverse(h))) if h < r => self.heap.pop()?.0,
+            (Some(_), _) => self.run.pop()?,
+            (None, Some(_)) => self.heap.pop()?.0,
+        };
+        // Low half: the node id; high half: the key.
+        Some(((x >> 64) as u64, NodeId(x as u64)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,5 +835,132 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.contains(NodeId(5)));
         assert!(s.insert(NodeId(5)));
+    }
+
+    fn p(key: u64, id: u64) -> (u64, NodeId) {
+        (key, NodeId(id))
+    }
+
+    fn drain(front: &mut SettleFront) -> Vec<(u64, NodeId)> {
+        std::iter::from_fn(|| front.pop()).collect()
+    }
+
+    #[test]
+    fn front_pops_in_key_then_id_order() {
+        let mut front = SettleFront::new();
+        let pushed = [
+            p(u64::MAX, 0),
+            p(0, 9),
+            p(7, 3),
+            p(7, 1),
+            p(0, 2),
+            p(1 << 63, 5),
+            p(7, u64::MAX),
+        ];
+        for &(key, id) in &pushed {
+            front.push(key, id);
+        }
+        assert_eq!(front.len(), pushed.len());
+        let mut want = pushed.to_vec();
+        want.sort_unstable();
+        assert_eq!(drain(&mut front), want, "(key, id) order, ties by id");
+        assert!(front.is_empty());
+        assert_eq!(front.pop(), None);
+    }
+
+    #[test]
+    fn drained_front_accepts_a_push_below_its_last_pop() {
+        // A shard drains its front, then the epoch barrier hands it
+        // deltas for nodes below anything it popped: they seed the next
+        // drain.
+        let mut front = SettleFront::new();
+        front.push(500, NodeId(1));
+        front.push(900, NodeId(2));
+        assert_eq!(front.pop(), Some(p(500, 1)));
+        front.push(700, NodeId(3)); // mid-drain: above the last pop
+        assert_eq!(drain(&mut front), vec![p(700, 3), p(900, 2)]);
+        front.push(10, NodeId(4));
+        front.push(600, NodeId(5));
+        front.push(10, NodeId(0));
+        assert_eq!(drain(&mut front), vec![p(10, 0), p(10, 4), p(600, 5)]);
+    }
+
+    #[test]
+    fn front_duplicates_pop_consecutively() {
+        let mut front = SettleFront::new();
+        for (key, id) in [p(3, 3), p(8, 1), p(3, 3), p(5, 0), p(8, 1)] {
+            front.push(key, id);
+        }
+        assert_eq!(
+            drain(&mut front),
+            vec![p(3, 3), p(3, 3), p(5, 0), p(8, 1), p(8, 1)]
+        );
+    }
+
+    #[test]
+    fn front_matches_heap_on_random_interleavings() {
+        // Settle-loop shape: seeds in arbitrary order, pushes during a
+        // drain strictly above the last pop, drains run to `None`.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut front = SettleFront::new();
+        for _ in 0..300 {
+            let mut heap = BinaryHeap::new();
+            for _ in 0..next() % 12 {
+                // Narrow keys force id tie-breaks; wide ones span the range.
+                let key = if next() % 2 == 0 { next() % 4 } else { next() };
+                let q = p(key, next() % 64);
+                front.push(q.0, q.1);
+                heap.push(Reverse(q));
+            }
+            let mut pushes = 0;
+            while let Some(Reverse(want)) = heap.pop() {
+                assert_eq!(front.pop(), Some(want));
+                while pushes < 40 && next() % 3 != 0 {
+                    pushes += 1;
+                    let q = p(want.0.saturating_add(next() % 1000), next() % 64);
+                    if q > want {
+                        front.push(q.0, q.1);
+                        heap.push(Reverse(q));
+                    }
+                }
+                assert_eq!(front.len(), heap.len());
+            }
+            assert_eq!(front.pop(), None);
+        }
+    }
+
+    #[test]
+    fn capacity_persists_so_a_warm_front_never_reallocates() {
+        let run = |front: &mut SettleFront| {
+            for round in 0..50u64 {
+                for i in 0..40u64 {
+                    front.push(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ round, NodeId(i));
+                }
+                let mut last = None;
+                while let Some(q) = front.pop() {
+                    assert!(last < Some(q), "pops ascend");
+                    // A flip at q dirties one node above it.
+                    let (key, id) = q;
+                    if id.index() % 5 == 0 && key < u64::MAX - 8 {
+                        front.push(key + 1 + round % 7, NodeId(id.index() + 1));
+                    }
+                    last = Some(q);
+                }
+            }
+        };
+        let mut front = SettleFront::new();
+        run(&mut front);
+        let warm = (front.run.capacity(), front.heap.capacity());
+        assert!(warm.0 >= 40 && warm.1 > 0, "the first pass allocates");
+        let buffer = front.run.as_ptr();
+        run(&mut front);
+        assert_eq!((front.run.capacity(), front.heap.capacity()), warm);
+        assert_eq!(front.run.as_ptr(), buffer, "a warm front never reallocates");
     }
 }

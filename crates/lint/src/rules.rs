@@ -39,9 +39,10 @@ pub struct Rule {
 /// `no-ordered-map-hot-path`.
 pub const NO_ORDERED_MAP: Rule = Rule {
     name: "no-ordered-map-hot-path",
-    contract: "BTreeMap/BTreeSet/HashMap/HashSet are banned in crates/graph/src, the core hot \
-               modules (engine.rs, sharding.rs, front.rs, snapshot.rs), and the derived \
-               matching engine; hot paths stay on dense NodeMap/NodeSet storage.",
+    contract: "BTreeMap/BTreeSet/HashMap/HashSet are banned in crates/graph/src (the settle \
+               front included), the core hot modules (engine.rs, sharding.rs, snapshot.rs), \
+               and the derived matching engine; hot paths stay on dense NodeMap/NodeSet \
+               storage.",
     why: "PR 1/6 moved every per-node table to arena-backed dense storage: ordered maps \
           reintroduce O(log n) pointer-chasing on paths gated at O(touched), and HashMap's \
           RandomState makes iteration order run-dependent, which breaks receipt bit-identity. \
@@ -199,7 +200,6 @@ pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
 const CORE_HOT_MODULES: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/core/src/sharding.rs",
-    "crates/core/src/front.rs",
     "crates/core/src/snapshot.rs",
 ];
 

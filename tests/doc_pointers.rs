@@ -62,7 +62,7 @@ fn cited_scale_tier_items_exist() {
             "sliding_window_stream",
         ),
         (
-            "crates/core/src/front.rs",
+            "crates/graph/src/storage.rs",
             "pub struct SettleFront",
             "SettleFront",
         ),
