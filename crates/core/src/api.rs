@@ -44,12 +44,13 @@
 //! identical to the raw stream, work identical to `apply_batch` of the
 //! coalesced stream — for K ∈ {1, 2, 4} shards.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dmis_graph::{DynGraph, EdgeKey, GraphError, NodeId, ShardLayout, TopologyChange};
+use dmis_graph::{
+    DynGraph, EdgeKey, EdgeSlotIndex, GraphError, NodeId, ShardLayout, TopologyChange,
+};
 
 use crate::invariant::InvariantViolation;
 use crate::policy::{Clock, FlushController, FlushPolicy, MonotonicClock, QueueDelay};
@@ -735,15 +736,24 @@ impl EngineBuilder {
 /// insert) can coalesce into a sequence that applies cleanly. Only the
 /// *surviving* changes are judged — by `apply_batch`, at flush time. A
 /// caller that needs malformed adversary streams rejected must validate
-/// before pushing.
+/// before pushing. A self-loop edge change has no edge to coalesce on: it
+/// is queued verbatim, for the flush to reject with
+/// [`GraphError::SelfLoop`].
+///
+/// Each edge change finds the earlier change on its edge through a
+/// [`dmis_graph::EdgeSlotIndex`], in O(1) expected; a barrier and a drain
+/// clear the index in O(1), and its capacity carries over from window to
+/// window. The index is never iterated: the output is the queue itself,
+/// in arrival order.
 #[derive(Debug, Clone, Default)]
 pub struct ChangeCoalescer {
     /// Queued changes in arrival order; cancelled entries become `None`
     /// tombstones so positions stay stable for the edge index.
     pending: Vec<Option<TopologyChange>>,
-    /// Live queue position per edge, for the current barrier-free run
-    /// only (cleared by node changes).
-    edge_slot: BTreeMap<EdgeKey, usize>,
+    /// Queue position of the latest change per edge, for the current
+    /// barrier-free run only (cleared by node changes). A cancelled
+    /// pair's entry stays, pointing at its tombstone.
+    edge_slot: EdgeSlotIndex,
     /// Live (non-tombstoned) entries — the queue depth watermarks meter.
     live: usize,
     /// Changes pushed since the last drain, including coalesced-away
@@ -780,46 +790,60 @@ impl ChangeCoalescer {
     /// Queues one change, applying the coalescing rules.
     pub fn push(&mut self, change: TopologyChange) {
         self.pushed += 1;
-        let key = match &change {
-            TopologyChange::InsertEdge(u, v) | TopologyChange::DeleteEdge(u, v) => {
-                Some(EdgeKey::new(*u, *v))
+        let next = self.pending.len();
+        let slot = match &change {
+            TopologyChange::InsertEdge(u, v) | TopologyChange::DeleteEdge(u, v) if u != v => {
+                self.edge_slot.find_or_insert(EdgeKey::new(*u, *v), next)
             }
-            TopologyChange::InsertNode { .. } | TopologyChange::DeleteNode(_) => None,
+            TopologyChange::InsertNode { .. } | TopologyChange::DeleteNode(_) => {
+                // Node change: a coalescing barrier. Later edge changes
+                // must not merge with anything queued before it.
+                self.edge_slot.clear();
+                None
+            }
+            // A self-loop: queued unindexed, for the flush to reject.
+            _ => None,
         };
-        let Some(key) = key else {
-            // Node change: a coalescing barrier. Later edge changes must
-            // not merge with anything queued before it.
-            self.edge_slot.clear();
+        let Some(slot) = slot else {
             self.pending.push(Some(change));
             self.live += 1;
             return;
         };
-        if let Some(&slot) = self.edge_slot.get(&key) {
-            let prev = self.pending[slot].as_ref().expect("indexed slot is live");
-            if prev.kind() == change.kind() {
-                // Last writer wins (the entries are equal up to endpoint
-                // order); keep the original queue position.
-                self.pending[slot] = Some(change);
-            } else {
-                // Opposing pair: net topological no-op — cancel both.
-                self.pending[slot] = None;
-                self.edge_slot.remove(&key);
+        match self.pending[*slot].as_ref().map(TopologyChange::kind) {
+            // Last writer wins (the entries are equal up to endpoint
+            // order); keep the original queue position.
+            Some(kind) if kind == change.kind() => self.pending[*slot] = Some(change),
+            // Opposing pair: net topological no-op — cancel both. The
+            // index entry stays, pointing at the tombstone.
+            Some(_) => {
+                self.pending[*slot] = None;
                 self.live -= 1;
             }
-        } else {
-            self.edge_slot.insert(key, self.pending.len());
-            self.pending.push(Some(change));
-            self.live += 1;
+            // The edge's last pair cancelled: a fresh entry.
+            None => {
+                *slot = next;
+                self.pending.push(Some(change));
+                self.live += 1;
+            }
         }
     }
 
     /// Takes the coalesced sequence (arrival order, tombstones dropped)
     /// and the total push count it absorbed, resetting the queue.
     pub fn drain(&mut self) -> (Vec<TopologyChange>, usize) {
-        let batch: Vec<TopologyChange> = self.pending.drain(..).flatten().collect();
+        let mut batch = Vec::new();
+        let pushed = self.drain_into(&mut batch);
+        (batch, pushed)
+    }
+
+    /// [`Self::drain`] into a caller-owned buffer, which is cleared first
+    /// and keeps its capacity.
+    pub(crate) fn drain_into(&mut self, batch: &mut Vec<TopologyChange>) -> usize {
+        batch.clear();
+        batch.extend(self.pending.drain(..).flatten());
         self.edge_slot.clear();
         self.live = 0;
-        (batch, std::mem::take(&mut self.pushed))
+        std::mem::take(&mut self.pushed)
     }
 }
 
@@ -970,6 +994,8 @@ pub struct IngestSession<E: DynamicMis> {
     /// Session-clock arrival stamp of every push in the open window
     /// (coalesced-away pushes included: their latency was still paid).
     arrivals: Vec<Duration>,
+    /// The last flushed window; kept so its capacity serves the next.
+    batch: Vec<TopologyChange>,
     /// Optional write-ahead sink: when set, every flush persists its
     /// coalesced window *before* applying it (log-then-publish) — see
     /// [`Self::set_wal_sink`].
@@ -1002,6 +1028,7 @@ impl<E: DynamicMis> IngestSession<E> {
             controller: FlushController::new(policy),
             clock,
             arrivals: Vec::new(),
+            batch: Vec::new(),
             wal: None,
         }
     }
@@ -1092,9 +1119,17 @@ impl<E: DynamicMis> IngestSession<E> {
     ///
     /// # Errors
     ///
-    /// Propagates [`GraphError`] from an auto-flush (see
-    /// [`Self::flush`]); pushes that do not flush cannot fail.
+    /// Returns [`GraphError::SelfLoop`] for an edge change whose
+    /// endpoints coincide, which is invalid in every state: the change is
+    /// not stamped, queued or logged, and the open window is untouched.
+    /// Otherwise propagates [`GraphError`] from an auto-flush (see
+    /// [`Self::flush`]); other pushes that do not flush cannot fail.
     pub fn push(&mut self, change: TopologyChange) -> Result<Option<IngestReceipt>, GraphError> {
+        if let TopologyChange::InsertEdge(u, v) | TopologyChange::DeleteEdge(u, v) = change {
+            if u == v {
+                return Err(GraphError::SelfLoop(u));
+            }
+        }
         let now = self.clock.now();
         self.arrivals.push(now);
         self.queue.push(change);
@@ -1153,9 +1188,9 @@ impl<E: DynamicMis> IngestSession<E> {
     /// returns [`GraphError::PersistFailed`] with the window consumed
     /// but neither logged nor applied.
     pub fn flush(&mut self) -> Result<IngestReceipt, GraphError> {
-        let (batch, pushed) = self.queue.drain();
+        let pushed = self.queue.drain_into(&mut self.batch);
         if let Some(wal) = self.wal.as_mut() {
-            if wal.persist(&batch).is_err() {
+            if wal.persist(&self.batch).is_err() {
                 // The engine (and every published epoch) still matches
                 // the persisted prefix; only the unlogged window is
                 // lost, which is exactly what recovery can replay
@@ -1165,19 +1200,20 @@ impl<E: DynamicMis> IngestSession<E> {
             }
         }
         let flushed_at = self.clock.now();
-        let delays: Vec<Duration> = self
-            .arrivals
-            .drain(..)
-            .map(|t| flushed_at.saturating_sub(t))
-            .collect();
-        let receipt = self.engine.apply_batch(&batch)?;
+        let receipt = self
+            .engine
+            .apply_batch(&self.batch)
+            .inspect_err(|_| self.arrivals.clear())?;
         let settle = self.clock.now().saturating_sub(flushed_at);
-        self.controller.observe_flush(pushed, batch.len(), settle);
+        let delay = QueueDelay::new(&self.arrivals, flushed_at, settle);
+        self.arrivals.clear();
+        self.controller
+            .observe_flush(pushed, self.batch.len(), settle);
         Ok(IngestReceipt {
             pushed,
-            coalesced_changes: pushed - batch.len(),
+            coalesced_changes: pushed - self.batch.len(),
             batch: receipt,
-            delay: QueueDelay::new(delays, settle),
+            delay,
         })
     }
 }
@@ -1339,6 +1375,119 @@ mod tests {
         assert_eq!(receipt.coalesced_changes(), 0);
         assert_eq!(session.queue_depth(), 0);
         assert!(!session.engine().graph().has_edge(ids[0], ids[1]));
+    }
+
+    #[test]
+    fn coalescer_queues_self_loops_unindexed() {
+        let (_, ids) = DynGraphFixture::path3();
+        let mut q = ChangeCoalescer::new();
+        let self_loop = TopologyChange::InsertEdge(ids[1], ids[1]);
+        q.push(TopologyChange::InsertEdge(ids[0], ids[2]));
+        q.push(self_loop.clone());
+        q.push(self_loop.clone()); // no edge to collapse on
+        q.push(TopologyChange::DeleteEdge(ids[2], ids[0])); // still cancels
+        assert_eq!(q.depth(), 2);
+        let (batch, pushed) = q.drain();
+        assert_eq!(pushed, 4);
+        assert_eq!(batch, vec![self_loop.clone(), self_loop]);
+    }
+
+    /// Records every window a flush persists.
+    #[derive(Debug, Default, Clone)]
+    struct RecordingSink(Arc<std::sync::Mutex<Vec<Vec<TopologyChange>>>>);
+
+    impl crate::durability::WalSink for RecordingSink {
+        fn persist(&mut self, changes: &[TopologyChange]) -> std::io::Result<u64> {
+            let mut log = self.0.lock().expect("no test thread panicked");
+            log.push(changes.to_vec());
+            Ok(log.len() as u64 - 1)
+        }
+    }
+
+    #[test]
+    fn session_refuses_a_self_loop_before_queueing_or_logging() {
+        let (g, ids) = generators::cycle(8);
+        let mut engine = Engine::builder().graph(g).seed(3).build_unsharded();
+        let mut session = IngestSession::with_policy(&mut engine, FlushPolicy::Depth(2));
+        let sink = RecordingSink::default();
+        session.set_wal_sink(Box::new(sink.clone()));
+        session
+            .push(TopologyChange::DeleteEdge(ids[0], ids[1]))
+            .unwrap();
+        let (v, w) = (ids[4], ids[5]);
+        assert_eq!(
+            session.push(TopologyChange::InsertEdge(v, v)),
+            Err(GraphError::SelfLoop(v))
+        );
+        assert_eq!(
+            session.push(TopologyChange::DeleteEdge(w, w)),
+            Err(GraphError::SelfLoop(w))
+        );
+        assert_eq!(session.queue_depth(), 1, "the window is untouched");
+        let receipt = session
+            .push(TopologyChange::DeleteEdge(ids[2], ids[3]))
+            .unwrap()
+            .expect("the second valid push reaches the watermark");
+        assert_eq!((receipt.pushed(), receipt.applied()), (2, 2));
+        assert_eq!(
+            receipt.queue_delay().len(),
+            2,
+            "refused pushes were not stamped"
+        );
+        assert_eq!(
+            *sink.0.lock().unwrap(),
+            vec![vec![
+                TopologyChange::DeleteEdge(ids[0], ids[1]),
+                TopologyChange::DeleteEdge(ids[2], ids[3]),
+            ]]
+        );
+    }
+
+    /// A [`Clock`] that breaks the trait's contract: it replays a script
+    /// of readings that steps backwards.
+    #[derive(Debug)]
+    struct ScriptedClock {
+        readings: Vec<u64>,
+        next: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Clock for ScriptedClock {
+        fn now(&self) -> Duration {
+            let i = self
+                .next
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+                .min(self.readings.len() - 1);
+            Duration::from_nanos(self.readings[i])
+        }
+    }
+
+    #[test]
+    fn queue_delay_stays_ascending_under_a_clock_that_steps_back() {
+        let (g, ids) = generators::cycle(8);
+        // Five arrivals, then the flush's two readings.
+        let clock = ScriptedClock {
+            readings: vec![10, 30, 20, 40, 5, 100, 104],
+            next: Default::default(),
+        };
+        let mut session = IngestSession::with_policy_and_clock(
+            Engine::builder().graph(g).seed(3).build_unsharded(),
+            FlushPolicy::Manual,
+            Arc::new(clock),
+        );
+        for i in 0..5 {
+            session
+                .push(TopologyChange::DeleteEdge(ids[i], ids[i + 1]))
+                .unwrap();
+        }
+        let receipt = session.flush().unwrap();
+        let waits: Vec<u64> = receipt
+            .queue_delay()
+            .waits()
+            .iter()
+            .map(|w| w.as_nanos() as u64)
+            .collect();
+        assert_eq!(waits, vec![60, 70, 80, 90, 95]);
+        assert_eq!(receipt.queue_delay().settle(), Duration::from_nanos(4));
     }
 
     /// Tiny fixture helper so coalescer tests do not need an engine.

@@ -368,12 +368,20 @@ pub struct QueueDelay {
 }
 
 impl QueueDelay {
-    pub(crate) fn new(mut delays: Vec<Duration>, settle: Duration) -> Self {
-        delays.sort_unstable();
-        QueueDelay {
-            delays: delays.into_boxed_slice(),
-            settle,
+    /// The accounting of a window whose pushes arrived at `arrivals` (in
+    /// push order) and flushed at `flushed_at`. The waits are built
+    /// newest arrival first, which a monotone [`Clock`] makes ascending;
+    /// only a clock that breaks that contract pays for a sort.
+    pub(crate) fn new(arrivals: &[Duration], flushed_at: Duration, settle: Duration) -> Self {
+        let mut delays: Box<[Duration]> = arrivals
+            .iter()
+            .rev()
+            .map(|&t| flushed_at.saturating_sub(t))
+            .collect();
+        if !delays.is_sorted() {
+            delays.sort_unstable();
         }
+        QueueDelay { delays, settle }
     }
 
     /// Number of pushes the window absorbed.
@@ -586,8 +594,13 @@ mod tests {
 
     #[test]
     fn queue_delay_percentiles_are_nearest_rank() {
-        let delays: Vec<Duration> = (1..=100).map(Duration::from_nanos).collect();
-        let qd = QueueDelay::new(delays, Duration::from_nanos(7));
+        // Arrivals at 1..=100 ns flushed at 101 ns wait 100..=1 ns.
+        let arrivals: Vec<Duration> = (1..=100).map(Duration::from_nanos).collect();
+        let qd = QueueDelay::new(
+            &arrivals,
+            Duration::from_nanos(101),
+            Duration::from_nanos(7),
+        );
         assert_eq!(qd.len(), 100);
         assert_eq!(qd.p50(), Duration::from_nanos(50));
         assert_eq!(qd.p99(), Duration::from_nanos(99));
@@ -602,12 +615,15 @@ mod tests {
 
     #[test]
     fn queue_delay_sorts_on_construction() {
+        // Out-of-order arrivals (a clock that stepped back) wait 20, 10
+        // and 30 ns, newest first.
         let qd = QueueDelay::new(
-            vec![
-                Duration::from_nanos(30),
+            &[
                 Duration::from_nanos(10),
+                Duration::from_nanos(30),
                 Duration::from_nanos(20),
             ],
+            Duration::from_nanos(40),
             Duration::ZERO,
         );
         assert_eq!(

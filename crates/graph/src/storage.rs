@@ -22,14 +22,15 @@
 //!
 //! [`SettleFront`] is the queue the engines' settle loops drain: dirty
 //! items keyed by a `(key, id)` pair, which the engines fill with the
-//! priority π itself.
+//! priority π itself. [`EdgeSlotIndex`] is the edge-keyed table the
+//! ingestion queue coalesces through.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, TryReserveError};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use crate::NodeId;
+use crate::{EdgeKey, NodeId};
 
 #[inline]
 fn slot(id: NodeId) -> usize {
@@ -630,6 +631,151 @@ impl SettleFront {
     }
 }
 
+/// Buckets of a fresh [`EdgeSlotIndex`]'s first table.
+const MIN_EDGE_BUCKETS: usize = 16;
+
+/// A dense open-addressing index from [`EdgeKey`] to a queue position,
+/// holding one run of entries at a time.
+///
+/// `dmis-core`'s `ChangeCoalescer` looks every queued edge change up here
+/// to find the earlier change on the same edge. A bucket holds the packed
+/// `(lo, hi)` key, the position and the stamp of the run that wrote it.
+/// A fixed integer mixer picks a key's home bucket and a miss probes
+/// linearly. [`Self::clear`] starts a new run by bumping the stamp, so it
+/// costs O(1) however many entries the old run left: a bucket with an
+/// older stamp reads as empty. The capacity is a power of two that
+/// doubles once a run fills half of it and never shrinks, so a warm index
+/// serves run after run without allocating, and its size is bounded by
+/// the largest run it has held.
+///
+/// There is no delete. A caller that retires an entry rewrites its
+/// position instead (the coalescer leaves a cancelled pair's entry
+/// pointing at the tombstone it queued). The table is never iterated, so
+/// its layout cannot leak into any output.
+///
+/// A lookup costs O(1) expected. The mixer is fixed and unkeyed, so keys
+/// chosen against it can share one probe run and degrade a lookup to
+/// O(entries in the run).
+///
+/// # Example
+///
+/// ```
+/// use dmis_graph::{EdgeKey, EdgeSlotIndex, NodeId};
+///
+/// let mut index = EdgeSlotIndex::new();
+/// let key = EdgeKey::new(NodeId(4), NodeId(1));
+/// assert_eq!(index.find_or_insert(key, 0), None, "absent: records 0");
+/// let twin = EdgeKey::new(NodeId(1), NodeId(4));
+/// let slot = index.find_or_insert(twin, 9).expect("present");
+/// assert_eq!(*slot, 0);
+/// *slot = 3; // entries are rewritten in place
+/// assert_eq!(index.find_or_insert(key, 9).copied(), Some(3));
+/// index.clear();
+/// assert_eq!(index.find_or_insert(key, 5), None, "a clear forgets the run");
+/// ```
+#[derive(Debug, Clone)]
+pub struct EdgeSlotIndex {
+    /// Power-of-two table (empty until the first insert).
+    buckets: Vec<EdgeBucket>,
+    /// `64 − log2(buckets.len())`: the mixer's top bits pick the home
+    /// bucket.
+    shift: u32,
+    /// Stamp of the current run. A bucket is occupied iff it carries this
+    /// stamp; fresh buckets carry 0 and runs start at 1. A `u64` bumped
+    /// once per clear does not wrap.
+    run: u64,
+    /// Buckets occupied by the current run.
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeBucket {
+    /// `lo` in the high half, `hi` in the low half.
+    key: u128,
+    slot: usize,
+    run: u64,
+}
+
+impl Default for EdgeSlotIndex {
+    fn default() -> Self {
+        EdgeSlotIndex {
+            buckets: Vec::new(),
+            shift: 64,
+            run: 1,
+            len: 0,
+        }
+    }
+}
+
+impl EdgeSlotIndex {
+    /// Creates an empty index; its first insert allocates.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Returns the position recorded for `key` in the current run, for
+    /// the caller to read or rewrite, or records `slot` for it and returns
+    /// `None`.
+    #[inline]
+    pub fn find_or_insert(&mut self, key: EdgeKey, slot: usize) -> Option<&mut usize> {
+        if 2 * (self.len + 1) > self.buckets.len() {
+            self.grow();
+        }
+        let (lo, hi) = key.endpoints();
+        let key = (u128::from(lo.index()) << 64) | u128::from(hi.index());
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let bucket = self.buckets[i];
+            if bucket.run != self.run {
+                self.buckets[i] = EdgeBucket {
+                    key,
+                    slot,
+                    run: self.run,
+                };
+                self.len += 1;
+                return None;
+            }
+            if bucket.key == key {
+                return Some(&mut self.buckets[i].slot);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Forgets every entry in O(1), keeping the capacity.
+    pub fn clear(&mut self) {
+        self.run += 1;
+        self.len = 0;
+    }
+
+    /// Home bucket of a packed key: the top bits of a two-multiply mix.
+    #[inline]
+    fn home(&self, key: u128) -> usize {
+        let lo = (key >> 64) as u64;
+        let mixed = (lo.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ key as u64)
+            .wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        (mixed >> self.shift) as usize
+    }
+
+    /// Doubles the table and re-inserts the current run's entries.
+    #[cold]
+    fn grow(&mut self) {
+        let capacity = (2 * self.buckets.len()).max(MIN_EDGE_BUCKETS);
+        let old = std::mem::replace(&mut self.buckets, vec![EdgeBucket::default(); capacity]);
+        self.shift = 64 - capacity.trailing_zeros();
+        let mask = capacity - 1;
+        for bucket in old.into_iter().filter(|b| b.run == self.run) {
+            let mut i = self.home(bucket.key);
+            while self.buckets[i].run == self.run {
+                i = (i + 1) & mask;
+            }
+            self.buckets[i] = bucket;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,5 +1108,80 @@ mod tests {
         run(&mut front);
         assert_eq!((front.run.capacity(), front.heap.capacity()), warm);
         assert_eq!(front.run.as_ptr(), buffer, "a warm front never reallocates");
+    }
+
+    fn edge(a: u64, b: u64) -> EdgeKey {
+        EdgeKey::new(NodeId(a), NodeId(b))
+    }
+
+    #[test]
+    fn edge_index_matches_btreemap_across_runs() {
+        // Random finds, rewrites and clears over a narrow id range (many
+        // repeats) against an ordered-map oracle.
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut index = EdgeSlotIndex::new();
+        let mut oracle = std::collections::BTreeMap::new();
+        for step in 0..20_000usize {
+            if next() % 500 == 0 {
+                index.clear();
+                oracle.clear();
+                continue;
+            }
+            let a = next() % 48;
+            let b = (a + 1 + next() % 47) % 48;
+            let (key, twin) = (edge(a, b), edge(b, a));
+            let found = index.find_or_insert(if step % 2 == 0 { key } else { twin }, step);
+            match oracle.get_mut(&key) {
+                Some(slot) => {
+                    let got = found.expect("oracle holds the key");
+                    assert_eq!(*got, *slot, "step {step}");
+                    if next() % 2 == 0 {
+                        *got = step;
+                        *slot = step;
+                    }
+                }
+                None => {
+                    assert_eq!(found, None, "step {step}");
+                    oracle.insert(key, step);
+                }
+            }
+            assert_eq!(index.len, oracle.len());
+        }
+    }
+
+    #[test]
+    fn edge_index_grows_by_rehashing_and_keeps_its_capacity_across_clears() {
+        let mut index = EdgeSlotIndex::new();
+        let keys: Vec<EdgeKey> = (0..10_000u64).map(|i| edge(i / 7, 5_000 + i)).collect();
+        for (slot, &key) in keys.iter().enumerate() {
+            assert_eq!(index.find_or_insert(key, slot), None);
+            assert!(
+                2 * index.len <= index.buckets.len(),
+                "load stays at most 1/2"
+            );
+        }
+        assert_eq!(index.buckets.len(), 1 << 15, "grew from 16 to 2^15");
+        for (slot, &key) in keys.iter().enumerate() {
+            assert_eq!(index.find_or_insert(key, 0).copied(), Some(slot), "{key:?}");
+        }
+        let buffer = index.buckets.as_ptr();
+        for round in 0..3 {
+            index.clear();
+            assert_eq!(index.len, 0);
+            for (slot, &key) in keys.iter().enumerate().skip(round) {
+                assert_eq!(index.find_or_insert(key, slot), None, "cleared: {key:?}");
+            }
+        }
+        assert_eq!(
+            index.buckets.as_ptr(),
+            buffer,
+            "a warm index never reallocates"
+        );
     }
 }

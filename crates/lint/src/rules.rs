@@ -40,9 +40,9 @@ pub struct Rule {
 pub const NO_ORDERED_MAP: Rule = Rule {
     name: "no-ordered-map-hot-path",
     contract: "BTreeMap/BTreeSet/HashMap/HashSet are banned in crates/graph/src (the settle \
-               front included), the core hot modules (engine.rs, sharding.rs, snapshot.rs), \
-               and the derived matching engine; hot paths stay on dense NodeMap/NodeSet \
-               storage.",
+               front and the ingestion queue's EdgeSlotIndex included), the core hot modules \
+               (engine.rs, sharding.rs, snapshot.rs), and the derived matching engine; hot \
+               paths stay on dense NodeMap/NodeSet/EdgeSlotIndex storage.",
     why: "PR 1/6 moved every per-node table to arena-backed dense storage: ordered maps \
           reintroduce O(log n) pointer-chasing on paths gated at O(touched), and HashMap's \
           RandomState makes iteration order run-dependent, which breaks receipt bit-identity. \
