@@ -310,12 +310,12 @@ fn window_totals(engine: &mut dyn DynamicMis, changes: &[TopologyChange]) -> Tot
 /// Receipt pin: a seeded barrier-churn stream (`node_churn_sharded`'s
 /// mix: every 8th change inserts a node with up to 8 edges or deletes
 /// one the stream inserted, the rest toggle pool pairs) replayed through
-/// 16-change windows on the unsharded engine and on `striped(4)`. The
-/// summed work counters are constants recorded from the engines; a
-/// change to the settle schedule — pop order, stale-seed accounting,
-/// handoff routing, epoch count — moves at least one of them. Windows
-/// that insert a node and delete it again are counted too, so the
-/// stream provably exercises stale batch seeds.
+/// 16-change windows on the unsharded engine, on `striped(4)` and on
+/// `blocked(3, 4)`. The summed work counters are constants recorded
+/// from the engines; a change to the settle schedule — pop order,
+/// stale-seed accounting, handoff routing, epoch count — moves at least
+/// one of them. Windows that insert a node and delete it again are
+/// counted too, so the stream provably exercises stale batch seeds.
 #[test]
 fn barrier_churn_window_totals_are_pinned() {
     let mut rng = StdRng::seed_from_u64(21);
@@ -336,18 +336,30 @@ fn barrier_churn_window_totals_are_pinned() {
     assert!(stale_windows > 0, "no window deletes a node it inserted");
     let mut plain = Engine::builder().graph(g.clone()).seed(5).build();
     let mut sharded = Engine::builder()
-        .graph(g)
+        .graph(g.clone())
         .seed(5)
         .sharding(ShardLayout::striped(4))
         .build();
+    let mut blocked = Engine::builder()
+        .graph(g)
+        .seed(5)
+        .sharding(ShardLayout::blocked(3, 4))
+        .build();
     let plain_totals = window_totals(&mut *plain, &changes);
     let sharded_totals = window_totals(&mut *sharded, &changes);
+    let blocked_totals = window_totals(&mut *blocked, &changes);
     assert_eq!(plain.mis(), sharded.mis());
+    assert_eq!(plain.mis(), blocked.mis());
     assert_eq!(plain_totals, [687, 6493, 4124, 0, 0, 0], "unsharded totals");
     assert_eq!(
         sharded_totals,
         [687, 6718, 4168, 3165, 1797, 559],
         "striped(4) totals"
+    );
+    assert_eq!(
+        blocked_totals,
+        [687, 6719, 4184, 2837, 1357, 543],
+        "blocked(3, 4) totals"
     );
 }
 
