@@ -9,8 +9,9 @@
 //! cascades merge, and a node flipped twice by consecutive changes is
 //! settled once by the batch).
 //!
-//! A second table adds the **shard-count axis**: the same batches run on
-//! the K-shard [`ShardedMisEngine`], measuring how much of the merged
+//! A second table adds the **shard-count axis**: the same batches run
+//! through the K-shard settle schedule ([`dmis_core::sharding`]),
+//! measuring how much of the merged
 //! recovery crosses shard boundaries. Because the influenced set is small
 //! (first table), handoff traffic stays a small multiple of the batch
 //! size even though under striping most edges span shards.
@@ -351,7 +352,7 @@ pub fn run(quick: bool) -> Report {
          empirically to multi-failure events; the engine handles them \
          natively via `MisEngine::apply_batch`.\n\n\
          Shard-count axis ({shard_trials} trials per k, same batch \
-         construction, `ShardedMisEngine` with striped layouts):\n\n\
+         construction, `MisEngine` on striped shard layouts):\n\n\
          {shard_table}\n\
          Reading: cross-shard traffic grows with the batch size but stays \
          a small multiple of k — the bounded influenced set keeps almost \

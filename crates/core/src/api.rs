@@ -7,16 +7,15 @@
 //! collapses that:
 //!
 //! - [`DynamicMis`] is the object-safe trait capturing the full
-//!   update/receipt/query surface shared by [`crate::MisEngine`] and
-//!   [`crate::ShardedMisEngine`]. The convenience layer that used to be
-//!   copied per engine (`apply` dispatch, `insert_node` key draws,
+//!   update/receipt/query surface of [`crate::MisEngine`], sharded or
+//!   not, and of wrappers around it. The convenience layer that used to
+//!   be copied per engine (`apply` dispatch, `insert_node` key draws,
 //!   [`DynamicMis::mis`]'s ordered-set materialization, `state`) lives
-//!   here once, as provided methods over the engines' primitives.
+//!   here once, as provided methods over the engine's primitives.
 //! - [`Engine`] / [`EngineBuilder`] is the one way to construct an
 //!   engine: every engine flavor is a point in (seed, graph, π,
-//!   sharding, capacity) space, and [`EngineBuilder::build`] picks the
-//!   cheapest engine that realizes the configured axes behind a
-//!   `Box<dyn DynamicMis>`.
+//!   sharding, capacity) space, and [`EngineBuilder::build`] realizes
+//!   the configured axes behind a `Box<dyn DynamicMis>`.
 //! - [`IngestSession`] is the change-ingestion queue the ROADMAP's
 //!   async-batching item asked for: [`IngestSession::push`] coalesces the
 //!   adversary's stream (opposing changes on the same edge cancel,
@@ -54,7 +53,8 @@ use dmis_graph::{
 
 use crate::invariant::InvariantViolation;
 use crate::policy::{Clock, FlushController, FlushPolicy, MonotonicClock, QueueDelay};
-use crate::{BatchReceipt, MisEngine, MisState, PriorityMap, ShardedMisEngine, UpdateReceipt};
+use crate::sharding::ShardSchedule;
+use crate::{BatchReceipt, MisEngine, MisState, PriorityMap, UpdateReceipt};
 
 /// The realization of the π-ordered dirty queue a settle loop drains.
 ///
@@ -78,13 +78,13 @@ pub enum SettleStrategy {
 ///
 /// The trait is **object safe** — `Box<dyn DynamicMis>` is a first-class
 /// engine, which is what lets one equivalence suite, one bench harness,
-/// and one simulator runner drive both engines through a single code
-/// path. Iterator-returning queries box their iterators for that reason;
+/// and one simulator runner drive every engine flavor through a single
+/// code path. Iterator-returning queries box their iterators for that reason;
 /// [`DynamicMis::mis`]'s `BTreeSet` materialization is a convenience
 /// built on [`DynamicMis::mis_iter`] (metering loops should prefer
 /// `mis_iter`/[`DynamicMis::mis_len`], which never allocate).
 ///
-/// Both engines are implementations; they are observationally
+/// The unsharded and the sharded settle schedules are observationally
 /// equivalent on every change stream (same seed ⇒ same MIS, same
 /// adjustment sets), which the trait-conformance suite
 /// (`crates/core/tests/trait_conformance.rs`) pins through `dyn
@@ -341,100 +341,6 @@ pub trait DynamicMis: std::fmt::Debug {
     }
 }
 
-/// Implements [`DynamicMis`] for an engine by forwarding every required
-/// method to the engine's inherent method of the same name. This macro
-/// is what keeps the trait's required surface from being hand-copied per
-/// engine (the pre-trait state of the codebase).
-macro_rules! forward_dynamic_mis {
-    ($ty:ty) => {
-        impl crate::DynamicMis for $ty {
-            fn insert_edge(
-                &mut self,
-                u: dmis_graph::NodeId,
-                v: dmis_graph::NodeId,
-            ) -> Result<crate::UpdateReceipt, dmis_graph::GraphError> {
-                self.insert_edge(u, v)
-            }
-            fn remove_edge(
-                &mut self,
-                u: dmis_graph::NodeId,
-                v: dmis_graph::NodeId,
-            ) -> Result<crate::UpdateReceipt, dmis_graph::GraphError> {
-                self.remove_edge(u, v)
-            }
-            fn insert_node_with_key(
-                &mut self,
-                neighbors: &[dmis_graph::NodeId],
-                key: u64,
-            ) -> Result<(dmis_graph::NodeId, crate::UpdateReceipt), dmis_graph::GraphError> {
-                self.insert_node_with_key(neighbors.iter().copied(), key)
-            }
-            fn remove_node(
-                &mut self,
-                v: dmis_graph::NodeId,
-            ) -> Result<crate::UpdateReceipt, dmis_graph::GraphError> {
-                self.remove_node(v)
-            }
-            fn apply_batch(
-                &mut self,
-                changes: &[dmis_graph::TopologyChange],
-            ) -> Result<crate::BatchReceipt, dmis_graph::GraphError> {
-                self.apply_batch(changes)
-            }
-            fn draw_key(&mut self) -> u64 {
-                self.draw_key()
-            }
-            fn graph(&self) -> &dmis_graph::DynGraph {
-                self.graph()
-            }
-            fn priorities(&self) -> &crate::PriorityMap {
-                self.priorities()
-            }
-            fn mis_iter(&self) -> Box<dyn Iterator<Item = dmis_graph::NodeId> + '_> {
-                Box::new(self.mis_iter())
-            }
-            fn mis_len(&self) -> usize {
-                self.mis_len()
-            }
-            fn is_in_mis(&self, v: dmis_graph::NodeId) -> Option<bool> {
-                self.is_in_mis(v)
-            }
-            fn reader(&mut self) -> crate::MisReader {
-                self.reader()
-            }
-            fn verify_and_repair(&mut self) -> crate::durability::RepairReport {
-                self.verify_and_repair()
-            }
-            fn corrupt_in_mis(&mut self, victims: &[dmis_graph::NodeId]) -> usize {
-                self.corrupt_in_mis(victims)
-            }
-            fn durability_meta(&self) -> crate::durability::DurabilityMeta {
-                self.durability_meta()
-            }
-            fn restore_epoch(&mut self, epoch: u64) {
-                self.restore_epoch(epoch);
-            }
-            fn check_invariant(&self) -> Result<(), crate::invariant::InvariantViolation> {
-                self.check_invariant()
-            }
-            fn assert_internally_consistent(&self) {
-                self.assert_internally_consistent();
-            }
-            fn check_invariant_sampled(
-                &self,
-                sample: usize,
-                seed: u64,
-            ) -> Result<(), crate::invariant::InvariantViolation> {
-                self.check_invariant_sampled(sample, seed)
-            }
-            fn assert_internally_consistent_sampled(&self, sample: usize, seed: u64) {
-                self.assert_internally_consistent_sampled(sample, seed);
-            }
-        }
-    };
-}
-pub(crate) use forward_dynamic_mis;
-
 /// Forwards [`DynamicMis`] through a smart-pointer-like wrapper (`&mut
 /// T`, `Box<T>`): what lets [`IngestSession`] own its engine *or* borrow
 /// one, depending on how it was opened, behind a single type parameter.
@@ -555,9 +461,9 @@ impl Engine {
 /// ```
 ///
 /// Typed escape hatches ([`EngineBuilder::build_unsharded`],
-/// [`EngineBuilder::build_sharded`]) return concrete engines when the
-/// caller needs engine-specific knobs; `build_unsharded` panics on a
-/// sharding axis instead of silently ignoring it.
+/// [`EngineBuilder::build_sharded`]) return the concrete [`MisEngine`]
+/// when the caller needs its inherent methods; `build_unsharded` panics
+/// on a sharding axis instead of silently ignoring it.
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     seed: u64,
@@ -593,8 +499,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Partitions the engine's per-node state into the layout's shards
-    /// ([`crate::ShardedMisEngine`]).
+    /// Settles through the layout's shards in barrier-synchronized
+    /// epochs ([`crate::sharding`]) instead of one drain. Outputs are
+    /// unchanged; receipts also count the cross-shard traffic.
     #[must_use]
     pub fn sharding(mut self, layout: ShardLayout) -> Self {
         self.sharding = Some(layout);
@@ -623,16 +530,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the cheapest engine realizing every configured axis, as a
-    /// trait object: sharded if `sharding` was set, unsharded otherwise.
-    /// The box is `Send`, so built engines can migrate across threads.
+    /// Builds the engine realizing every configured axis, as a trait
+    /// object: sharded if `sharding` was set, unsharded otherwise. The
+    /// box is `Send`, so built engines can migrate across threads.
     #[must_use]
     pub fn build(self) -> Box<dyn DynamicMis + Send> {
-        if self.sharding.is_some() {
-            Box::new(self.build_sharded())
-        } else {
-            Box::new(self.build_unsharded())
-        }
+        let layout = self.sharding;
+        Box::new(self.build_with_layout(layout))
     }
 
     /// [`EngineBuilder::build`] plus an attached [`crate::MisReader`]:
@@ -676,31 +580,27 @@ impl EngineBuilder {
             self.sharding.is_none(),
             "sharding axis set: build_sharded() realizes it"
         );
-        let mut engine = match (self.graph, self.priorities) {
-            (None, None) => MisEngine::new_impl(self.seed),
-            (Some(g), None) => MisEngine::from_graph_impl(g, self.seed),
-            (Some(g), Some(p)) => MisEngine::from_parts_impl(g, p, self.seed),
-            (None, Some(_)) => panic!("priorities prescribed without a graph"),
-        };
-        if let Some(n) = self.capacity {
-            engine.reserve_nodes(n);
-        }
-        engine
+        self.build_with_layout(None)
     }
 
-    /// Builds the [`ShardedMisEngine`] (layout defaults to
-    /// [`ShardLayout::single`]).
+    /// Builds a [`MisEngine`] that settles through the sharded schedule
+    /// (layout defaults to [`ShardLayout::single`]).
     ///
     /// # Panics
     ///
     /// Panics if priorities were given without a graph.
     #[must_use]
-    pub fn build_sharded(self) -> ShardedMisEngine {
+    pub fn build_sharded(self) -> MisEngine {
         let layout = self.sharding.unwrap_or_else(ShardLayout::single);
+        self.build_with_layout(Some(layout))
+    }
+
+    fn build_with_layout(self, layout: Option<ShardLayout>) -> MisEngine {
+        let sharding = layout
+            .map(|l| ShardSchedule::new(l).expect("one settle queue per shard fits in memory"));
         let mut engine = match (self.graph, self.priorities) {
-            (None, None) => ShardedMisEngine::new_impl(layout, self.seed),
-            (Some(g), None) => ShardedMisEngine::from_graph_impl(g, layout, self.seed),
-            (Some(g), Some(p)) => ShardedMisEngine::from_parts_impl(g, p, layout, self.seed),
+            (g, None) => MisEngine::from_graph_impl(g.unwrap_or_default(), sharding, self.seed),
+            (Some(g), Some(p)) => MisEngine::from_parts_impl(g, p, sharding, self.seed),
             (None, Some(_)) => panic!("priorities prescribed without a graph"),
         };
         if let Some(n) = self.capacity {

@@ -42,7 +42,8 @@ use super::recover::RecoverError;
 use super::wal::retire_before;
 use super::{DurabilityMeta, EngineFlavor, StorageIo, CHECKPOINT_FILE};
 use crate::api::DynamicMis;
-use crate::{MisEngine, Priority, PriorityMap, ShardedMisEngine};
+use crate::sharding::ShardSchedule;
+use crate::{MisEngine, Priority, PriorityMap};
 
 const CKP_MAGIC: &[u8; 8] = b"DMISCKP2";
 
@@ -332,7 +333,8 @@ impl Checkpoint {
         }
     }
 
-    /// Rebuilds a live engine of the captured flavor: builds the graph
+    /// Rebuilds a live engine of the captured flavor: reserves the shard
+    /// queues of a sharded image, builds the graph
     /// from the decoded lists in bulk ([`DynGraph::from_adjacency`]),
     /// rebuilds the priority map, seeds membership and counters in one
     /// sweep in increasing π (the unique greedy fixed point for that
@@ -346,29 +348,33 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`RecoverError::Corrupt`] if graph reconstruction rejects the
+    /// [`RecoverError::Corrupt`] if a sharded image's shard queues
+    /// cannot be reserved, or if graph reconstruction rejects the
     /// adjacency section, including a watermark whose slot arena cannot
     /// be reserved; [`RecoverError::Witness`] if the recomputed MIS
     /// differs from the captured one — including a witness that names
     /// the right members out of ascending order, which `capture` never
     /// writes.
     pub fn restore(&self) -> Result<Box<dyn DynamicMis + Send>, RecoverError> {
+        let meta = self.meta;
+        let sharding = match meta.flavor {
+            EngineFlavor::Unsharded => None,
+            EngineFlavor::Sharded => Some(
+                ShardSchedule::new(ShardLayout::blocked(meta.shards, meta.block)).map_err(
+                    |_| {
+                        RecoverError::Corrupt(CodecError::Inconsistent("shard queues unreservable"))
+                    },
+                )?,
+            ),
+        };
         let graph = DynGraph::from_adjacency(NodeId(self.next_id), &self.nodes, &self.edges)
             .map_err(|_| RecoverError::Corrupt(CodecError::Inconsistent("adjacency rejected")))?;
         let mut pm = PriorityMap::new();
         for &(id, key) in &self.priorities {
             pm.insert(id, Priority::new(key, id));
         }
-        let meta = self.meta;
-        let mut engine: Box<dyn DynamicMis + Send> = match meta.flavor {
-            EngineFlavor::Unsharded => Box::new(MisEngine::from_parts_impl(graph, pm, meta.seed)),
-            EngineFlavor::Sharded => Box::new(ShardedMisEngine::from_parts_impl(
-                graph,
-                pm,
-                ShardLayout::blocked(meta.shards, meta.block),
-                meta.seed,
-            )),
-        };
+        let mut engine: Box<dyn DynamicMis + Send> =
+            Box::new(MisEngine::from_parts_impl(graph, pm, sharding, meta.seed));
         // Fast-forward the RNG stream position: construction with
         // prescribed priorities drew nothing, so exactly `draws` throw-
         // away draws put every *future* draw where the original's would
@@ -540,6 +546,31 @@ mod tests {
             assert!(
                 matches!(decoded.restore(), Err(RecoverError::Corrupt(_))),
                 "watermark {watermark}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_forged_shard_count_is_refused() {
+        // A sharded image's shard count sizes the restored engine's shard
+        // queues. Decode vets only a zero count, so a CRC-valid image may
+        // carry one no allocator can reserve; restore must refuse it as
+        // corrupt, not abort on the allocation.
+        let mut rng = StdRng::seed_from_u64(21);
+        let (g, _) = generators::erdos_renyi(30, 0.15, &mut rng);
+        let engine = Engine::builder()
+            .graph(g)
+            .seed(7)
+            .sharding(ShardLayout::striped(3))
+            .build_sharded();
+        for shards in [1usize << 62, usize::MAX] {
+            let mut ckp = Checkpoint::capture(&engine, 0);
+            ckp.meta.shards = shards;
+            let decoded = Checkpoint::decode(&ckp.encode()).unwrap();
+            assert_eq!(decoded.meta().flavor, EngineFlavor::Sharded);
+            assert!(
+                matches!(decoded.restore(), Err(RecoverError::Corrupt(_))),
+                "{shards} shards"
             );
         }
     }

@@ -84,9 +84,10 @@ pub fn splitmix64(x: u64) -> u64 {
 /// [`Checkpoint::restore`] can rebuild the same flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineFlavor {
-    /// [`crate::MisEngine`] — the unsharded sequential engine.
+    /// [`crate::MisEngine`] settling through one drain.
     Unsharded,
-    /// [`crate::ShardedMisEngine`] — the K-shard epoch coordinator.
+    /// [`crate::MisEngine`] settling through the K-shard epoch schedule
+    /// ([`crate::sharding`]).
     Sharded,
 }
 

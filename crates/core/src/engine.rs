@@ -1,23 +1,40 @@
-//! The sequential engine: one settle loop over the whole graph.
+//! The engine: one set of per-node tables, settled in increasing π.
 //!
-//! [`MisEngine`] is the repo's reference realization of the paper's
-//! template (Algorithm 1): it owns the graph, the random order π, and one
-//! dense counter per node, and restores the MIS invariant after every
-//! topology change by settling dirty nodes in increasing π order. Every
-//! other maintainer in the workspace is defined against it — the BTree
-//! baseline mirrors its behavior on the old storage layout, and the
-//! sharded engine ([`crate::ShardedMisEngine`]) must reproduce its output
-//! bit for bit while partitioning this module's state across shards.
+//! [`MisEngine`] is the repo's realization of the paper's template
+//! (Algorithm 1): it owns the graph, the random order π, each node's
+//! membership bit and lower-MIS counter, and restores the MIS invariant
+//! after every topology change by settling dirty nodes in increasing π
+//! order. A [`ShardLayout`], set through
+//! [`crate::EngineBuilder::sharding`], changes only *when* nodes settle:
+//! the sharded schedule ([`crate::sharding`]) drains each shard's dirty
+//! nodes in barrier-synchronized epochs over the same tables, and lands
+//! on the same output bit for bit. Every other maintainer in the
+//! workspace is defined against this engine — the BTree baseline mirrors
+//! its behavior on the old storage layout.
 
 use dmis_graph::{
-    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, SettleFront, TopologyChange,
+    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, SettleFront, ShardLayout,
+    TopologyChange,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::durability::{DurabilityMeta, EngineFlavor, RepairReport};
 use crate::invariant::{self, InvariantViolation};
+use crate::sharding::{NodeTables, ShardSchedule};
 use crate::snapshot::{MisPublisher, MisReader, PublishSlot};
-use crate::{BatchReceipt, MisState, Priority, PriorityMap, UpdateReceipt};
+use crate::{BatchReceipt, DynamicMis, MisState, Priority, PriorityMap, UpdateReceipt};
+
+/// Work and traffic counters accumulated over one recovery. The
+/// unsharded drain fills only `pops` and `counter_updates`.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SettleStats {
+    pub(crate) pops: usize,
+    pub(crate) counter_updates: usize,
+    pub(crate) handoffs: usize,
+    pub(crate) shard_runs: usize,
+    pub(crate) epochs: usize,
+}
 
 /// Incremental maintainer of the random-greedy MIS — the paper's template
 /// (Algorithm 1) realized as an efficient sequential data structure.
@@ -41,6 +58,12 @@ use crate::{BatchReceipt, MisState, Priority, PriorityMap, UpdateReceipt};
 /// grow with n — the O(Δ) factor per adjusted node the paper's Section 6
 /// predicts for sequential implementations. A node insertion costs
 /// O(degree): no other node's position in π moves.
+///
+/// Built with a [`ShardLayout`], the engine settles through the sharded
+/// schedule instead ([`crate::sharding`]): same tables, same output, and
+/// receipts that also audit the cross-shard traffic
+/// ([`UpdateReceipt::cross_shard_handoffs`], [`UpdateReceipt::shard_runs`],
+/// [`UpdateReceipt::settle_epochs`]).
 ///
 /// # Example
 ///
@@ -75,14 +98,18 @@ pub struct MisEngine {
     /// engine replays exactly this many draws on a fresh `seed`-ed RNG
     /// to park the stream at the checkpointed position.
     draws: u64,
-    /// Scratch bitset marking nodes currently enqueued in the settle
+    /// Scratch bitset marking nodes currently enqueued in a settle
     /// front; deduplicates pushes so each node is popped at most once per
-    /// update.
+    /// drain.
     enqueued: NodeSet,
-    /// Persistent π-keyed dirty queue: empty between updates, like
-    /// `enqueued`, and it keeps its capacity, so steady-state settles
-    /// never allocate.
+    /// Persistent π-keyed dirty queue of the unsharded drain: empty
+    /// between updates, like `enqueued`, and it keeps its capacity, so
+    /// steady-state settles never allocate. Unused under a layout.
     front: SettleFront,
+    /// The sharded settle schedule, if the engine was built with a
+    /// [`ShardLayout`]: one front and outbox per shard plus the net-flip
+    /// log. `None` settles through [`Self::propagate`].
+    sharding: Option<ShardSchedule>,
     /// Snapshot publication slot: empty (and free on the settle path)
     /// until [`Self::reader`] attaches a read path; then every settle
     /// publishes the quiesced membership. Cloning an engine detaches —
@@ -91,26 +118,16 @@ pub struct MisEngine {
 }
 
 impl MisEngine {
-    /// An engine over an empty graph; `seed` determinizes all priority
-    /// draws. Reached through [`crate::EngineBuilder::build_unsharded`].
-    pub(crate) fn new_impl(seed: u64) -> Self {
-        MisEngine {
-            graph: DynGraph::new(),
-            priorities: PriorityMap::new(),
-            in_mis: NodeSet::new(),
-            lower_mis_count: NodeMap::new(),
-            rng: StdRng::seed_from_u64(seed),
-            seed,
-            draws: 0,
-            enqueued: NodeSet::new(),
-            front: SettleFront::new(),
-            publisher: PublishSlot::default(),
-        }
-    }
-
-    /// An engine over an existing graph, drawing fresh random priorities
-    /// for all its nodes and computing the initial greedy MIS.
-    pub(crate) fn from_graph_impl(graph: DynGraph, seed: u64) -> Self {
+    /// An engine over `graph`, drawing fresh random priorities for all
+    /// its nodes in identifier order and computing the initial greedy
+    /// MIS; `seed` determinizes all priority draws, so same seed ⇒ same
+    /// draws under every schedule. Reached through
+    /// [`crate::EngineBuilder`].
+    pub(crate) fn from_graph_impl(
+        graph: DynGraph,
+        sharding: Option<ShardSchedule>,
+        seed: u64,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut priorities = PriorityMap::new();
         let mut draws = 0u64;
@@ -118,23 +135,30 @@ impl MisEngine {
             priorities.assign(v, &mut rng);
             draws += 1;
         }
-        Self::with_priorities(graph, priorities, rng, seed, draws)
+        Self::with_priorities(graph, priorities, sharding, rng, seed, draws)
     }
 
-    /// An engine over an existing graph with prescribed priorities (tests
-    /// and the theory checks, which need a fixed π).
+    /// An engine over an existing graph with prescribed priorities (tests,
+    /// the theory checks, which need a fixed π, and checkpoint restore).
     ///
     /// # Panics
     ///
     /// Panics if some node of the graph has no priority, or if a
     /// priority names a node the graph does not hold.
-    pub(crate) fn from_parts_impl(graph: DynGraph, priorities: PriorityMap, seed: u64) -> Self {
-        Self::with_priorities(graph, priorities, StdRng::seed_from_u64(seed), seed, 0)
+    pub(crate) fn from_parts_impl(
+        graph: DynGraph,
+        priorities: PriorityMap,
+        sharding: Option<ShardSchedule>,
+        seed: u64,
+    ) -> Self {
+        let rng = StdRng::seed_from_u64(seed);
+        Self::with_priorities(graph, priorities, sharding, rng, seed, 0)
     }
 
     fn with_priorities(
         graph: DynGraph,
         priorities: PriorityMap,
+        sharding: Option<ShardSchedule>,
         rng: StdRng,
         seed: u64,
         draws: u64,
@@ -150,6 +174,7 @@ impl MisEngine {
             draws,
             enqueued: NodeSet::new(),
             front: SettleFront::new(),
+            sharding,
             publisher: PublishSlot::default(),
         }
     }
@@ -224,13 +249,38 @@ impl MisEngine {
         self.rng.random()
     }
 
-    /// Marks `v` dirty: it enters the settle front at once, keyed by its
-    /// priority, and only once however many changes or flipping
-    /// neighbors mark it before it pops.
+    /// Marks `v` dirty: it enters its settle front at once (its shard's,
+    /// under a layout), keyed by its priority, and only once however many
+    /// changes or flipping neighbors mark it before it pops. A priority
+    /// never moves, so no later change of the update can invalidate the
+    /// entry.
     fn mark(&mut self, v: NodeId) {
         if self.enqueued.insert(v) {
-            self.front.push(self.priorities.of(v).key(), v);
+            let key = self.priorities.of(v).key();
+            match &mut self.sharding {
+                None => self.front.push(key, v),
+                Some(schedule) => schedule.push(key, v),
+            }
         }
+    }
+
+    /// Applies a counter delta to `v` and marks it dirty. A delta is one
+    /// message from `origin`, the node whose membership it reflects:
+    /// under a layout it counts as a cross-shard handoff when `v` lives
+    /// on another shard. A delta-free call (`delta == 0`) is a
+    /// conservative dirty mark the batch path seeds for parity with the
+    /// single-change path; it carries no state and counts nothing.
+    fn bump(&mut self, v: NodeId, delta: isize, origin: NodeId, stats: &mut SettleStats) {
+        if delta != 0 {
+            if let Some(schedule) = &self.sharding {
+                let layout = schedule.layout();
+                stats.handoffs += usize::from(layout.shard_of(v) != layout.shard_of(origin));
+            }
+            let c = self.lower_mis_count.get_mut(v).expect("live node");
+            *c = c.checked_add_signed(delta).expect("counter in range");
+            stats.counter_updates += 1;
+        }
+        self.mark(v);
     }
 
     /// Inserts the edge `{u, v}` and restores the MIS invariant.
@@ -242,13 +292,11 @@ impl MisEngine {
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReceipt, GraphError> {
         self.graph.insert_edge(u, v)?;
         let (lo, hi) = self.order_pair(u, v);
-        let mut counter_updates = 0;
+        let mut stats = SettleStats::default();
         if self.in_mis.contains(lo) {
-            *self.lower_mis_count.get_mut(hi).expect("live node") += 1;
-            counter_updates += 1;
-            self.mark(hi);
+            self.bump(hi, 1, lo, &mut stats);
         }
-        Ok(self.propagate(ChangeKind::EdgeInsert, counter_updates))
+        Ok(self.settle(ChangeKind::EdgeInsert, stats))
     }
 
     /// Removes the edge `{u, v}` and restores the MIS invariant.
@@ -260,13 +308,11 @@ impl MisEngine {
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReceipt, GraphError> {
         self.graph.remove_edge(u, v)?;
         let (lo, hi) = self.order_pair(u, v);
-        let mut counter_updates = 0;
+        let mut stats = SettleStats::default();
         if self.in_mis.contains(lo) {
-            *self.lower_mis_count.get_mut(hi).expect("live node") -= 1;
-            counter_updates += 1;
-            self.mark(hi);
+            self.bump(hi, -1, lo, &mut stats);
         }
-        Ok(self.propagate(ChangeKind::EdgeDelete, counter_updates))
+        Ok(self.settle(ChangeKind::EdgeDelete, stats))
     }
 
     /// Inserts a new node with a *prescribed* random key instead of drawing
@@ -287,15 +333,20 @@ impl MisEngine {
         I: IntoIterator<Item = NodeId>,
     {
         let v = self.graph.add_node_with_edges(neighbors)?;
-        self.priorities.insert(v, crate::Priority::new(key, v));
-        // The newcomer starts with the paper's temporary state M̄ (§4.1), so
-        // no neighbor counter is affected by its arrival; its membership
-        // bit is simply left unset.
+        self.priorities.insert(v, Priority::new(key, v));
+        self.enter(v);
+        let receipt = self.settle(ChangeKind::NodeInsert, SettleStats::default());
+        Ok((v, receipt))
+    }
+
+    /// Gives the just-added node `v` its counter and marks it dirty. The
+    /// newcomer starts with the paper's temporary state M̄ (§4.1), so no
+    /// neighbor counter is affected by its arrival; its membership bit is
+    /// simply left unset.
+    fn enter(&mut self, v: NodeId) {
         let count = self.count_lower_mis(v);
         self.lower_mis_count.insert(v, count);
         self.mark(v);
-        let receipt = self.propagate(ChangeKind::NodeInsert, 0);
-        Ok((v, receipt))
     }
 
     /// Removes node `v` and restores the MIS invariant.
@@ -309,6 +360,21 @@ impl MisEngine {
     ///
     /// Propagates [`GraphError`] if `v` does not exist.
     pub fn remove_node(&mut self, v: NodeId) -> Result<UpdateReceipt, GraphError> {
+        let mut stats = SettleStats::default();
+        self.delete_node(v, false, &mut stats)?;
+        Ok(self.settle(ChangeKind::NodeDelete, stats))
+    }
+
+    /// Deletes `v` and decrements the counter of each higher-π neighbor
+    /// if `v` was a member. Those neighbors are marked dirty only then,
+    /// unless `mark_all` asks for every higher-π neighbor (the batch
+    /// path's conservative seeds).
+    fn delete_node(
+        &mut self,
+        v: NodeId,
+        mark_all: bool,
+        stats: &mut SettleStats,
+    ) -> Result<(), GraphError> {
         if !self.graph.has_node(v) {
             return Err(GraphError::MissingNode(v));
         }
@@ -323,17 +389,16 @@ impl MisEngine {
             // nodes), so the publish log learns of them here.
             self.publisher.record(v, false);
         }
-        let mut counter_updates = 0;
-        if was_in {
+        // If `v` itself was marked by an earlier change of a batch, its
+        // front entry is now stale and pops with no counter.
+        if was_in || mark_all {
             for w in nbrs {
                 if self.priorities.of(w) > prio_v {
-                    *self.lower_mis_count.get_mut(w).expect("live node") -= 1;
-                    counter_updates += 1;
-                    self.mark(w);
+                    self.bump(w, -isize::from(was_in), v, stats);
                 }
             }
         }
-        Ok(self.propagate(ChangeKind::NodeDelete, counter_updates))
+        Ok(())
     }
 
     /// Applies a **batch** of topology changes atomically: all graph
@@ -378,12 +443,11 @@ impl MisEngine {
     /// so the engine stays consistent; the failing and subsequent changes
     /// are not applied.
     pub fn apply_batch(&mut self, changes: &[TopologyChange]) -> Result<BatchReceipt, GraphError> {
-        let mut counter_updates = 0usize;
+        let mut stats = SettleStats::default();
         let mut applied = 0usize;
         let mut failure: Option<GraphError> = None;
         for change in changes {
-            let result = self.mutate_only(change, &mut counter_updates);
-            match result {
+            match self.mutate_only(change, &mut stats) {
                 Ok(()) => applied += 1,
                 Err(e) => {
                     failure = Some(e);
@@ -391,11 +455,11 @@ impl MisEngine {
                 }
             }
         }
-        let receipt = self.propagate(
+        let receipt = self.settle(
             changes
                 .first()
                 .map_or(ChangeKind::EdgeInsert, TopologyChange::kind),
-            counter_updates,
+            stats,
         );
         match failure {
             Some(e) => Err(e),
@@ -409,26 +473,18 @@ impl MisEngine {
     fn mutate_only(
         &mut self,
         change: &TopologyChange,
-        counter_updates: &mut usize,
+        stats: &mut SettleStats,
     ) -> Result<(), GraphError> {
         match change {
             TopologyChange::InsertEdge(u, v) => {
                 self.graph.insert_edge(*u, *v)?;
                 let (lo, hi) = self.order_pair(*u, *v);
-                if self.in_mis.contains(lo) {
-                    *self.lower_mis_count.get_mut(hi).expect("live node") += 1;
-                    *counter_updates += 1;
-                }
-                self.mark(hi);
+                self.bump(hi, isize::from(self.in_mis.contains(lo)), lo, stats);
             }
             TopologyChange::DeleteEdge(u, v) => {
                 self.graph.remove_edge(*u, *v)?;
                 let (lo, hi) = self.order_pair(*u, *v);
-                if self.in_mis.contains(lo) {
-                    *self.lower_mis_count.get_mut(hi).expect("live node") -= 1;
-                    *counter_updates += 1;
-                }
-                self.mark(hi);
+                self.bump(hi, -isize::from(self.in_mis.contains(lo)), lo, stats);
             }
             TopologyChange::InsertNode { id, edges } => {
                 if self.graph.peek_next_id() != *id {
@@ -437,36 +493,9 @@ impl MisEngine {
                 let v = self.graph.add_node_with_edges(edges.iter().copied())?;
                 self.priorities.assign(v, &mut self.rng);
                 self.draws += 1;
-                let count = self.count_lower_mis(v);
-                self.lower_mis_count.insert(v, count);
-                self.mark(v);
+                self.enter(v);
             }
-            TopologyChange::DeleteNode(v) => {
-                if !self.graph.has_node(*v) {
-                    return Err(GraphError::MissingNode(*v));
-                }
-                let was_in = self.in_mis.contains(*v);
-                let prio_v = self.priorities.of(*v);
-                let nbrs = self.graph.remove_node(*v)?;
-                self.priorities.remove(*v);
-                self.in_mis.remove(*v);
-                self.lower_mis_count.remove(*v);
-                if was_in {
-                    // As in `remove_node`: departures are not flips.
-                    self.publisher.record(*v, false);
-                }
-                // If `v` itself was marked by an earlier change, its front
-                // entry is now stale; the drain drops it uncounted.
-                for w in nbrs {
-                    if self.priorities.of(w) > prio_v {
-                        if was_in {
-                            *self.lower_mis_count.get_mut(w).expect("live node") -= 1;
-                            *counter_updates += 1;
-                        }
-                        self.mark(w);
-                    }
-                }
-            }
+            TopologyChange::DeleteNode(v) => self.delete_node(*v, true, stats)?,
         }
         Ok(())
     }
@@ -496,12 +525,14 @@ impl MisEngine {
     /// drain, which converges to the unique greedy fixed point for
     /// (graph, π) — so healing costs O(k·Δ) beyond the scan for k
     /// corrupted nodes, instead of an O(n + m) rebuild, and the result
-    /// is bit-identical to an engine that was never corrupted.
+    /// is bit-identical to an engine that was never corrupted. Under a
+    /// layout the heal runs through the ordinary epoch schedule, so
+    /// cross-shard cascades and receipts behave exactly like a settle.
     ///
     /// If a read path is attached, a repair that found anything
     /// publishes a **fresh** epoch (never a regressed one), exactly
     /// like a settle.
-    pub fn verify_and_repair(&mut self) -> crate::durability::RepairReport {
+    pub fn verify_and_repair(&mut self) -> RepairReport {
         let nodes: Vec<NodeId> = self.graph.nodes().collect();
         let scanned = nodes.len();
         let mut counters_fixed = 0usize;
@@ -522,20 +553,19 @@ impl MisEngine {
                 self.mark(v);
             }
         }
-        if self.front.is_empty() {
-            return crate::durability::RepairReport::clean(scanned);
+        if counters_fixed + memberships_violated == 0 {
+            return RepairReport::clean(scanned);
         }
         // The settle drain *is* the local rule: it pops the violated set
         // in increasing π, finalizing each node against its (now
         // truthful) counter. `EdgeInsert` is only the receipt's label —
         // repair is not a topology change.
-        let receipt = self.propagate(ChangeKind::EdgeInsert, counters_fixed);
-        crate::durability::RepairReport::new(
-            scanned,
-            counters_fixed,
-            memberships_violated,
-            &receipt,
-        )
+        let stats = SettleStats {
+            counter_updates: counters_fixed,
+            ..SettleStats::default()
+        };
+        let receipt = self.settle(ChangeKind::EdgeInsert, stats);
+        RepairReport::new(scanned, counters_fixed, memberships_violated, &receipt)
     }
 
     /// Test-only fault injector: flips the membership bit of each live
@@ -559,14 +589,19 @@ impl MisEngine {
         flipped
     }
 
-    /// Checkpoint-time metadata: flavor, layout, RNG position, epoch.
+    /// Checkpoint-time metadata: flavor (sharded iff a layout is set),
+    /// layout, RNG position, epoch.
     #[doc(hidden)]
     #[must_use]
-    pub fn durability_meta(&self) -> crate::durability::DurabilityMeta {
-        crate::durability::DurabilityMeta {
-            flavor: crate::durability::EngineFlavor::Unsharded,
-            shards: 1,
-            block: 1,
+    pub fn durability_meta(&self) -> DurabilityMeta {
+        let (flavor, layout) = match &self.sharding {
+            None => (EngineFlavor::Unsharded, ShardLayout::single()),
+            Some(schedule) => (EngineFlavor::Sharded, schedule.layout()),
+        };
+        DurabilityMeta {
+            flavor,
+            shards: layout.shards(),
+            block: layout.block(),
             seed: self.seed,
             draws: self.draws,
             epoch: self.publisher.get().map(MisPublisher::epoch),
@@ -591,15 +626,7 @@ impl MisEngine {
     /// Panics if any counter, priority, or state diverged.
     pub fn assert_internally_consistent(&self) {
         self.graph.assert_consistent();
-        assert_eq!(self.lower_mis_count.len(), self.graph.node_count());
-        assert_eq!(self.priorities.len(), self.graph.node_count());
-        assert!(self.enqueued.is_empty(), "enqueue scratch leaked bits");
-        assert!(self.front.is_empty(), "settle front leaked entries");
-        assert_eq!(
-            self.in_mis.len(),
-            self.in_mis.popcount(),
-            "cached mis_len diverged from the membership words"
-        );
+        self.assert_tables_settled();
         let ground_truth = crate::static_greedy::greedy_mis_dense(&self.graph, &self.priorities);
         assert_eq!(
             self.in_mis.len(),
@@ -620,19 +647,41 @@ impl MisEngine {
         }
     }
 
+    /// The O(1)-per-table facts both consistency checks assert exactly:
+    /// table sizes, the cached `mis_len` against a membership popcount,
+    /// and drained settle scratch.
+    fn assert_tables_settled(&self) {
+        assert_eq!(self.lower_mis_count.len(), self.graph.node_count());
+        assert_eq!(self.priorities.len(), self.graph.node_count());
+        assert_eq!(
+            self.in_mis.len(),
+            self.in_mis.popcount(),
+            "cached mis_len diverged from the membership words"
+        );
+        assert!(self.enqueued.is_empty(), "enqueue scratch leaked bits");
+        assert!(self.front.is_empty(), "settle front leaked entries");
+        if let Some(schedule) = &self.sharding {
+            schedule.assert_drained();
+        }
+    }
+
     /// Pre-sizes every per-node structure (adjacency slots, priorities,
-    /// membership and scratch bitsets, counters) for `n` nodes, so a
-    /// bootstrap of up to `n` insertions performs no incremental
-    /// regrows — the difference between one upfront allocation per table
-    /// and log(n) reallocation-plus-copy cycles during a 10^6-node load.
-    /// The settle front is not a per-node table: it grows with the
-    /// largest dirty set seen and keeps that capacity.
+    /// membership and scratch bitsets, counters, and under a layout the
+    /// first-touch bitset) for `n` nodes, so a bootstrap of up to `n`
+    /// insertions performs no incremental regrows — the difference
+    /// between one upfront allocation per table and log(n)
+    /// reallocation-plus-copy cycles during a 10^6-node load. The settle
+    /// fronts are not per-node tables: they grow with the largest dirty
+    /// set seen and keep that capacity.
     pub fn reserve_nodes(&mut self, n: usize) {
         self.graph.reserve_nodes(n);
         self.priorities.reserve_nodes(n);
         self.in_mis.reserve_nodes(n);
         self.lower_mis_count.reserve_slots(n);
         self.enqueued.reserve_nodes(n);
+        if let Some(schedule) = &mut self.sharding {
+            schedule.reserve_nodes(n);
+        }
     }
 
     /// Total times any per-node structure grew past its capacity
@@ -646,6 +695,7 @@ impl MisEngine {
             + self.in_mis.regrows()
             + self.lower_mis_count.regrows()
             + self.enqueued.regrows()
+            + self.sharding.as_ref().map_or(0, ShardSchedule::regrows)
     }
 
     /// [`Self::check_invariant`] restricted to ~`sample` deterministically
@@ -681,15 +731,7 @@ impl MisEngine {
     ///
     /// Panics if any checked structure diverged.
     pub fn assert_internally_consistent_sampled(&self, sample: usize, seed: u64) {
-        assert_eq!(self.lower_mis_count.len(), self.graph.node_count());
-        assert_eq!(self.priorities.len(), self.graph.node_count());
-        assert_eq!(
-            self.in_mis.len(),
-            self.in_mis.popcount(),
-            "cached mis_len diverged from the membership words"
-        );
-        assert!(self.enqueued.is_empty(), "enqueue scratch leaked bits");
-        assert!(self.front.is_empty(), "settle front leaked entries");
+        self.assert_tables_settled();
         for v in invariant::sampled_nodes(&self.graph, sample, seed) {
             assert_eq!(
                 self.lower_mis_count[v],
@@ -712,9 +754,38 @@ impl MisEngine {
         }
     }
 
-    /// Settles dirty nodes in increasing π order. Every node is finalized
-    /// at its first pop because all lower-order dirty nodes settle first,
-    /// so each node flips at most once per update.
+    /// Restores the invariant after an update's mutations — through
+    /// [`Self::propagate`], or the sharded schedule's epoch loop under a
+    /// layout — then publishes the flips and builds the receipt.
+    fn settle(&mut self, kind: ChangeKind, mut stats: SettleStats) -> UpdateReceipt {
+        let flips = match &mut self.sharding {
+            None => self.propagate(&mut stats),
+            Some(schedule) => schedule.settle(
+                NodeTables {
+                    graph: &self.graph,
+                    priorities: &self.priorities,
+                    in_mis: &mut self.in_mis,
+                    lower_mis_count: &mut self.lower_mis_count,
+                    enqueued: &mut self.enqueued,
+                },
+                &mut stats,
+            ),
+        };
+        // Global quiescence: the flips carry this flush boundary.
+        if let Some(p) = self.publisher.get_mut() {
+            p.publish(&flips);
+        }
+        UpdateReceipt::new(kind, flips, stats.pops, stats.counter_updates).with_shard_stats(
+            stats.handoffs,
+            stats.shard_runs,
+            stats.epochs,
+        )
+    }
+
+    /// Settles dirty nodes in increasing π order and returns the flips in
+    /// that order. Every node is finalized at its first pop because all
+    /// lower-order dirty nodes settle first, so each node flips at most
+    /// once per update.
     ///
     /// Dirty nodes wait in the persistent [`SettleFront`], keyed by their
     /// priorities, and the neighbor filter compares priorities read from
@@ -730,9 +801,10 @@ impl MisEngine {
     /// pops are non-decreasing in π (a flip at priority `p` only ever
     /// pushes strictly higher priorities), so a popped node can never
     /// need re-settling within the same propagation.
-    fn propagate(&mut self, kind: ChangeKind, mut counter_updates: usize) -> UpdateReceipt {
+    fn propagate(&mut self, stats: &mut SettleStats) -> Vec<(NodeId, MisState)> {
         let mut flips = Vec::new();
         let mut pops = 0usize;
+        let mut counter_updates = 0usize;
         while let Some((key, v)) = self.front.pop() {
             let p = Priority::new(key, v);
             // Safe to free the bit: a popped node can never be re-pushed
@@ -772,11 +844,9 @@ impl MisEngine {
                 }
             }
         }
-        let receipt = UpdateReceipt::new(kind, flips, pops, counter_updates);
-        if let Some(p) = self.publisher.get_mut() {
-            p.publish(receipt.flips());
-        }
-        receipt
+        stats.pops += pops;
+        stats.counter_updates += counter_updates;
+        flips
     }
 }
 
@@ -788,13 +858,13 @@ impl MisEngine {
 /// higher-π neighbor. So the sweep reads only the members' adjacency,
 /// O(n log n + Σ_{v ∈ MIS} deg v) with the one sort into π order, and
 /// its result is the greedy fixed point
-/// [`crate::static_greedy::greedy_mis_dense`] computes. Both engine
-/// flavors seed from it.
+/// [`crate::static_greedy::greedy_mis_dense`] computes. Every engine
+/// seeds from it, whatever its settle schedule.
 ///
 /// # Panics
 ///
 /// Panics if `priorities` does not cover exactly the graph's nodes.
-pub(crate) fn seed_greedy(graph: &DynGraph, priorities: &PriorityMap) -> (NodeSet, NodeMap<usize>) {
+fn seed_greedy(graph: &DynGraph, priorities: &PriorityMap) -> (NodeSet, NodeMap<usize>) {
     let watermark = graph.peek_next_id().index() as usize;
     let mut lower = NodeMap::with_capacity(watermark);
     for v in graph.nodes() {
@@ -825,9 +895,74 @@ pub(crate) fn seed_greedy(graph: &DynGraph, priorities: &PriorityMap) -> (NodeSe
 }
 
 // The shared convenience layer (`apply` dispatch, `insert_node` key
-// draws, `mis`, `state`) is provided once by `DynamicMis`; the macro
-// forwards the trait's required primitives to the methods above.
-crate::api::forward_dynamic_mis!(MisEngine);
+// draws, `mis`, `state`) is provided once by `DynamicMis`; the required
+// primitives forward to the inherent methods above.
+impl DynamicMis for MisEngine {
+    fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReceipt, GraphError> {
+        self.insert_edge(u, v)
+    }
+    fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReceipt, GraphError> {
+        self.remove_edge(u, v)
+    }
+    fn insert_node_with_key(
+        &mut self,
+        neighbors: &[NodeId],
+        key: u64,
+    ) -> Result<(NodeId, UpdateReceipt), GraphError> {
+        self.insert_node_with_key(neighbors.iter().copied(), key)
+    }
+    fn remove_node(&mut self, v: NodeId) -> Result<UpdateReceipt, GraphError> {
+        self.remove_node(v)
+    }
+    fn apply_batch(&mut self, changes: &[TopologyChange]) -> Result<BatchReceipt, GraphError> {
+        self.apply_batch(changes)
+    }
+    fn draw_key(&mut self) -> u64 {
+        self.draw_key()
+    }
+    fn graph(&self) -> &DynGraph {
+        self.graph()
+    }
+    fn priorities(&self) -> &PriorityMap {
+        self.priorities()
+    }
+    fn mis_iter(&self) -> Box<dyn Iterator<Item = NodeId> + '_> {
+        Box::new(self.mis_iter())
+    }
+    fn mis_len(&self) -> usize {
+        self.mis_len()
+    }
+    fn is_in_mis(&self, v: NodeId) -> Option<bool> {
+        self.is_in_mis(v)
+    }
+    fn reader(&mut self) -> MisReader {
+        self.reader()
+    }
+    fn verify_and_repair(&mut self) -> RepairReport {
+        self.verify_and_repair()
+    }
+    fn corrupt_in_mis(&mut self, victims: &[NodeId]) -> usize {
+        self.corrupt_in_mis(victims)
+    }
+    fn durability_meta(&self) -> DurabilityMeta {
+        self.durability_meta()
+    }
+    fn restore_epoch(&mut self, epoch: u64) {
+        self.restore_epoch(epoch);
+    }
+    fn check_invariant(&self) -> Result<(), InvariantViolation> {
+        self.check_invariant()
+    }
+    fn assert_internally_consistent(&self) {
+        self.assert_internally_consistent();
+    }
+    fn check_invariant_sampled(&self, sample: usize, seed: u64) -> Result<(), InvariantViolation> {
+        self.check_invariant_sampled(sample, seed)
+    }
+    fn assert_internally_consistent_sampled(&self, sample: usize, seed: u64) {
+        self.assert_internally_consistent_sampled(sample, seed);
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -18,11 +18,11 @@
 //!   MIS (the "sequential dynamic" realization of the paper's template,
 //!   Algorithm 1), reporting per-update [`UpdateReceipt`]s with the
 //!   adjustment set and work counters;
-//! - [`ShardedMisEngine`]: the same engine partitioned into K shards by
-//!   `NodeId` range ([`dmis_graph::ShardLayout`]), settling each shard
-//!   locally in barrier-synchronized epochs and exchanging cross-shard
-//!   cascades as handoffs — bit-identical output, with the coordination
-//!   traffic audited on every receipt;
+//! - [`sharding`]: the engine's optional settle schedule over K shards by
+//!   `NodeId` range ([`dmis_graph::ShardLayout`]) — the same tables,
+//!   settled shard by shard in barrier-synchronized epochs that exchange
+//!   cross-shard cascades as handoffs: bit-identical output, with the
+//!   coordination traffic audited on every receipt;
 //! - [`MisReader`] / [`MisSnapshot`] ([`snapshot`]): the epoch-versioned
 //!   concurrent read path — every settle publishes the quiesced membership
 //!   at its flush boundary, and cheaply-cloneable `Send + Sync` reader
@@ -92,6 +92,5 @@ pub use engine::MisEngine;
 pub use policy::{AdaptiveConfig, Clock, FlushPolicy, ManualClock, MonotonicClock, QueueDelay};
 pub use priority::{Priority, PriorityMap};
 pub use receipt::{BatchReceipt, UpdateReceipt};
-pub use sharding::ShardedMisEngine;
 pub use snapshot::{MisReader, MisSnapshot, SnapshotIter};
 pub use state::MisState;

@@ -1,17 +1,17 @@
 //! Receipts: the auditable outcome of every engine update.
 //!
-//! Each mutating call on [`crate::MisEngine`] or
-//! [`crate::ShardedMisEngine`] returns an [`UpdateReceipt`] (batches wrap
-//! it in a [`BatchReceipt`]) recording *what the recovery did*: the
-//! adjustment set (the paper's central complexity measure), the settle
-//! work performed (settle pops, neighbor-counter updates), and — for the
-//! sharded engine — how much of the cascade crossed shard boundaries
+//! Each mutating call on [`crate::MisEngine`] returns an
+//! [`UpdateReceipt`] (batches wrap it in a [`BatchReceipt`]) recording
+//! *what the recovery did*: the adjustment set (the paper's central
+//! complexity measure), the settle work performed (settle pops,
+//! neighbor-counter updates), and — under the sharded schedule — how
+//! much of the cascade crossed shard boundaries
 //! ([`UpdateReceipt::cross_shard_handoffs`]), how many shard activations
 //! the coordinator scheduled ([`UpdateReceipt::shard_runs`]), and how
 //! many barrier-synchronized epochs the recovery took
 //! ([`UpdateReceipt::settle_epochs`] — the cascade's depth in
-//! synchronous rounds). Receipts are how experiments and benches observe the
-//! engines without reaching into their internals.
+//! synchronous rounds). Receipts are how experiments and benches observe
+//! the engines without reaching into their internals.
 
 use std::collections::BTreeSet;
 
@@ -59,8 +59,8 @@ impl UpdateReceipt {
         }
     }
 
-    /// Attaches sharding statistics (set by [`crate::ShardedMisEngine`];
-    /// the unsharded engine reports zeros).
+    /// Attaches sharding statistics (zeros from the unsharded
+    /// schedule).
     pub(crate) fn with_shard_stats(
         mut self,
         handoffs: usize,
@@ -196,7 +196,7 @@ impl BatchReceipt {
     }
 
     /// Counter updates that crossed a shard boundary (zero unless the
-    /// batch ran on a [`crate::ShardedMisEngine`]).
+    /// batch ran through the sharded schedule).
     #[must_use]
     pub fn cross_shard_handoffs(&self) -> usize {
         self.receipt.cross_shard_handoffs()

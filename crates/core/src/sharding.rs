@@ -1,13 +1,15 @@
-//! Sharded settle: the MIS engine partitioned into K independent shards.
+//! Sharded settle: the engine's settle loop scheduled over K shards.
 //!
-//! PR 1 made [`NodeId`] a dense slot index; this module exploits that to
-//! partition *all* per-node state — membership bits, lower-MIS counters,
-//! dirty sets — by index range ([`ShardLayout`]) into `K` shards. Each
-//! shard runs the exact settle loop of [`crate::MisEngine`] over its own
-//! dense [`NodeMap`]/[`NodeSet`] tables (keyed by shard-*local* slots, so
-//! per-shard memory is proportional to the nodes it owns). The graph and
-//! the priority order π are shared read-only, mirroring the paper's model
-//! where every node knows the random IDs of its neighbors.
+//! A [`crate::MisEngine`] built with a [`ShardLayout`] keeps the same
+//! global per-node tables as the unsharded engine — membership bits,
+//! lower-MIS counters, the enqueued bitset — and changes only *when* a
+//! node settles. The layout deals the dense `NodeId` space out to `K`
+//! shards by index range, and each shard gets what the protocol below
+//! needs: a π-keyed dirty front and an outbox. A shard's drain is the
+//! unsharded settle loop confined to the shard's own nodes: it reads and
+//! writes the tables only at those nodes. The graph and the priority
+//! order π are shared read-only, mirroring the paper's model where every
+//! node knows the random IDs of its neighbors.
 //!
 //! # Handoff protocol
 //!
@@ -16,28 +18,28 @@
 //! shard are updated in place, exactly as in the unsharded engine;
 //! neighbors owned by another shard receive a **cross-shard handoff** — a
 //! message carrying the counter delta plus a dirty mark — which the shard
-//! appends to its **outbox** instead of touching foreign state. The
-//! [`UpdateReceipt::cross_shard_handoffs`] counter audits this traffic;
-//! the paper's bounded-adjustment guarantee (Theorem 1: expected ≤ 1 flip
-//! per change) is what makes it rare, so almost all work stays
+//! appends to its **outbox** instead of touching the other shard's nodes.
+//! The [`crate::UpdateReceipt::cross_shard_handoffs`] counter audits this
+//! traffic; the paper's bounded-adjustment guarantee (Theorem 1: expected
+//! ≤ 1 flip per change) is what makes it rare, so almost all work stays
 //! shard-local.
 //!
 //! # The epoch barrier
 //!
 //! Recovery proceeds in **epochs**. In each epoch every shard with a
 //! non-empty dirty front drains it to completion against a *frozen* view
-//! of the other shards — it reads only the shared graph and π, mutates
-//! only its own tables, and buffers every outbound handoff. At the
-//! barrier closing the epoch the coordinator merges all outboxes in
-//! shard-index order (and, within a shard, emission order), applying
-//! counter deltas and re-seeding target fronts; the next epoch runs the
-//! shards that became dirty. The loop ends when every front and outbox is
-//! empty.
+//! of the other shards — it reads only the shared graph and π and its
+//! own nodes' entries, mutates only its own nodes' entries and its own
+//! front, and buffers every outbound handoff. At the barrier closing the
+//! epoch the coordinator merges all outboxes in shard-index order (and,
+//! within a shard, emission order), applying counter deltas and
+//! re-seeding target fronts; the next epoch runs the shards that became
+//! dirty. The loop ends when every front and outbox is empty.
 //!
 //! Epochs are the paper's synchronous rounds and handoffs its messages:
 //! a shard acts on what the others announced at the previous barrier,
 //! never on their in-flight state. Because a shard run reads only the
-//! frozen view and writes only its own tables and outbox, the order in
+//! frozen view and writes only its own nodes and outbox, the order in
 //! which the coordinator visits an epoch's dirty shards (shard-index
 //! order) cannot change the outcome; the fixed merge order at the
 //! barrier is what pins the receipts.
@@ -53,61 +55,166 @@
 //! in π, pushes strictly increasing), but across epochs a node *can*
 //! settle twice — a shard may settle a node against a stale counter and
 //! be overturned when a lower-π delta lands at the barrier — so receipts
-//! report **net** flips: first-touch state vs final state. The final
-//! output is bit-identical to [`crate::MisEngine`] for every layout,
-//! which `crates/core/tests/sharded_equivalence.rs` pins over thousands
-//! of random sequences.
+//! report **net** flips: first-touch state vs final state, from one
+//! first-touch log across all shards, sorted by π. The final output is
+//! bit-identical to the unsharded schedule for every layout, which
+//! `crates/core/tests/sharded_equivalence.rs` pins over thousands of
+//! random sequences.
+//!
+//! # Example
+//!
+//! ```
+//! use dmis_core::{DynamicMis, Engine};
+//! use dmis_graph::{generators, ShardLayout};
+//!
+//! let (g, ids) = generators::cycle(12);
+//! let mut sharded = Engine::builder().graph(g.clone()).sharding(ShardLayout::striped(4)).seed(9).build_sharded();
+//! let mut plain = Engine::builder().graph(g).seed(9).build_unsharded();
+//! assert_eq!(sharded.mis(), plain.mis());
+//!
+//! // The same change lands on the same output, and the receipt reports
+//! // how much of the cascade crossed shard boundaries.
+//! let receipt = sharded.remove_edge(ids[0], ids[1])?;
+//! plain.remove_edge(ids[0], ids[1])?;
+//! assert_eq!(sharded.mis(), plain.mis());
+//! println!("handoffs: {}", receipt.cross_shard_handoffs());
+//! # Ok::<(), dmis_graph::GraphError>(())
+//! ```
 
-use dmis_graph::{
-    ChangeKind, DynGraph, GraphError, NodeId, NodeMap, NodeSet, SettleFront, ShardLayout,
-    TopologyChange,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::collections::TryReserveError;
 
-use crate::invariant::{self, InvariantViolation};
-use crate::snapshot::{MisPublisher, MisReader, PublishSlot};
-use crate::{BatchReceipt, MisState, Priority, PriorityMap, UpdateReceipt};
+use dmis_graph::{DynGraph, NodeId, NodeMap, NodeSet, SettleFront, ShardLayout};
 
-/// One shard's slice of the per-node state, keyed by shard-local slots.
-///
-/// The dirty set is the shard's π-keyed `front`: routes push a node the
-/// moment they mark it, batch seeds included, and it drains in global-π
-/// order.
+use crate::engine::SettleStats;
+use crate::{MisState, Priority, PriorityMap};
+
+/// One shard's settle queue.
 #[derive(Debug, Clone, Default)]
 struct Shard {
-    /// Membership bits of the nodes this shard owns.
-    in_mis: NodeSet,
-    /// Lower-π MIS neighbor counters of the nodes this shard owns.
-    lower_mis_count: NodeMap<usize>,
-    /// The dirty set, keyed by priority. Persistent — empty between
-    /// epochs, never reallocated in steady state. A batch
-    /// seed whose node a later change deleted stays in it: it carries no
+    /// The shard's dirty nodes, keyed by priority. Persistent — empty
+    /// between epochs, never reallocated in steady state. A batch seed
+    /// whose node a later change deleted stays in it: it carries no
     /// state, but it pops and costs one settle pop, so a batch's
     /// `heap_pops` counts every node it marked dirty.
     front: SettleFront,
-    /// Dedup bitset for the dirty set (local slots), empty between
-    /// updates.
-    enqueued: NodeSet,
     /// Outbound handoffs buffered during the current epoch: counter
     /// deltas for remote nodes, drained at the barrier. Emission order is
     /// preserved, which keeps per-neighbor delta streams in order.
     outbox: Vec<(NodeId, isize)>,
-    /// First-touch dedup for `log` (local slots), empty between updates.
+}
+
+/// The engine state a shard drain works on: the graph and π, shared
+/// read-only, and the engine's global per-node tables, of which a drain
+/// touches only its own shard's entries.
+pub(crate) struct NodeTables<'a> {
+    pub(crate) graph: &'a DynGraph,
+    pub(crate) priorities: &'a PriorityMap,
+    pub(crate) in_mis: &'a mut NodeSet,
+    pub(crate) lower_mis_count: &'a mut NodeMap<usize>,
+    pub(crate) enqueued: &'a mut NodeSet,
+}
+
+/// The sharded settle schedule of a [`crate::MisEngine`]: a front and an
+/// outbox per shard, and one first-touch log across shards for the net
+/// flips. See the [module docs](self) for the protocol.
+#[derive(Debug, Clone)]
+pub(crate) struct ShardSchedule {
+    layout: ShardLayout,
+    shards: Vec<Shard>,
+    /// First-touch dedup for `log`, empty between updates.
     touched: NodeSet,
     /// First-touch flip log: `(node, membership before its first flip)`,
     /// drained when the receipt is built.
     log: Vec<(NodeId, bool)>,
 }
 
-/// Work/traffic counters accumulated over one recovery.
-#[derive(Debug, Default, Clone, Copy)]
-struct SettleStats {
-    pops: usize,
-    counter_updates: usize,
-    handoffs: usize,
-    shard_runs: usize,
-    epochs: usize,
+impl ShardSchedule {
+    /// The idle schedule of `layout`. Its K shard queues are reserved
+    /// fallibly: a restored checkpoint's shard count comes from outside
+    /// the program, and a count no allocator can serve is refused, not
+    /// aborted on.
+    pub(crate) fn new(layout: ShardLayout) -> Result<Self, TryReserveError> {
+        let mut shards = Vec::new();
+        shards.try_reserve_exact(layout.shards())?;
+        shards.resize_with(layout.shards(), Shard::default);
+        Ok(ShardSchedule {
+            layout,
+            shards,
+            touched: NodeSet::new(),
+            log: Vec::new(),
+        })
+    }
+
+    pub(crate) fn layout(&self) -> ShardLayout {
+        self.layout
+    }
+
+    /// Enters `v` in its owning shard's front, keyed by `key`.
+    pub(crate) fn push(&mut self, key: u64, v: NodeId) {
+        self.shards[self.layout.shard_of(v)].front.push(key, v);
+    }
+
+    /// Pre-sizes the first-touch bitset, the schedule's one per-node
+    /// table, for `n` nodes.
+    pub(crate) fn reserve_nodes(&mut self, n: usize) {
+        self.touched.reserve_nodes(n);
+    }
+
+    /// Times the first-touch bitset reallocated.
+    pub(crate) fn regrows(&self) -> u64 {
+        self.touched.regrows()
+    }
+
+    /// Asserts that nothing leaked past the last update.
+    pub(crate) fn assert_drained(&self) {
+        for shard in &self.shards {
+            assert!(shard.front.is_empty(), "settle front leaked entries");
+            assert!(shard.outbox.is_empty(), "outbox leaked past the barrier");
+        }
+        assert!(self.touched.is_empty(), "flip log leaked touch bits");
+        assert!(self.log.is_empty(), "flip log leaked entries");
+    }
+
+    /// Runs the epoch coordinator to global quiescence and returns the
+    /// net flips, sorted by π (the unsharded settle order).
+    ///
+    /// Each epoch drains every dirty shard to local completion against a
+    /// frozen view of the others, in shard-index order (see the
+    /// [module docs](self)); the barrier then merges all buffered
+    /// handoffs in shard-index order, seeding the next epoch.
+    pub(crate) fn settle(
+        &mut self,
+        mut t: NodeTables<'_>,
+        stats: &mut SettleStats,
+    ) -> Vec<(NodeId, MisState)> {
+        let ShardSchedule {
+            layout,
+            shards,
+            touched,
+            log,
+        } = self;
+        while shards.iter().any(|sh| !sh.front.is_empty()) {
+            stats.epochs += 1;
+            for (s, shard) in shards.iter_mut().enumerate() {
+                if !shard.front.is_empty() {
+                    run_shard_epoch(&mut t, *layout, s, shard, touched, log, stats);
+                }
+            }
+            merge_outboxes(&mut t, *layout, shards, stats);
+        }
+        // Net flips: nodes whose final state differs from their state at
+        // first touch.
+        let mut flips: Vec<(NodeId, MisState)> = Vec::new();
+        for (v, before) in log.drain(..) {
+            touched.remove(v);
+            let now = t.in_mis.contains(v);
+            if now != before {
+                flips.push((v, MisState::from_membership(now)));
+            }
+        }
+        flips.sort_by_key(|&(v, _)| t.priorities.of(v));
+        flips
+    }
 }
 
 /// Drains shard `s`'s dirty set to completion against the frozen view —
@@ -118,35 +225,36 @@ struct SettleStats {
 /// for the epoch barrier. The drain ends with the front empty, so the
 /// barrier's pushes seed the shard's next drain.
 fn run_shard_epoch(
-    graph: &DynGraph,
-    priorities: &PriorityMap,
+    t: &mut NodeTables<'_>,
     layout: ShardLayout,
     s: usize,
     shard: &mut Shard,
+    touched: &mut NodeSet,
+    log: &mut Vec<(NodeId, bool)>,
     stats: &mut SettleStats,
 ) {
     stats.shard_runs += 1;
+    let (graph, priorities) = (t.graph, t.priorities);
     while let Some((key, v)) = shard.front.pop() {
         stats.pops += 1;
         let p = Priority::new(key, v);
-        let local = layout.local_slot(v);
-        shard.enqueued.remove(local);
+        t.enqueued.remove(v);
         // A stale seed: its node left after it was marked.
-        let Some(&count) = shard.lower_mis_count.get(local) else {
+        let Some(&count) = t.lower_mis_count.get(v) else {
             continue;
         };
         let desired = count == 0;
-        let current = shard.in_mis.contains(local);
+        let current = t.in_mis.contains(v);
         if desired == current {
             continue;
         }
-        if shard.touched.insert(local) {
-            shard.log.push((v, current));
+        if touched.insert(v) {
+            log.push((v, current));
         }
         if desired {
-            shard.in_mis.insert(local);
+            t.in_mis.insert(v);
         } else {
-            shard.in_mis.remove(local);
+            t.in_mis.remove(v);
         }
         let delta: isize = if desired { 1 } else { -1 };
         for chunk in graph.neighbor_chunks(v).expect("live node") {
@@ -154,11 +262,10 @@ fn run_shard_epoch(
                 let pw = priorities.of(w);
                 if pw > p {
                     if layout.shard_of(w) == s {
-                        let lw = layout.local_slot(w);
-                        let c = shard.lower_mis_count.get_mut(lw).expect("live node");
+                        let c = t.lower_mis_count.get_mut(w).expect("live node");
                         *c = c.checked_add_signed(delta).expect("counter in range");
                         stats.counter_updates += 1;
-                        if shard.enqueued.insert(lw) {
+                        if t.enqueued.insert(w) {
                             shard.front.push(pw.key(), w);
                         }
                     } else {
@@ -170,792 +277,48 @@ fn run_shard_epoch(
     }
 }
 
-/// [`crate::MisEngine`] partitioned into K shards by `NodeId` range.
-///
-/// Observationally equivalent to the unsharded engine — same seed, same
-/// change sequence, bit-identical MIS — while keeping every per-node table
-/// shard-local and auditing the coordination cost through
-/// [`UpdateReceipt::cross_shard_handoffs`] / [`UpdateReceipt::shard_runs`].
-/// See the [module docs](self) for the handoff protocol and the quiescence
-/// argument.
-///
-/// # Example
-///
-/// ```
-/// use dmis_core::{DynamicMis, Engine};
-/// use dmis_graph::{generators, ShardLayout};
-///
-/// let (g, ids) = generators::cycle(12);
-/// let mut sharded = Engine::builder().graph(g.clone()).sharding(ShardLayout::striped(4)).seed(9).build_sharded();
-/// let mut plain = Engine::builder().graph(g).seed(9).build_unsharded();
-/// assert_eq!(sharded.mis(), plain.mis());
-///
-/// // The same change lands on the same output, and the receipt reports
-/// // how much of the cascade crossed shard boundaries.
-/// let receipt = sharded.remove_edge(ids[0], ids[1])?;
-/// plain.remove_edge(ids[0], ids[1])?;
-/// assert_eq!(sharded.mis(), plain.mis());
-/// println!("handoffs: {}", receipt.cross_shard_handoffs());
-/// # Ok::<(), dmis_graph::GraphError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardedMisEngine {
-    graph: DynGraph,
-    priorities: PriorityMap,
+/// The epoch barrier: applies every shard's buffered handoffs — counter
+/// deltas plus dirty marks — in shard-index order, then emission order,
+/// re-seeding target fronts for the next epoch. Each outbox entry is one
+/// cross-shard message: one handoff, one counter update.
+fn merge_outboxes(
+    t: &mut NodeTables<'_>,
     layout: ShardLayout,
-    shards: Vec<Shard>,
-    rng: StdRng,
-    /// The value that seeded `rng` — checkpointed by the durability
-    /// layer so recovery can rebuild the identical priority stream.
-    seed: u64,
-    /// Priority keys drawn from `rng` since construction; a restored
-    /// engine replays exactly this many draws to park the stream.
-    draws: u64,
-    /// Snapshot publication slot: empty (and free on the settle path)
-    /// until [`Self::reader`] attaches a read path. Cloning detaches —
-    /// see [`crate::snapshot`].
-    publisher: PublishSlot,
-}
-
-impl ShardedMisEngine {
-    /// An engine over an empty graph. `seed` determinizes all priority
-    /// draws exactly as in the unsharded [`crate::MisEngine`]. Reached
-    /// through [`crate::EngineBuilder::build_sharded`].
-    pub(crate) fn new_impl(layout: ShardLayout, seed: u64) -> Self {
-        ShardedMisEngine {
-            graph: DynGraph::new(),
-            priorities: PriorityMap::new(),
-            layout,
-            shards: vec![Shard::default(); layout.shards()],
-            rng: StdRng::seed_from_u64(seed),
-            seed,
-            draws: 0,
-            publisher: PublishSlot::default(),
+    shards: &mut [Shard],
+    stats: &mut SettleStats,
+) {
+    for s in 0..shards.len() {
+        if shards[s].outbox.is_empty() {
+            continue;
         }
-    }
-
-    /// An engine over an existing graph, drawing fresh random priorities
-    /// for all its nodes — the same draws, in the same order, as the
-    /// unsharded [`crate::MisEngine`] with the same seed, so the two
-    /// engines stay step-for-step comparable.
-    pub(crate) fn from_graph_impl(graph: DynGraph, layout: ShardLayout, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut priorities = PriorityMap::new();
-        let mut draws = 0u64;
-        for v in graph.nodes() {
-            priorities.assign(v, &mut rng);
-            draws += 1;
-        }
-        Self::with_priorities(graph, priorities, layout, rng, seed, draws)
-    }
-
-    /// An engine over an existing graph with prescribed priorities (tests
-    /// and adversarial constructions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if some node of the graph has no priority, or if a
-    /// priority names a node the graph does not hold.
-    pub(crate) fn from_parts_impl(
-        graph: DynGraph,
-        priorities: PriorityMap,
-        layout: ShardLayout,
-        seed: u64,
-    ) -> Self {
-        Self::with_priorities(
-            graph,
-            priorities,
-            layout,
-            StdRng::seed_from_u64(seed),
-            seed,
-            0,
-        )
-    }
-
-    fn with_priorities(
-        graph: DynGraph,
-        priorities: PriorityMap,
-        layout: ShardLayout,
-        rng: StdRng,
-        seed: u64,
-        draws: u64,
-    ) -> Self {
-        let (mis, lower) = crate::engine::seed_greedy(&graph, &priorities);
-        let mut engine = ShardedMisEngine {
-            graph,
-            priorities,
-            layout,
-            shards: vec![Shard::default(); layout.shards()],
-            rng,
-            seed,
-            draws,
-            publisher: PublishSlot::default(),
-        };
-        for (v, &count) in lower.iter() {
-            let shard = &mut engine.shards[layout.shard_of(v)];
-            let slot = layout.local_slot(v);
-            if mis.contains(v) {
-                shard.in_mis.insert(slot);
-            }
-            shard.lower_mis_count.insert(slot, count);
-        }
-        engine
-    }
-
-    /// Returns the current graph.
-    #[must_use]
-    pub fn graph(&self) -> &DynGraph {
-        &self.graph
-    }
-
-    /// Returns the priority assignment π.
-    #[must_use]
-    pub fn priorities(&self) -> &PriorityMap {
-        &self.priorities
-    }
-
-    /// Returns the shard layout.
-    #[must_use]
-    pub fn layout(&self) -> ShardLayout {
-        self.layout
-    }
-
-    /// Number of shards K.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.layout.shards()
-    }
-
-    /// Iterates over the current MIS in identifier order without
-    /// allocating a set.
-    pub fn mis_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.graph.nodes().filter(|&v| self.output(v))
-    }
-
-    /// Size of the current MIS, summed over the shards' membership bits
-    /// in O(K) — no per-call allocation, unlike [`crate::DynamicMis::mis`].
-    #[must_use]
-    pub fn mis_len(&self) -> usize {
-        self.shards.iter().map(|s| s.in_mis.len()).sum()
-    }
-
-    /// Returns whether `v` is in the MIS, or `None` if `v` does not exist.
-    #[must_use]
-    pub fn is_in_mis(&self, v: NodeId) -> Option<bool> {
-        self.graph.has_node(v).then(|| self.output(v))
-    }
-
-    /// Returns a concurrent read handle over the engine's published
-    /// snapshots, attaching the publication layer on first call — the
-    /// same contract as [`crate::MisEngine::reader`]. Attach pays one
-    /// O(n) scan to gather the global membership (shard membership is
-    /// stored per-shard in local slots); each settle then publishes its
-    /// net flips in O(flips).
-    pub fn reader(&mut self) -> MisReader {
-        if !self.publisher.is_attached() {
-            self.publisher
-                .set(MisPublisher::attach(self.mis_iter().collect()));
-        }
-        self.publisher.get().expect("just attached").reader()
-    }
-
-    /// Draws the next priority key from the engine's seeded stream (the
-    /// draw behind [`crate::DynamicMis::insert_node`]); same seed ⇒ same
-    /// draws as [`crate::MisEngine`].
-    pub(crate) fn draw_key(&mut self) -> u64 {
-        self.draws += 1;
-        self.rng.random()
-    }
-
-    /// Membership bit of `v`, read from its owning shard.
-    fn output(&self, v: NodeId) -> bool {
-        self.shards[self.layout.shard_of(v)]
-            .in_mis
-            .contains(self.layout.local_slot(v))
-    }
-
-    fn count_lower_mis(&self, v: NodeId) -> usize {
-        self.graph
-            .neighbors(v)
-            .expect("live node")
-            .filter(|&u| self.output(u) && self.priorities.before(u, v))
-            .count()
-    }
-
-    fn order_pair(&self, u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-        if self.priorities.before(u, v) {
-            (u, v)
-        } else {
-            (v, u)
-        }
-    }
-
-    /// Routes a counter delta plus a dirty mark to `v`'s owning shard.
-    /// One delta-carrying call is one message: a real delta leaving the
-    /// `origin` shard counts as one cross-shard handoff. Delta-free calls
-    /// (`delta == 0`) are conservative dirty marks the batch path seeds
-    /// for parity with [`crate::MisEngine::apply_batch`]; they carry no
-    /// state and are not counted, keeping handoff metrics identical
-    /// between the single-change and batch APIs. The mark enters the
-    /// shard's front at once: a priority never moves, so no later change
-    /// of the update can invalidate it.
-    fn route(&mut self, v: NodeId, delta: isize, origin: usize, stats: &mut SettleStats) {
-        let target = self.layout.shard_of(v);
-        let local = self.layout.local_slot(v);
-        let shard = &mut self.shards[target];
-        if delta != 0 {
-            if target != origin {
-                stats.handoffs += 1;
-            }
-            let c = shard.lower_mis_count.get_mut(local).expect("live node");
+        let mut outbox = std::mem::take(&mut shards[s].outbox);
+        for &(w, delta) in &outbox {
+            stats.handoffs += 1;
+            let c = t.lower_mis_count.get_mut(w).expect("live node");
             *c = c.checked_add_signed(delta).expect("counter in range");
             stats.counter_updates += 1;
-        }
-        if shard.enqueued.insert(local) {
-            shard.front.push(self.priorities.of(v).key(), v);
-        }
-    }
-
-    /// Inserts the edge `{u, v}` and restores the MIS invariant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] from the underlying graph operation; on
-    /// error the engine is unchanged.
-    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReceipt, GraphError> {
-        self.graph.insert_edge(u, v)?;
-        let (lo, hi) = self.order_pair(u, v);
-        let mut stats = SettleStats::default();
-        if self.output(lo) {
-            self.route(hi, 1, self.layout.shard_of(lo), &mut stats);
-        }
-        Ok(self.settle(ChangeKind::EdgeInsert, stats))
-    }
-
-    /// Removes the edge `{u, v}` and restores the MIS invariant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] from the underlying graph operation; on
-    /// error the engine is unchanged.
-    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<UpdateReceipt, GraphError> {
-        self.graph.remove_edge(u, v)?;
-        let (lo, hi) = self.order_pair(u, v);
-        let mut stats = SettleStats::default();
-        if self.output(lo) {
-            self.route(hi, -1, self.layout.shard_of(lo), &mut stats);
-        }
-        Ok(self.settle(ChangeKind::EdgeDelete, stats))
-    }
-
-    /// Inserts a new node with a *prescribed* random key (baselines and
-    /// adversarial tests; see
-    /// [`crate::MisEngine::insert_node_with_key`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] if a neighbor is missing or repeated; on
-    /// error the engine is unchanged.
-    pub fn insert_node_with_key<I>(
-        &mut self,
-        neighbors: I,
-        key: u64,
-    ) -> Result<(NodeId, UpdateReceipt), GraphError>
-    where
-        I: IntoIterator<Item = NodeId>,
-    {
-        let v = self.graph.add_node_with_edges(neighbors)?;
-        self.priorities.insert(v, Priority::new(key, v));
-        let origin = self.layout.shard_of(v);
-        let count = self.count_lower_mis(v);
-        self.shards[origin]
-            .lower_mis_count
-            .insert(self.layout.local_slot(v), count);
-        // The newcomer starts in the temporary state M̄ (§4.1): membership
-        // bit unset, no neighbor counter perturbed by its arrival.
-        let mut stats = SettleStats::default();
-        self.route(v, 0, origin, &mut stats);
-        let receipt = self.settle(ChangeKind::NodeInsert, stats);
-        Ok((v, receipt))
-    }
-
-    /// Removes node `v` and restores the MIS invariant. As in the
-    /// unsharded engine, the receipt covers the *remaining* nodes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] if `v` does not exist.
-    pub fn remove_node(&mut self, v: NodeId) -> Result<UpdateReceipt, GraphError> {
-        if !self.graph.has_node(v) {
-            return Err(GraphError::MissingNode(v));
-        }
-        let was_in = self.output(v);
-        let prio_v = self.priorities.of(v);
-        let origin = self.layout.shard_of(v);
-        let nbrs = self.graph.remove_node(v)?;
-        self.priorities.remove(v);
-        let local = self.layout.local_slot(v);
-        self.shards[origin].in_mis.remove(local);
-        self.shards[origin].lower_mis_count.remove(local);
-        if was_in {
-            // Departures never appear in the flip log (receipts cover
-            // the *remaining* nodes), so the publish log learns of them
-            // here.
-            self.publisher.record(v, false);
-        }
-        let mut stats = SettleStats::default();
-        if was_in {
-            for w in nbrs {
-                if self.priorities.of(w) > prio_v {
-                    self.route(w, -1, origin, &mut stats);
-                }
+            // The target drained its front this epoch, so the push may
+            // sit below anything it popped.
+            if t.enqueued.insert(w) {
+                shards[layout.shard_of(w)]
+                    .front
+                    .push(t.priorities.of(w).key(), w);
             }
         }
-        Ok(self.settle(ChangeKind::NodeDelete, stats))
-    }
-
-    /// Applies a **batch** of topology changes atomically, with the same
-    /// semantics as [`crate::MisEngine::apply_batch`]: all graph mutations
-    /// land first (seeding every shard's dirty set), then one coordinated
-    /// settle restores the invariant across all shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`GraphError`] encountered. Changes before the
-    /// failing one remain applied and the invariant is restored for them;
-    /// the failing and subsequent changes are not applied.
-    pub fn apply_batch(&mut self, changes: &[TopologyChange]) -> Result<BatchReceipt, GraphError> {
-        let mut stats = SettleStats::default();
-        let mut applied = 0usize;
-        let mut failure: Option<GraphError> = None;
-        for change in changes {
-            match self.mutate_only(change, &mut stats) {
-                Ok(()) => applied += 1,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let receipt = self.settle(
-            changes
-                .first()
-                .map_or(ChangeKind::EdgeInsert, TopologyChange::kind),
-            stats,
-        );
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(BatchReceipt::new(applied, receipt)),
-        }
-    }
-
-    /// Applies one change's graph mutation and counter fix-ups against the
-    /// *frozen* outputs, seeding dirty sets but deferring the settle.
-    fn mutate_only(
-        &mut self,
-        change: &TopologyChange,
-        stats: &mut SettleStats,
-    ) -> Result<(), GraphError> {
-        match change {
-            TopologyChange::InsertEdge(u, v) => {
-                self.graph.insert_edge(*u, *v)?;
-                let (lo, hi) = self.order_pair(*u, *v);
-                let delta = isize::from(self.output(lo));
-                self.route(hi, delta, self.layout.shard_of(lo), stats);
-            }
-            TopologyChange::DeleteEdge(u, v) => {
-                self.graph.remove_edge(*u, *v)?;
-                let (lo, hi) = self.order_pair(*u, *v);
-                let delta = -isize::from(self.output(lo));
-                self.route(hi, delta, self.layout.shard_of(lo), stats);
-            }
-            TopologyChange::InsertNode { id, edges } => {
-                if self.graph.peek_next_id() != *id {
-                    return Err(GraphError::MissingNode(*id));
-                }
-                let v = self.graph.add_node_with_edges(edges.iter().copied())?;
-                self.priorities.assign(v, &mut self.rng);
-                self.draws += 1;
-                let origin = self.layout.shard_of(v);
-                let count = self.count_lower_mis(v);
-                self.shards[origin]
-                    .lower_mis_count
-                    .insert(self.layout.local_slot(v), count);
-                self.route(v, 0, origin, stats);
-            }
-            TopologyChange::DeleteNode(v) => {
-                if !self.graph.has_node(*v) {
-                    return Err(GraphError::MissingNode(*v));
-                }
-                let was_in = self.output(*v);
-                let prio_v = self.priorities.of(*v);
-                let origin = self.layout.shard_of(*v);
-                let nbrs = self.graph.remove_node(*v)?;
-                self.priorities.remove(*v);
-                let local = self.layout.local_slot(*v);
-                self.shards[origin].in_mis.remove(local);
-                self.shards[origin].lower_mis_count.remove(local);
-                if was_in {
-                    // As in `remove_node`: departures are not flips.
-                    self.publisher.record(*v, false);
-                }
-                for w in nbrs {
-                    if self.priorities.of(w) > prio_v {
-                        self.route(w, -isize::from(was_in), origin, stats);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the epoch coordinator to global quiescence and builds the
-    /// receipt.
-    ///
-    /// Each epoch drains every dirty shard to local completion against a
-    /// frozen view of the others, in shard-index order (see the
-    /// [module docs](self)); the barrier then merges all buffered
-    /// handoffs in shard-index order, seeding the next epoch.
-    fn settle(&mut self, kind: ChangeKind, mut stats: SettleStats) -> UpdateReceipt {
-        while self.shards.iter().any(|sh| !sh.front.is_empty()) {
-            stats.epochs += 1;
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                if !shard.front.is_empty() {
-                    run_shard_epoch(
-                        &self.graph,
-                        &self.priorities,
-                        self.layout,
-                        s,
-                        shard,
-                        &mut stats,
-                    );
-                }
-            }
-            self.merge_outboxes(&mut stats);
-        }
-        // Net flips: nodes whose final state differs from their state at
-        // first touch. Collection order across shards is irrelevant —
-        // the report is sorted by π (the unsharded settle order).
-        let mut flips: Vec<(NodeId, MisState)> = Vec::new();
-        for s in 0..self.shards.len() {
-            let log = std::mem::take(&mut self.shards[s].log);
-            for &(v, before) in &log {
-                self.shards[s].touched.remove(self.layout.local_slot(v));
-                let now = self.output(v);
-                if now != before {
-                    flips.push((v, MisState::from_membership(now)));
-                }
-            }
-        }
-        flips.sort_by_key(|&(v, _)| self.priorities.of(v));
-        // Global quiescence: the net flips carry this flush boundary.
-        if let Some(p) = self.publisher.get_mut() {
-            p.publish(&flips);
-        }
-        UpdateReceipt::new(kind, flips, stats.pops, stats.counter_updates).with_shard_stats(
-            stats.handoffs,
-            stats.shard_runs,
-            stats.epochs,
-        )
-    }
-
-    /// The epoch barrier: applies every shard's buffered handoffs —
-    /// counter deltas plus dirty marks — in shard-index order, then
-    /// emission order, re-seeding target fronts for the next epoch. Each
-    /// outbox entry is one cross-shard message: one handoff, one counter
-    /// update.
-    fn merge_outboxes(&mut self, stats: &mut SettleStats) {
-        for s in 0..self.shards.len() {
-            if self.shards[s].outbox.is_empty() {
-                continue;
-            }
-            let mut outbox = std::mem::take(&mut self.shards[s].outbox);
-            for &(w, delta) in &outbox {
-                stats.handoffs += 1;
-                let target = self.layout.shard_of(w);
-                let lw = self.layout.local_slot(w);
-                let shard = &mut self.shards[target];
-                let c = shard.lower_mis_count.get_mut(lw).expect("live node");
-                *c = c.checked_add_signed(delta).expect("counter in range");
-                stats.counter_updates += 1;
-                // The target drained its front this epoch, so the push
-                // may sit below anything it popped.
-                if shard.enqueued.insert(lw) {
-                    shard.front.push(self.priorities.of(w).key(), w);
-                }
-            }
-            // Hand the (cleared) buffer back so its capacity is reused.
-            outbox.clear();
-            self.shards[s].outbox = outbox;
-        }
-    }
-
-    /// Scans every live node for corrupted membership/counter state and
-    /// heals what it finds — the sharded realization of
-    /// [`crate::MisEngine::verify_and_repair`], with the identical
-    /// detection rule and the identical convergence argument: fixed
-    /// counters plus a priority-ordered drain of the violated set land
-    /// on the unique greedy fixed point for (graph, π). Healing runs
-    /// through the ordinary epoch coordinator, so cross-shard cascades,
-    /// receipts, and (if a read path is attached) the published epoch
-    /// all behave exactly like a settle.
-    pub fn verify_and_repair(&mut self) -> crate::durability::RepairReport {
-        let nodes: Vec<NodeId> = self.graph.nodes().collect();
-        let scanned = nodes.len();
-        let mut counters_fixed = 0usize;
-        let mut memberships_violated = 0usize;
-        let mut violated = Vec::new();
-        for v in nodes {
-            let truth = self.count_lower_mis(v);
-            let (s, local) = (self.layout.shard_of(v), self.layout.local_slot(v));
-            let mut bad = false;
-            if self.shards[s].lower_mis_count[local] != truth {
-                *self.shards[s]
-                    .lower_mis_count
-                    .get_mut(local)
-                    .expect("live node") = truth;
-                counters_fixed += 1;
-                bad = true;
-            }
-            if self.shards[s].in_mis.contains(local) != (truth == 0) {
-                memberships_violated += 1;
-                bad = true;
-            }
-            if bad {
-                violated.push(v);
-            }
-        }
-        if violated.is_empty() {
-            return crate::durability::RepairReport::clean(scanned);
-        }
-        let mut stats = SettleStats::default();
-        stats.counter_updates += counters_fixed;
-        for v in violated {
-            // Delta-free dirty marks: the counters are already truthful,
-            // the drain only needs to re-finalize the violated nodes.
-            self.route(v, 0, self.layout.shard_of(v), &mut stats);
-        }
-        let receipt = self.settle(ChangeKind::EdgeInsert, stats);
-        crate::durability::RepairReport::new(
-            scanned,
-            counters_fixed,
-            memberships_violated,
-            &receipt,
-        )
-    }
-
-    /// Test-only fault injector: flips the membership bit of each live
-    /// victim in its owning shard's local table, leaving counters
-    /// untouched — the E13 corruption model at the sharded tier. Returns
-    /// how many victims were live. Each flip also enters the publish
-    /// log: a later settle may make the corrupted bit the true one
-    /// without any net flip, and the next snapshot must still show it.
-    #[doc(hidden)]
-    pub fn corrupt_in_mis(&mut self, victims: &[NodeId]) -> usize {
-        let mut flipped = 0;
-        for &v in victims {
-            if !self.graph.has_node(v) {
-                continue;
-            }
-            let (s, local) = (self.layout.shard_of(v), self.layout.local_slot(v));
-            let member = !self.shards[s].in_mis.contains(local);
-            if member {
-                self.shards[s].in_mis.insert(local);
-            } else {
-                self.shards[s].in_mis.remove(local);
-            }
-            self.publisher.record(v, member);
-            flipped += 1;
-        }
-        flipped
-    }
-
-    /// Checkpoint-time metadata: flavor, layout, RNG position, epoch.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn durability_meta(&self) -> crate::durability::DurabilityMeta {
-        crate::durability::DurabilityMeta {
-            flavor: crate::durability::EngineFlavor::Sharded,
-            shards: self.layout.shards(),
-            block: self.layout.block(),
-            seed: self.seed,
-            draws: self.draws,
-            epoch: self.publisher.get().map(MisPublisher::epoch),
-        }
-    }
-
-    /// Recovery-time re-attach at a prescribed epoch; see
-    /// [`crate::MisEngine::restore_epoch`]. Must be called on a freshly
-    /// built engine, before [`Self::reader`].
-    #[doc(hidden)]
-    pub fn restore_epoch(&mut self, epoch: u64) {
-        self.publisher
-            .set(MisPublisher::attach_at(self.mis_iter().collect(), epoch));
-    }
-
-    /// Verifies the MIS invariant over the whole graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found.
-    pub fn check_invariant(&self) -> Result<(), InvariantViolation> {
-        // Dense path: merge the shards' bits once instead of building an
-        // ordered set.
-        let members: NodeSet = self.mis_iter().collect();
-        invariant::check_mis_invariant_dense(&self.graph, &self.priorities, &members)
-    }
-
-    /// Verifies every shard's bookkeeping against a from-scratch
-    /// recomputation. Intended for tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any counter, bit, or shard assignment diverged.
-    pub fn assert_internally_consistent(&self) {
-        self.graph.assert_consistent();
-        assert_eq!(self.priorities.len(), self.graph.node_count());
-        let total_counters: usize = self.shards.iter().map(|s| s.lower_mis_count.len()).sum();
-        assert_eq!(total_counters, self.graph.node_count());
-        for shard in &self.shards {
-            assert!(shard.front.is_empty(), "settle front leaked entries");
-            assert!(shard.enqueued.is_empty(), "enqueue scratch leaked bits");
-            assert!(shard.outbox.is_empty(), "outbox leaked past the barrier");
-            assert!(shard.touched.is_empty(), "flip log leaked touch bits");
-            assert!(shard.log.is_empty(), "flip log leaked entries");
-        }
-        for shard in &self.shards {
-            assert_eq!(
-                shard.in_mis.len(),
-                shard.in_mis.popcount(),
-                "cached shard mis_len diverged from its membership words"
-            );
-        }
-        let ground_truth = crate::static_greedy::greedy_mis_dense(&self.graph, &self.priorities);
-        let total_bits: usize = self.shards.iter().map(|s| s.in_mis.len()).sum();
-        assert_eq!(total_bits, ground_truth.len(), "stale membership bits");
-        for v in self.graph.nodes() {
-            assert_eq!(
-                self.output(v),
-                ground_truth.contains(v),
-                "state of {v} diverged from static greedy"
-            );
-            assert_eq!(
-                self.shards[self.layout.shard_of(v)].lower_mis_count[self.layout.local_slot(v)],
-                self.count_lower_mis(v),
-                "counter of {v} diverged"
-            );
-        }
-    }
-
-    /// Pre-sizes every per-node structure for `n` nodes: global tables
-    /// (adjacency, priorities) get `n` slots and each shard's local
-    /// tables get its [`ShardLayout::local_span`] share. A bootstrap of
-    /// up to `n` insertions then performs no incremental regrows. The
-    /// shard fronts are not per-node tables: they grow with the largest
-    /// dirty set seen and keep that capacity.
-    pub fn reserve_nodes(&mut self, n: usize) {
-        self.graph.reserve_nodes(n);
-        self.priorities.reserve_nodes(n);
-        let local = self.layout.local_span(n);
-        for shard in &mut self.shards {
-            shard.in_mis.reserve_nodes(local);
-            shard.lower_mis_count.reserve_slots(local);
-            shard.enqueued.reserve_nodes(local);
-            shard.touched.reserve_nodes(local);
-        }
-    }
-
-    /// Total times any per-node structure grew past its capacity
-    /// (reallocated) since construction. 0 after an adequate
-    /// [`Self::reserve_nodes`] — the debug counter behind the no-regrow
-    /// bootstrap guarantee.
-    #[must_use]
-    pub fn storage_regrows(&self) -> u64 {
-        let shards: u64 = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.in_mis.regrows()
-                    + s.lower_mis_count.regrows()
-                    + s.enqueued.regrows()
-                    + s.touched.regrows()
-            })
-            .sum();
-        self.graph.regrows() + self.priorities.regrows() + shards
-    }
-
-    /// [`Self::check_invariant`] restricted to ~`sample` deterministically
-    /// chosen nodes. Merging the shard membership bits costs O(n/64)
-    /// words; the expensive neighbor scans run only for sampled nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found among sampled nodes.
-    pub fn check_invariant_sampled(
-        &self,
-        sample: usize,
-        seed: u64,
-    ) -> Result<(), InvariantViolation> {
-        let members: NodeSet = self.mis_iter().collect();
-        invariant::check_mis_invariant_sampled(
-            &self.graph,
-            &self.priorities,
-            &members,
-            sample,
-            seed,
-        )
-    }
-
-    /// Sampled counterpart of [`Self::assert_internally_consistent`]:
-    /// per-shard facts stay exact (cached membership counts against
-    /// popcounts, drained settle scratch), while per-node counters and
-    /// membership are recomputed only for ~`sample` deterministically
-    /// chosen nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any checked structure diverged.
-    pub fn assert_internally_consistent_sampled(&self, sample: usize, seed: u64) {
-        assert_eq!(self.priorities.len(), self.graph.node_count());
-        let total_counters: usize = self.shards.iter().map(|s| s.lower_mis_count.len()).sum();
-        assert_eq!(total_counters, self.graph.node_count());
-        for shard in &self.shards {
-            assert_eq!(
-                shard.in_mis.len(),
-                shard.in_mis.popcount(),
-                "cached shard mis_len diverged from its membership words"
-            );
-            assert!(shard.front.is_empty(), "settle front leaked entries");
-            assert!(shard.enqueued.is_empty(), "enqueue scratch leaked bits");
-            assert!(shard.outbox.is_empty(), "outbox leaked past the barrier");
-        }
-        for v in invariant::sampled_nodes(&self.graph, sample, seed) {
-            let (s, local) = (self.layout.shard_of(v), self.layout.local_slot(v));
-            assert_eq!(
-                self.shards[s].lower_mis_count[local],
-                self.count_lower_mis(v),
-                "counter of {v} diverged"
-            );
-            assert_eq!(
-                self.shards[s].in_mis.contains(local),
-                self.shards[s].lower_mis_count[local] == 0,
-                "membership of {v} contradicts its counter"
-            );
-        }
+        // Hand the (cleared) buffer back so its capacity is reused.
+        outbox.clear();
+        shards[s].outbox = outbox;
     }
 }
-
-// The shared convenience layer (`apply` dispatch, `insert_node` key
-// draws, `mis`, `state`) is provided once by `DynamicMis`; the macro
-// forwards the trait's required primitives to the methods above.
-crate::api::forward_dynamic_mis!(ShardedMisEngine);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DynamicMis;
-    use dmis_graph::generators;
     use dmis_graph::stream::{self, ChurnConfig};
+    use dmis_graph::{generators, GraphError, TopologyChange};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn layouts() -> Vec<ShardLayout> {
         vec![
@@ -974,7 +337,7 @@ mod tests {
             .build_sharded();
         assert!(engine.mis().is_empty());
         assert!(engine.check_invariant().is_ok());
-        assert_eq!(engine.shard_count(), 4);
+        assert_eq!(engine.durability_meta().shards, 4);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Sharding-equivalence property suite — **generic over
 //! [`DynamicMis`]**.
 //!
-//! Two engines must be observationally identical on every change stream:
-//! the unsharded [`dmis_core::MisEngine`] (the oracle for outputs and
-//! adjustment sets) and the K-shard [`dmis_core::ShardedMisEngine`].
+//! Two settle schedules must be observationally identical on every change
+//! stream: the unsharded [`dmis_core::MisEngine`] (the oracle for outputs
+//! and adjustment sets) and the same engine on a K-shard layout.
 //! Since the unified-API redesign the suite drives every engine through
 //! one code path: each is built by [`Engine::builder`] as a
 //! `Box<dyn DynamicMis>`, and the replay loop only ever sees the trait —

@@ -9,13 +9,11 @@
 //! handle), this *test target fails to compile*, so the breakage is
 //! attributed to this file, not buried in a build log.
 
-use dmis_core::{BatchReceipt, DynamicMis, MisEngine, ShardedMisEngine, UpdateReceipt};
+use dmis_core::{BatchReceipt, DynamicMis, MisEngine, UpdateReceipt};
 
 const fn assert_send<T: Send>() {}
 const fn assert_sync<T: Sync>() {}
 
-const _: () = assert_send::<ShardedMisEngine>();
-const _: () = assert_sync::<ShardedMisEngine>();
 const _: () = assert_send::<MisEngine>();
 const _: () = assert_sync::<MisEngine>();
 const _: () = assert_send::<UpdateReceipt>();

@@ -1,13 +1,14 @@
 //! Shard layout: partitioning the dense `NodeId` index space.
 //!
 //! [`NodeId`]s are slot indices (see [`crate::storage`]), which makes
-//! *range partitioning* of per-node state a pure index computation: a
+//! *range partitioning* of the nodes a pure index computation: a
 //! [`ShardLayout`] cuts the identifier space into blocks of consecutive
-//! indices and deals the blocks out to `K` shards round-robin. Every shard
-//! then keeps its own dense [`NodeMap`](crate::NodeMap) /
-//! [`NodeSet`](crate::NodeSet) tables keyed by the shard-**local** slot
-//! returned by [`ShardLayout::local_slot`], so per-shard memory is
-//! `O(nodes owned)`, not `O(all nodes ever)`.
+//! indices and deals the blocks out to `K` shards round-robin. The layout
+//! decides only which shard owns a node: per-node state stays in global
+//! dense [`NodeMap`](crate::NodeMap) / [`NodeSet`](crate::NodeSet) tables
+//! indexed by `NodeId`. `dmis-core`'s sharded settle schedule asks it
+//! which shard settles a node and which counter updates cross a shard
+//! boundary.
 //!
 //! Two layouts matter in practice:
 //!
@@ -20,20 +21,14 @@
 //!   trades balance for fewer cross-shard cascades.
 //!
 //! The layout is pure arithmetic — no table, no allocation — so
-//! `shard_of`/`local_slot` are cheap enough for the settle loop's inner
-//! edge scan.
+//! `shard_of` is cheap enough for the settle loop's inner edge scan.
 
 use crate::NodeId;
 
 /// A partition of the `NodeId` index space into `K` shards by index range.
 ///
 /// Blocks of `block` consecutive indices are assigned to shards
-/// round-robin: node `i` belongs to shard `(i / block) mod K`, and its
-/// dense *local* slot within that shard is obtained by deleting the other
-/// shards' blocks from the index space ([`Self::local_slot`]). Both
-/// mappings are bijective on the owned range, so shard-local
-/// [`NodeMap`](crate::NodeMap)/[`NodeSet`](crate::NodeSet) tables stay as
-/// compact as the global ones.
+/// round-robin: node `i` belongs to shard `(i / block) mod K`.
 ///
 /// # Example
 ///
@@ -42,12 +37,10 @@ use crate::NodeId;
 ///
 /// let layout = ShardLayout::striped(4);
 /// assert_eq!(layout.shard_of(NodeId(6)), 2);
-/// assert_eq!(layout.local_slot(NodeId(6)), NodeId(1));
 ///
 /// let blocked = ShardLayout::blocked(2, 3);
 /// // Indices 0,1,2 → shard 0; 3,4,5 → shard 1; 6,7,8 → shard 0 again.
 /// assert_eq!(blocked.shard_of(NodeId(7)), 0);
-/// assert_eq!(blocked.local_slot(NodeId(7)), NodeId(4));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLayout {
@@ -103,36 +96,6 @@ impl ShardLayout {
     pub fn shard_of(&self, id: NodeId) -> usize {
         ((id.index() / self.block) % self.shards as u64) as usize
     }
-
-    /// The dense slot of `id` within its owning shard.
-    ///
-    /// Collapses the owning shard's blocks into a contiguous index space:
-    /// the j-th smallest identifier a shard can own maps to local slot
-    /// `j`. Pair with [`Self::shard_of`] to address shard-local
-    /// [`NodeMap`](crate::NodeMap)/[`NodeSet`](crate::NodeSet) tables.
-    #[must_use]
-    pub fn local_slot(&self, id: NodeId) -> NodeId {
-        let i = id.index();
-        let stride = self.block * self.shards as u64;
-        NodeId((i / stride) * self.block + i % self.block)
-    }
-
-    /// Upper bound on the local slots any one shard owns among
-    /// identifiers `0..n` — the per-shard table capacity that makes a
-    /// bootstrap of `n` nodes regrow-free. Tight to within one block.
-    #[must_use]
-    pub fn local_span(&self, n: usize) -> usize {
-        let stride = self.block * self.shards as u64;
-        usize::try_from((n as u64).div_ceil(stride) * self.block).expect("span fits in usize")
-    }
-
-    /// Returns `true` if `u` and `v` live on different shards — i.e. the
-    /// edge `{u, v}` spans a shard boundary and state changes crossing it
-    /// need a handoff.
-    #[must_use]
-    pub fn crosses(&self, u: NodeId, v: NodeId) -> bool {
-        self.shard_of(u) != self.shard_of(v)
-    }
 }
 
 #[cfg(test)]
@@ -144,10 +107,6 @@ mod tests {
         let layout = ShardLayout::striped(3);
         let shards: Vec<usize> = (0..9).map(|i| layout.shard_of(NodeId(i))).collect();
         assert_eq!(shards, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
-        let locals: Vec<u64> = (0..9)
-            .map(|i| layout.local_slot(NodeId(i)).index())
-            .collect();
-        assert_eq!(locals, vec![0, 0, 0, 1, 1, 1, 2, 2, 2]);
     }
 
     #[test]
@@ -156,29 +115,6 @@ mod tests {
         assert_eq!(layout.shard_of(NodeId(3)), 0);
         assert_eq!(layout.shard_of(NodeId(4)), 1);
         assert_eq!(layout.shard_of(NodeId(9)), 0);
-        // Shard 0 owns 0..4 and 8..12: local slots are contiguous.
-        assert_eq!(layout.local_slot(NodeId(3)), NodeId(3));
-        assert_eq!(layout.local_slot(NodeId(9)), NodeId(5));
-        // Shard 1 owns 4..8 and 12..16.
-        assert_eq!(layout.local_slot(NodeId(4)), NodeId(0));
-        assert_eq!(layout.local_slot(NodeId(13)), NodeId(5));
-    }
-
-    #[test]
-    fn local_slots_are_dense_and_bijective_per_shard() {
-        for &(k, block) in &[(1usize, 1u64), (2, 1), (4, 3), (7, 2), (3, 5)] {
-            let layout = ShardLayout::blocked(k, block);
-            let mut seen = vec![Vec::new(); k];
-            for i in 0..200u64 {
-                let id = NodeId(i);
-                seen[layout.shard_of(id)].push(layout.local_slot(id).index());
-            }
-            for locals in seen {
-                // Each shard's local slots enumerate 0..len without gaps.
-                let expect: Vec<u64> = (0..locals.len() as u64).collect();
-                assert_eq!(locals, expect, "k={k} block={block}");
-            }
-        }
     }
 
     #[test]
@@ -187,31 +123,7 @@ mod tests {
         assert_eq!(layout.shards(), 1);
         for i in [0u64, 1, 63, 64, 1000] {
             assert_eq!(layout.shard_of(NodeId(i)), 0);
-            assert_eq!(layout.local_slot(NodeId(i)), NodeId(i));
         }
-    }
-
-    #[test]
-    fn local_span_bounds_every_owned_slot() {
-        for &(k, block) in &[(1usize, 1u64), (2, 1), (4, 3), (7, 2), (3, 5)] {
-            let layout = ShardLayout::blocked(k, block);
-            for n in [1usize, 5, 64, 199] {
-                let span = layout.local_span(n);
-                for i in 0..n as u64 {
-                    assert!(
-                        (layout.local_slot(NodeId(i)).index() as usize) < span,
-                        "k={k} block={block} n={n} id={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn crosses_detects_boundary_edges() {
-        let layout = ShardLayout::striped(2);
-        assert!(layout.crosses(NodeId(0), NodeId(1)));
-        assert!(!layout.crosses(NodeId(0), NodeId(2)));
     }
 
     #[test]

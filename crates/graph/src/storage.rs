@@ -520,7 +520,7 @@ impl Extend<NodeId> for NodeSet {
 /// order.
 ///
 /// Every settle drain in the workspace — `dmis-core`'s `MisEngine` and
-/// each `ShardedMisEngine` shard, and `dmis-derived`'s coloring and
+/// each shard of its sharded schedule, and `dmis-derived`'s coloring and
 /// matching engines — pops its dirty set in increasing π, and pushes the
 /// priority `(key, id)` itself. No node ever needs a position in a global
 /// table, so inserting a node moves nothing else, and a seed can enter

@@ -67,7 +67,7 @@ impl RunConfig {
     }
 
     /// Shard layout of the engine (settled in barrier-synchronized
-    /// epochs; see [`dmis_core::ShardedMisEngine`]).
+    /// epochs; see [`dmis_core::sharding`]).
     #[must_use]
     pub fn layout(mut self, layout: ShardLayout) -> Self {
         self.layout = layout;

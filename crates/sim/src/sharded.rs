@@ -4,7 +4,8 @@
 //! distributed model. [`ShardedRun`] covers the complementary deployment
 //! the ROADMAP targets: `K` engine shards (think: cores or machines)
 //! cooperating through cross-shard handoffs, as implemented by
-//! [`dmis_core::ShardedMisEngine`]. The harness translates every receipt
+//! [`dmis_core::MisEngine`]'s sharded settle schedule
+//! ([`dmis_core::sharding`]). The harness translates every receipt
 //! into the simulator's [`Metrics`] vocabulary so experiments can sweep
 //! shard counts exactly like they sweep graph families:
 //!
@@ -17,13 +18,13 @@
 
 use std::collections::BTreeSet;
 
-use dmis_core::{DynamicMis, ShardedMisEngine};
+use dmis_core::{DynamicMis, MisEngine};
 use dmis_graph::{DynGraph, GraphError, NodeId, ShardLayout, TopologyChange};
 
 use crate::metrics::{ChangeOutcome, Metrics};
 
-/// A dynamic execution of the sharded engine, with per-change and
-/// lifetime [`Metrics`] in simulator terms.
+/// A dynamic execution of an engine on a [`ShardLayout`], with
+/// per-change and lifetime [`Metrics`] in simulator terms.
 ///
 /// # Example
 ///
@@ -43,12 +44,12 @@ use crate::metrics::{ChangeOutcome, Metrics};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
-    engine: ShardedMisEngine,
+    engine: MisEngine,
     lifetime: Metrics,
 }
 
 impl ShardedRun {
-    /// Boots a sharded engine over `graph` (drawing priorities from
+    /// Boots an engine on `layout` over `graph` (drawing priorities from
     /// `seed`) and starts metering.
     #[must_use]
     pub fn bootstrap(graph: DynGraph, layout: ShardLayout, seed: u64) -> Self {
@@ -64,7 +65,7 @@ impl ShardedRun {
 
     /// The underlying engine.
     #[must_use]
-    pub fn engine(&self) -> &ShardedMisEngine {
+    pub fn engine(&self) -> &MisEngine {
         &self.engine
     }
 
