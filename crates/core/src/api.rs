@@ -79,10 +79,10 @@ pub enum SettleStrategy {
 /// The trait is **object safe** — `Box<dyn DynamicMis>` is a first-class
 /// engine, which is what lets one equivalence suite, one bench harness,
 /// and one simulator runner drive every engine flavor through a single
-/// code path. Iterator-returning queries box their iterators for that reason;
-/// [`DynamicMis::mis`]'s `BTreeSet` materialization is a convenience
-/// built on [`DynamicMis::mis_iter`] (metering loops should prefer
-/// `mis_iter`/[`DynamicMis::mis_len`], which never allocate).
+/// code path. Iterator-returning queries box their iterators for that
+/// reason; [`DynamicMis::mis`]'s `BTreeSet` materialization is a
+/// convenience built on [`DynamicMis::mis_iter`] (metering loops should
+/// prefer `mis_iter`/[`DynamicMis::mis_len`], which never allocate).
 ///
 /// The unsharded and the sharded settle schedules are observationally
 /// equivalent on every change stream (same seed ⇒ same MIS, same

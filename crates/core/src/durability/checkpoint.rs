@@ -333,13 +333,13 @@ impl Checkpoint {
         }
     }
 
-    /// Rebuilds a live engine of the captured flavor: reserves the shard
-    /// queues of a sharded image, builds the graph
-    /// from the decoded lists in bulk ([`DynGraph::from_adjacency`]),
-    /// rebuilds the priority map, seeds membership and counters in one
-    /// sweep in increasing π (the unique greedy fixed point for that
-    /// pair), fast-forwards the RNG by the recorded draw count, and
-    /// re-attaches the publisher at the captured epoch. The adjacency
+    /// Rebuilds a live engine of the captured flavor: reserves a sharded
+    /// image's shard queues, builds the graph from the decoded lists in
+    /// bulk ([`DynGraph::from_adjacency`]), rebuilds the priority map,
+    /// seeds membership and counters in one sweep in increasing π (the
+    /// unique greedy fixed point for that pair), fast-forwards the RNG by
+    /// the recorded draw count, and re-attaches the publisher at the
+    /// captured epoch. The adjacency
     /// build and the sweep are the cost, about what building the same
     /// graph and engine from an edge list costs. The recomputed MIS is
     /// checked against the stored witness before the engine is handed
@@ -359,13 +359,13 @@ impl Checkpoint {
         let meta = self.meta;
         let sharding = match meta.flavor {
             EngineFlavor::Unsharded => None,
-            EngineFlavor::Sharded => Some(
-                ShardSchedule::new(ShardLayout::blocked(meta.shards, meta.block)).map_err(
-                    |_| {
-                        RecoverError::Corrupt(CodecError::Inconsistent("shard queues unreservable"))
-                    },
-                )?,
-            ),
+            EngineFlavor::Sharded => {
+                let layout = ShardLayout::blocked(meta.shards, meta.block);
+                let schedule = ShardSchedule::new(layout).map_err(|_| {
+                    RecoverError::Corrupt(CodecError::Inconsistent("shard queues unreservable"))
+                })?;
+                Some(schedule)
+            }
         };
         let graph = DynGraph::from_adjacency(NodeId(self.next_id), &self.nodes, &self.edges)
             .map_err(|_| RecoverError::Corrupt(CodecError::Inconsistent("adjacency rejected")))?;

@@ -647,7 +647,7 @@ impl MisEngine {
         }
     }
 
-    /// The O(1)-per-table facts both consistency checks assert exactly:
+    /// The whole-table facts both consistency checks assert exactly:
     /// table sizes, the cached `mis_len` against a membership popcount,
     /// and drained settle scratch.
     fn assert_tables_settled(&self) {

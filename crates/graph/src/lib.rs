@@ -17,9 +17,9 @@
 //!   [`SettleFront`]: the `(key, id)` min-queue every settle loop drains,
 //!   and [`EdgeSlotIndex`]: the edge-keyed table the ingestion queue
 //!   coalesces through;
-//! - [`ShardLayout`]: range partitioning of the dense identifier space,
-//!   the storage view behind the sharded engine in `dmis-core` — maps
-//!   every node to an owning shard and a shard-local dense slot;
+//! - [`ShardLayout`]: range partitioning of the dense identifier space
+//!   behind `dmis-core`'s sharded settle schedule — maps every node to
+//!   its owning shard;
 //! - [`TopologyChange`]: the four template-level change types of Section 3 of
 //!   the paper, plus [`DistributedChange`] refining them into the seven
 //!   distributed variants of Section 2 (graceful/abrupt deletions, unmuting);
