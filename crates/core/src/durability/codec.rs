@@ -1,7 +1,8 @@
 //! Hand-rolled binary framing shared by the checkpoint and WAL formats.
 //!
 //! Everything is little-endian, length-prefixed, and guarded by CRC-32
-//! (IEEE polynomial, slicing-by-8). No external serialization crate is
+//! (IEEE polynomial, slicing-by-8); the checkpoint's id lists are
+//! gap-coded as unsigned LEB128 varints. No external serialization crate is
 //! involved: the formats are small enough that an explicit codec is both
 //! auditable and corruption-testable byte by byte.
 
@@ -21,7 +22,7 @@ pub enum CodecError {
     /// An unknown tag byte where a known discriminant was required.
     BadTag(u8),
     /// The bytes decoded, but describe an internally inconsistent state
-    /// (e.g. a priority entry for a node the graph section omits).
+    /// (e.g. a witness id the graph section does not list).
     Inconsistent(&'static str),
 }
 
@@ -111,6 +112,24 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The most bytes a `u64` takes as a LEB128 varint: ⌈64 / 7⌉.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+/// bits first, the high bit set on every byte but the last.
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The bytes [`put_varint`] writes for `v`, 1 to 10.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// A bounds-checked little-endian reader over a byte slice. Every take
 /// returns [`CodecError::Truncated`] instead of panicking, so arbitrary
 /// (fault-injected) bytes can be fed through the decoders safely.
@@ -166,6 +185,27 @@ impl<'a> Cursor<'a> {
         let b = self.take(8)?;
         let bytes: [u8; 8] = b.try_into().map_err(|_| CodecError::Truncated)?;
         Ok(u64::from_le_bytes(bytes))
+    }
+
+    /// Reads a [`put_varint`] varint, refusing an eleventh byte and a
+    /// tenth byte that carries bits past the 64th.
+    pub(crate) fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut value = 0u64;
+        let rest = &self.buf[self.pos..];
+        for (i, &byte) in rest.iter().take(MAX_VARINT_LEN).enumerate() {
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                if i == MAX_VARINT_LEN - 1 && byte > 1 {
+                    return Err(CodecError::Inconsistent("varint overflows u64"));
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        if rest.len() < MAX_VARINT_LEN {
+            return Err(CodecError::Truncated);
+        }
+        Err(CodecError::Inconsistent("varint longer than ten bytes"))
     }
 }
 
@@ -333,6 +373,32 @@ mod tests {
         put_u64(&mut buf, u64::MAX); // absurd neighbor count
         let mut cur = Cursor::new(&buf);
         assert_eq!(take_change(&mut cur), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        let mut values = vec![0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, u64::MAX - 1, u64::MAX];
+        values.extend((1..64).map(|bit| 1u64 << bit));
+        let mut buf = Vec::new();
+        for &v in &values {
+            let before = buf.len();
+            put_varint(&mut buf, v);
+            assert_eq!(buf.len() - before, varint_len(v), "{v:#x}");
+        }
+        assert_eq!(varint_len(u64::MAX), MAX_VARINT_LEN);
+        let mut cur = Cursor::new(&buf);
+        for &v in &values {
+            assert_eq!(cur.varint(), Ok(v));
+        }
+        assert!(cur.is_empty());
+        for cut in 0..varint_len(u64::MAX) {
+            let mut whole = Vec::new();
+            put_varint(&mut whole, u64::MAX);
+            assert_eq!(
+                Cursor::new(&whole[..cut]).varint(),
+                Err(CodecError::Truncated)
+            );
+        }
     }
 
     #[test]

@@ -77,9 +77,10 @@
 #     within a small constant of live ingest or recovery time stops
 #     being proportional to the replayed suffix; or the checkpoint
 #     image's bytes_per_node exceeds
-#     BENCH_GATE_RECOVERY_MAX_BYTES_PER_NODE (default 256) — the frame
-#     format is adjacency + priorities + witness, all O(n + m), and a
-#     blown ceiling means something unbounded leaked into the image.
+#     BENCH_GATE_RECOVERY_MAX_BYTES_PER_NODE (default 48) — the frame
+#     format is gap-coded adjacency + priorities + witness, all
+#     O(n + m), about 19 bytes/node on this row, and a blown ceiling
+#     means a fat encoding or something unbounded leaked into the image.
 #     Fresh-run-only, so fidelity-independent.
 #
 # Usage: tools/bench_gate.sh <fresh.json> <committed.json>
@@ -122,7 +123,7 @@ serve_max_staleness="${BENCH_GATE_SERVE_MAX_STALENESS:-64}"
 ingest_adaptive_min_ratio="${BENCH_GATE_INGEST_ADAPTIVE_MIN_RATIO:-0.8}"
 ingest_p99_max_delay="${BENCH_GATE_INGEST_P99_MAX_DELAY:-32}"
 recovery_max_replay_ratio="${BENCH_GATE_RECOVERY_MAX_REPLAY_RATIO:-2.0}"
-recovery_max_bytes="${BENCH_GATE_RECOVERY_MAX_BYTES_PER_NODE:-256}"
+recovery_max_bytes="${BENCH_GATE_RECOVERY_MAX_BYTES_PER_NODE:-48}"
 
 # field <file> <n> <key>: value of <key> in the results entry for n=<n>.
 # Empty output (not a nonzero exit, which set -e would turn into a
