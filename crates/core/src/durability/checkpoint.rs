@@ -153,22 +153,25 @@ impl Checkpoint {
         put_u64(&mut image, m as u64);
         let mut prev = 0;
         for u in g.nodes() {
-            // The tails of `u`'s ascending neighbour slices past `u`.
-            let upper = || {
-                g.neighbor_chunks(u)
-                    .into_iter()
-                    .flatten()
-                    .map(move |c| &c[c.partition_point(|&v| v <= u)..])
-            };
+            // `u`'s upper neighbours are the tails of its ascending
+            // neighbour slices past `u`.
+            let below = |c: &[NodeId]| c.partition_point(|&v| v <= u);
             put_varint(&mut image, u.index() - prev);
-            put_varint(
-                &mut image,
-                upper().map(<[NodeId]>::len).sum::<usize>() as u64,
-            );
+            let mut degree = 0;
+            if let Ok(chunks) = g.neighbor_chunks(u) {
+                for c in chunks {
+                    degree += c.len() - below(c);
+                }
+            }
+            put_varint(&mut image, degree as u64);
             let mut from = u.index();
-            for v in upper().flatten() {
-                put_varint(&mut image, v.index() - from);
-                from = v.index();
+            if let Ok(chunks) = g.neighbor_chunks(u) {
+                for c in chunks {
+                    for v in &c[below(c)..] {
+                        put_varint(&mut image, v.index() - from);
+                        from = v.index();
+                    }
+                }
             }
             prev = u.index();
         }
