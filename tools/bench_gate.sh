@@ -79,7 +79,7 @@
 #     image's bytes_per_node exceeds
 #     BENCH_GATE_RECOVERY_MAX_BYTES_PER_NODE (default 48) — the frame
 #     format is gap-coded adjacency + priorities + witness, all
-#     O(n + m), about 19 bytes/node on this row, and a blown ceiling
+#     O(n + m), about 17 bytes/node on this row, and a blown ceiling
 #     means a fat encoding or something unbounded leaked into the image.
 #     Fresh-run-only, so fidelity-independent.
 #
